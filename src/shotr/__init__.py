@@ -13,7 +13,6 @@ from .errors import (
     CheckFailed,
     DuplicateTimestamp,
     MalformedRow,
-    MissingNeighbor,
     NonMonotoneTimes,
     OutOfDomain,
     ShotrError,
@@ -26,34 +25,26 @@ from .quadrature import gauss_legendre, gauss_points
 from .recon import (
     CellPoly,
     PiecewisePoly,
-    Stencil,
     TaylorBasis,
-    assemble_clsq,
-    build_stencil,
     effective_degree,
     reconstruct_axis,
     reconstruct_track,
-    reconstruction_matrix,
     reconstruction_operators,
-    solve_clsq,
 )
 from .cweno import (
-    CandidateSet,
     CwenoConfig,
     blend,
-    central_poly,
+    candidates,
     limit_piecewise,
-    make_candidates,
     nonlinear_weights,
-    one_sided_p1,
-    oscillation_indicator,
+    oscillation_indicators,
+    side_lines,
 )
 from .geometry import (
-    CellGeometry,
     NodalBasis,
-    cell_geometry,
-    cell_length,
+    cell_lengths,
     nodal_basis_derivatives,
+    nodal_positions,
     trajectory_length,
 )
 from .kinematics import (

@@ -11,8 +11,6 @@ import csv
 import json
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,10 +19,8 @@ from .errors import CheckFailed, ShotrError
 from .geometry import MAX_GEOMETRY_DEGREE, trajectory_length
 from .kinematics import sample_dense, summarize
 from .recon import reconstruct_track
-from .trajdata import TrackSet, parse_tracks, split_axes
+from .trajdata import parse_tracks, split_axes
 from . import validate
-
-MAX_WORKERS = 4
 
 
 def _fmt(x: float) -> str:
@@ -32,52 +28,22 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input: str | None = None
-    output: str | None = None
-    fmt: str = "generic_csv"
-    degree: int = 3
-    limiter: str = "cweno"
-    geom_degree: int | None = None
-    dtau: float = 0.5
-    case: str | None = None
-    meshes: list[int] | None = None
-    degrees: list[int] | None = None
-    check: bool = False
-    cweno: CwenoConfig = field(default_factory=CwenoConfig)
-
-    def __post_init__(self):
-        if self.degree < 1:
-            raise ShotrError(f"degree must be >= 1, got {self.degree}")
-        if self.dtau <= 0:
-            raise ShotrError(f"dtau must be > 0, got {self.dtau!r}")
+def _tracks(args: argparse.Namespace):
+    return parse_tracks(args.input, args.fmt).tracks.values()
 
 
-def _load(cfg: RunConfig) -> TrackSet:
-    if not cfg.input:
-        raise ShotrError(f"{cfg.command} requires --input")
-    return parse_tracks(cfg.input, cfg.fmt)
+def _polys(args: argparse.Namespace, track):
+    return reconstruct_track(track, args.degree, args.limiter, args.cweno)
 
 
-def _map_tracks(track_set: TrackSet, worker):
-    """Apply worker to every track; results come back in input order."""
-    tracks = list(track_set.tracks.values())
-    if len(tracks) <= 1:
-        return [worker(t) for t in tracks]
-    with ThreadPoolExecutor(max_workers=min(MAX_WORKERS, len(tracks))) as pool:
-        return list(pool.map(worker, tracks))
-
-
-def _open_output(cfg: RunConfig):
-    if cfg.output:
-        return open(cfg.output, "w", newline="", encoding="utf-8")
+def _open_output(args: argparse.Namespace):
+    if args.output:
+        return open(args.output, "w", newline="", encoding="utf-8")
     return sys.stdout
 
 
-def _write_csv(cfg: RunConfig, header: list[str], rows) -> None:
-    out = _open_output(cfg)
+def _write_csv(args: argparse.Namespace, header: list[str], rows) -> None:
+    out = _open_output(args)
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
@@ -96,23 +62,17 @@ def _pad3(values) -> list[float]:
 # file-based commands
 # ---------------------------------------------------------------------------
 
-def cmd_reconstruct(cfg: RunConfig) -> int:
-    track_set = _load(cfg)
-
-    def worker(track):
-        polys = reconstruct_track(track, cfg.degree, cfg.limiter, cfg.cweno)
-        return track.track_id, {
+def cmd_reconstruct(args: argparse.Namespace) -> int:
+    tracks = {}
+    for track in _tracks(args):
+        polys = _polys(args, track)
+        tracks[track.track_id] = {
             "dim": track.dim,
             "degree_used": polys[0].degree,
             "axes": [p.to_dict()["cells"] for p in polys],
         }
-
-    doc = {
-        "degree": cfg.degree,
-        "limiter": cfg.limiter,
-        "tracks": dict(_map_tracks(track_set, worker)),
-    }
-    out = _open_output(cfg)
+    doc = {"degree": args.degree, "limiter": args.limiter, "tracks": tracks}
+    out = _open_output(args)
     try:
         json.dump(doc, out, indent=2)
         out.write("\n")
@@ -122,13 +82,10 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_kinematics(cfg: RunConfig) -> int:
-    track_set = _load(cfg)
-
-    def worker(track):
-        polys = reconstruct_track(track, cfg.degree, cfg.limiter, cfg.cweno)
-        rows = []
-        for s in sample_dense(polys):
+def cmd_kinematics(args: argparse.Namespace) -> int:
+    rows = []
+    for track in _tracks(args):
+        for s in sample_dense(_polys(args, track)):
             rows.append(
                 [track.track_id, _fmt(s.t)]
                 + [_fmt(v) for v in _pad3(s.position)]
@@ -136,47 +93,40 @@ def cmd_kinematics(cfg: RunConfig) -> int:
                 + [_fmt(v) for v in _pad3(s.acceleration)]
                 + [_fmt(s.speed)]
             )
-        return rows
-
     header = ["track", "t", "x", "y", "z", "vx", "vy", "vz", "ax", "ay", "az", "speed"]
-    _write_csv(cfg, header, (r for rows in _map_tracks(track_set, worker) for r in rows))
+    _write_csv(args, header, rows)
     return 0
 
 
-def _geom_degree(cfg: RunConfig) -> int:
-    if cfg.geom_degree is not None:
-        return cfg.geom_degree
-    return min(cfg.degree, MAX_GEOMETRY_DEGREE)
+def _geom_degree(args: argparse.Namespace) -> int:
+    if args.geom_degree is not None:
+        return args.geom_degree
+    return min(args.degree, MAX_GEOMETRY_DEGREE)
 
 
-def cmd_length(cfg: RunConfig) -> int:
-    track_set = _load(cfg)
-    geom = _geom_degree(cfg)
-
-    def worker(track):
-        polys = reconstruct_track(track, cfg.degree, cfg.limiter, cfg.cweno)
-        return [track.track_id, _fmt(trajectory_length(polys, geom))]
-
-    _write_csv(cfg, ["track", "length"], _map_tracks(track_set, worker))
+def cmd_length(args: argparse.Namespace) -> int:
+    geom = _geom_degree(args)
+    rows = [
+        [track.track_id, _fmt(trajectory_length(_polys(args, track), geom))]
+        for track in _tracks(args)
+    ]
+    _write_csv(args, ["track", "length"], rows)
     return 0
 
 
-def cmd_summary(cfg: RunConfig) -> int:
-    track_set = _load(cfg)
-    geom = _geom_degree(cfg)
-
-    def worker(track):
-        polys = reconstruct_track(track, cfg.degree, cfg.limiter, cfg.cweno)
-        s = summarize(polys, split_axes(track), geom)
-        return (
+def cmd_summary(args: argparse.Namespace) -> int:
+    geom = _geom_degree(args)
+    rows = []
+    for track in _tracks(args):
+        s = summarize(_polys(args, track), split_axes(track), geom)
+        rows.append(
             [track.track_id, _fmt(s.v_l)]
             + [_fmt(v) for v in _pad3(s.v_d)]
             + [_fmt(v) for v in _pad3(s.v_m)]
             + [_fmt(s.length), _fmt(s.duration)]
         )
-
     header = ["track", "vL", "vD_x", "vD_y", "vD_z", "vM_x", "vM_y", "vM_z", "L", "duration"]
-    _write_csv(cfg, header, _map_tracks(track_set, worker))
+    _write_csv(args, header, rows)
     return 0
 
 
@@ -184,10 +134,10 @@ def cmd_summary(cfg: RunConfig) -> int:
 # validation commands
 # ---------------------------------------------------------------------------
 
-def cmd_convergence(cfg: RunConfig) -> int:
-    case = validate.get_case(cfg.case or "conv3d")
-    degrees = cfg.degrees or [1, 2, 3]
-    meshes = cfg.meshes or list(validate.REFERENCE_MESH_CELLS)
+def cmd_convergence(args: argparse.Namespace) -> int:
+    case = validate.get_case(args.case or "conv3d")
+    degrees = args.degrees or [1, 2, 3]
+    meshes = args.meshes or list(validate.REFERENCE_MESH_CELLS)
     rows = validate.run_convergence(case, degrees, meshes)
 
     out_rows = []
@@ -199,18 +149,18 @@ def cmd_convergence(cfg: RunConfig) -> int:
                     [row.case, row.degree, _fmt(row.dt), ax, norm,
                      _fmt(norms.as_tuple()[k]), order]
                 )
-    _write_csv(cfg, ["case", "N", "dt", "axis", "norm", "error", "order"], out_rows)
+    _write_csv(args, ["case", "N", "dt", "axis", "norm", "error", "order"], out_rows)
 
-    if cfg.check:
+    if args.check:
         violations = validate.check_convergence(rows)
         if violations:
             raise CheckFailed("\n".join(violations))
     return 0
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    case = validate.get_case(cfg.case or "tanhcos2d")
-    meshes = cfg.meshes or list(validate.COMPARISON_MESH_POINTS)
+def cmd_compare(args: argparse.Namespace) -> int:
+    case = validate.get_case(args.case or "tanhcos2d")
+    meshes = args.meshes or list(validate.COMPARISON_MESH_POINTS)
     rows = validate.compare_spt(case, meshes)
 
     out_rows = [
@@ -221,26 +171,28 @@ def cmd_compare(cfg: RunConfig) -> int:
     ]
     header = ["case", "method", "points", "axis",
               "pos_L1", "pos_L2", "pos_Linf", "vel_L1", "vel_L2", "vel_Linf"]
-    _write_csv(cfg, header, out_rows)
+    _write_csv(args, header, out_rows)
 
-    if cfg.check:
+    if args.check:
         violations = validate.check_comparison(rows)
         if violations:
             raise CheckFailed("\n".join(violations))
     return 0
 
 
-def cmd_backtrace(cfg: RunConfig) -> int:
+def cmd_backtrace(args: argparse.Namespace) -> int:
     header = ["track", "method", "endpoint_err", "L1", "L2", "Linf"]
     pairs = (("RK2+P1", 1, "rk2"), ("RK4+P3", 3, "rk4"))
+    if args.dtau <= 0:
+        raise ShotrError(f"dtau must be > 0, got {args.dtau!r}")
 
-    if cfg.case:
-        case = validate.get_case(cfg.case)
-        n_points = (cfg.meshes or [41])[0]
+    if args.case:
+        case = validate.get_case(args.case)
+        n_points = (args.meshes or [41])[0]
         track = case.sample(n_points)
         reference = lambda t: np.column_stack([f(t) for f in case.position_fns])
         results = {
-            method: validate.backtrace(track, degree, cfg.dtau, order=order,
+            method: validate.backtrace(track, degree, args.dtau, order=order,
                                        reference=reference)
             for method, degree, order in pairs
         }
@@ -249,29 +201,25 @@ def cmd_backtrace(cfg: RunConfig) -> int:
             + [_fmt(v) for v in res.combined.as_tuple()]
             for method, res in results.items()
         ]
-        _write_csv(cfg, header, rows)
-        if cfg.check:
+        _write_csv(args, header, rows)
+        if args.check:
             violations = validate.check_backtrace(results["RK2+P1"], results["RK4+P3"])
             if violations:
                 raise CheckFailed("\n".join(violations))
         return 0
 
-    if cfg.check:
+    if args.check:
         raise ShotrError("backtrace --check requires --case (synthetic reference)")
-    track_set = _load(cfg)
-
-    def worker(track):
-        rows = []
+    rows = []
+    for track in _tracks(args):
         for method, degree, order in pairs:
-            res = validate.backtrace(track, degree, cfg.dtau, order=order,
-                                     limiter=cfg.limiter)
+            res = validate.backtrace(track, degree, args.dtau, order=order,
+                                     limiter=args.limiter)
             rows.append(
                 [track.track_id, method, _fmt(res.endpoint_error)]
                 + [_fmt(v) for v in res.combined.as_tuple()]
             )
-        return rows
-
-    _write_csv(cfg, header, (r for rows in _map_tracks(track_set, worker) for r in rows))
+    _write_csv(args, header, rows)
     return 0
 
 
@@ -361,27 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cweno = CwenoConfig.with_central_weight(
-        args.cweno_lambda0, epsilon=args.cweno_eps, exponent=args.cweno_r
-    )
-    return RunConfig(
-        command=args.command,
-        input=getattr(args, "input", None),
-        output=args.output,
-        fmt=getattr(args, "fmt", "generic_csv"),
-        degree=args.degree,
-        limiter=args.limiter,
-        geom_degree=getattr(args, "geom_degree", None),
-        dtau=getattr(args, "dtau", 0.5),
-        case=getattr(args, "case", None),
-        meshes=getattr(args, "meshes", None),
-        degrees=getattr(args, "degrees", None),
-        check=getattr(args, "check", False),
-        cweno=cweno,
-    )
-
-
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
                         format="%(levelname)s: %(message)s")
@@ -391,8 +318,12 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; 2 is reserved for check failures
         return 0 if (exc.code or 0) == 0 else 1
     try:
-        cfg = config_from_args(args)
-        return COMMANDS[cfg.command](cfg)
+        if args.degree < 1:
+            raise ShotrError(f"degree must be >= 1, got {args.degree}")
+        args.cweno = CwenoConfig.with_central_weight(
+            args.cweno_lambda0, epsilon=args.cweno_eps, exponent=args.cweno_r
+        )
+        return COMMANDS[args.command](args)
     except CheckFailed as exc:
         print(f"check failed:\n{exc}", file=sys.stderr)
         return 2

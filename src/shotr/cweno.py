@@ -7,26 +7,26 @@ previous sample and the forward line to the next one (the latter is the
 cell's own linear-linking segment). Data-dependent weights built from
 oscillation indicators pick the smooth candidates, recovering the optimal
 polynomial on smooth data and collapsing to the flatter line across a jump.
+
+All cells are limited at once: candidates are ``(n_cells, 3, N + 1)``
+coefficient arrays in the cells' Taylor bases, stacked central, left, right.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingNeighbor
-from .quadrature import gauss_points
-from .recon import CellPoly, PiecewisePoly, TaylorBasis, _FACT
+from .recon import _FACT, PiecewisePoly
 from .trajdata import AxisSeries
 
 __all__ = [
     "CwenoConfig",
-    "CandidateSet",
-    "one_sided_p1",
-    "central_poly",
-    "oscillation_indicator",
+    "side_lines",
+    "candidates",
+    "oscillation_indicators",
     "nonlinear_weights",
     "blend",
-    "make_candidates",
     "limit_piecewise",
 ]
 
@@ -53,139 +53,88 @@ class CwenoConfig:
         )
 
 
-@dataclass
-class CandidateSet:
-    """The three blend candidates of one cell, in a shared basis."""
+def side_lines(series: AxisSeries, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right linear candidates of every cell, anchored at its left
+    interface, as (n_cells, degree + 1) coefficients in the cells' bases.
 
-    central: CellPoly
-    left: CellPoly
-    right: CellPoly
-    sigmas: np.ndarray
-
-    def __post_init__(self):
-        if not (
-            len(self.central.coeffs) == len(self.left.coeffs) == len(self.right.coeffs)
-        ):
-            raise ValueError("candidates must share one basis")
-
-
-def _line_as_cell_poly(
-    ta: float, sa: float, tb: float, sb: float, basis: TaylorBasis
-) -> CellPoly:
-    """Express the line through (ta, sa), (tb, sb) in a cell's Taylor basis."""
-    slope = (sb - sa) / (tb - ta)
-    coeffs = np.zeros(basis.degree + 1)
-    coeffs[0] = sa + slope * (basis.center - ta)
-    coeffs[1] = slope * basis.width
-    return CellPoly(coeffs, basis)
-
-
-def one_sided_p1(
-    series: AxisSeries, cell: int, side: str, basis: TaylorBasis
-) -> CellPoly:
-    """One-sided linear candidate of a cell, anchored at its left interface.
-
-    side="left" joins the left interface sample to its predecessor and is
-    missing on the first cell; side="right" joins the cell's own interface
-    pair (the linear-linking segment), which every cell has.
+    The left line joins the left interface sample to its predecessor; the
+    right line joins the cell's own interface pair (the linear-linking
+    segment). The first cell has no predecessor, so its left line is its
+    right line.
     """
     t, s = series.times, series.values
-    if side == "left":
-        if cell == 0:
-            raise MissingNeighbor("first cell has no sample left of the cell")
-        return _line_as_cell_poly(t[cell - 1], s[cell - 1], t[cell], s[cell], basis)
-    if side == "right":
-        return _line_as_cell_poly(t[cell], s[cell], t[cell + 1], s[cell + 1], basis)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    center = 0.5 * (t[:-1] + t[1:])
+    width = t[1:] - t[:-1]
+    slope = (s[1:] - s[:-1]) / width
+    right = np.zeros((len(width), degree + 1))
+    right[:, 0] = s[:-1] + slope * (center - t[:-1])
+    right[:, 1] = slope * width
+    left = right.copy()
+    left[1:, 0] = s[:-2] + slope[:-1] * (center[1:] - t[:-2])
+    left[1:, 1] = slope[:-1] * width[1:]
+    return left, right
 
 
-def central_poly(
-    optimal: CellPoly, left: CellPoly, right: CellPoly, cfg: CwenoConfig
-) -> CellPoly:
-    """Central candidate: remove the side candidates' linear-weight share."""
-    coeffs = (
-        optimal.coeffs
-        - cfg.lambda_side * left.coeffs
-        - cfg.lambda_side * right.coeffs
-    ) / cfg.lambda_central
-    return CellPoly(coeffs, optimal.basis)
+def candidates(poly: PiecewisePoly, series: AxisSeries, cfg: CwenoConfig) -> np.ndarray:
+    """Central, left and right candidates of every cell, (n_cells, 3, N + 1).
 
-
-def _nth_derivative(poly: CellPoly, t: np.ndarray, order: int) -> np.ndarray:
-    n = len(poly.coeffs)
-    if order >= n:
-        return np.zeros_like(np.asarray(t, dtype=float))
-    u = (np.asarray(t, dtype=float) - poly.basis.center) / poly.basis.width
-    c = poly.coeffs[order:] / _FACT[: n - order]
-    return np.polynomial.polynomial.polyval(u, c) / poly.basis.width**order
-
-
-def oscillation_indicator(poly: CellPoly, cell_interval: tuple[float, float]) -> float:
-    """Sum over derivative orders of the integral of the squared derivative.
-
-    Each integrand is a polynomial of degree <= 2(N - order), so the
-    (N+1)-point Gauss rule integrates it exactly.
+    The central candidate removes the side candidates' linear-weight share
+    from the optimal polynomial, so the linear weights recombine it exactly.
     """
-    a, b = cell_interval
-    degree = len(poly.coeffs) - 1
-    nodes, weights = gauss_points(a, b, degree + 1)
-    sigma = 0.0
-    for order in range(1, degree + 1):
-        d = _nth_derivative(poly, nodes, order)
-        sigma += float(np.dot(weights, d * d))
-    return sigma
+    left, right = side_lines(series, poly.degree)
+    central = (
+        poly.coeffs - cfg.lambda_side * left - cfg.lambda_side * right
+    ) / cfg.lambda_central
+    return np.stack([central, left, right], axis=1)
+
+
+@functools.cache
+def _gram(n: int) -> np.ndarray:
+    """G[m - 1, j, k] = integral over u in [-1/2, 1/2] of the m-th u-derivatives
+    of the Taylor basis functions u^j / j! and u^k / k!, for m = 1 .. n - 1."""
+    G = np.zeros((n - 1, n, n))
+    for m in range(1, n):
+        j = np.arange(n - m)
+        power = j[:, None] + j[None, :]
+        integral = np.where(power % 2 == 0, 0.5**power / (power + 1), 0.0)
+        G[m - 1, m:, m:] = integral / np.outer(_FACT[j], _FACT[j])
+    G.setflags(write=False)
+    return G
+
+
+def oscillation_indicators(coeffs: np.ndarray, widths) -> np.ndarray:
+    """Sum over derivative orders m >= 1 of the integral over the cell of the
+    squared m-th time derivative of each polynomial.
+
+    coeffs has shape (..., N + 1) in Taylor bases of the given widths, which
+    broadcast against coeffs[..., 0]. In the basis variable the integral is
+    the exact quadratic form width^(1 - 2m) c^T G_m c.
+    """
+    n = coeffs.shape[-1]
+    forms = np.einsum("...j,mjk,...k->...m", coeffs, _gram(n), coeffs)
+    scale = np.asarray(widths, dtype=float)[..., None] ** (1 - 2 * np.arange(1, n))
+    return (forms * scale).sum(axis=-1)
 
 
 def nonlinear_weights(sigmas: np.ndarray, cfg: CwenoConfig) -> np.ndarray:
-    """Data-dependent weights (central, left, right); they sum to one."""
+    """Data-dependent weights (central, left, right) along the last axis;
+    they sum to one."""
     lam = np.array([cfg.lambda_central, cfg.lambda_side, cfg.lambda_side])
     raw = lam / (np.asarray(sigmas, dtype=float) + cfg.epsilon) ** cfg.exponent
-    return raw / raw.sum()
+    return raw / raw.sum(axis=-1, keepdims=True)
 
 
-def blend(candidates: CandidateSet, cfg: CwenoConfig) -> CellPoly:
-    """Weighted combination of the candidates; overwrites the cell polynomial."""
-    omega = nonlinear_weights(candidates.sigmas, cfg)
-    coeffs = (
-        omega[0] * candidates.central.coeffs
-        + omega[1] * candidates.left.coeffs
-        + omega[2] * candidates.right.coeffs
-    )
-    return CellPoly(coeffs, candidates.central.basis)
-
-
-def make_candidates(
-    optimal: CellPoly,
-    series: AxisSeries,
-    cell: int,
-    cfg: CwenoConfig,
-) -> CandidateSet:
-    """Assemble the candidate set of one cell, with boundary substitution.
-
-    A missing side candidate (first cell's left) is replaced by the cell's
-    own interpolating line so that every cell blends three candidates.
-    """
-    basis = optimal.basis
-    right = one_sided_p1(series, cell, "right", basis)
-    try:
-        left = one_sided_p1(series, cell, "left", basis)
-    except MissingNeighbor:
-        left = right
-    p0 = central_poly(optimal, left, right, cfg)
-    interval = (float(series.times[cell]), float(series.times[cell + 1]))
-    sigmas = np.array(
-        [oscillation_indicator(p, interval) for p in (p0, left, right)]
-    )
-    return CandidateSet(p0, left, right, sigmas)
+def blend(cands: np.ndarray, sigmas: np.ndarray, cfg: CwenoConfig) -> np.ndarray:
+    """Weighted combination of each cell's candidates (..., 3, N + 1)."""
+    omega = nonlinear_weights(sigmas, cfg)
+    return (omega[..., None] * cands).sum(axis=-2)
 
 
 def limit_piecewise(
     poly: PiecewisePoly, series: AxisSeries, cfg: CwenoConfig | None = None
 ) -> PiecewisePoly:
-    """Apply the limiter cell by cell to an unlimited reconstruction."""
+    """Apply the limiter to every cell of an unlimited reconstruction."""
     cfg = cfg or CwenoConfig()
-    limited = [
-        blend(make_candidates(cell_poly, series, i, cfg), cfg)
-        for i, cell_poly in enumerate(poly.cells)
-    ]
-    return PiecewisePoly(poly.mesh, limited, poly.degree)
+    cands = candidates(poly, series, cfg)
+    sigmas = oscillation_indicators(cands, poly.mesh.widths[:, None])
+    return PiecewisePoly(poly.mesh, blend(cands, sigmas, cfg))

@@ -25,10 +25,6 @@ class SingularSystem(ShotrError):
     """The constrained least-squares system could not be solved."""
 
 
-class MissingNeighbor(ShotrError):
-    """A one-sided candidate polynomial has no neighbor sample on that side."""
-
-
 class UnsupportedDegree(ShotrError):
     """Requested degree outside the supported range."""
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import UnsupportedDegree
 from .quadrature import gauss_points
-from .recon import PiecewisePoly
+from .recon import PiecewisePoly, _taylor_eval
 
 MAX_GEOMETRY_DEGREE = 3
 
@@ -86,48 +86,32 @@ def _clamped_geometry_degree(geom_degree: int) -> int:
     return min(geom_degree, MAX_GEOMETRY_DEGREE)
 
 
-@dataclass(frozen=True)
-class CellGeometry:
-    """Isoparametric description of one cell of the reconstructed curve."""
-
-    basis: NodalBasis
-    node_times: np.ndarray     # equispaced node times within the cell
-    nodal_values: np.ndarray   # (n_axes, degree + 1) positions at the nodes
-
-    def tangent(self, xi) -> np.ndarray:
-        """ds/dxi per axis at reference coordinates xi."""
-        return self.nodal_values @ self.basis.derivatives(xi)
-
-
-def cell_geometry(
-    axis_polys: list[PiecewisePoly], cell: int, geom_degree: int = 3
-) -> CellGeometry:
-    """Nodal curve positions of one cell, taken from the reconstruction."""
+def nodal_positions(
+    axis_polys: list[PiecewisePoly], geom_degree: int = 3
+) -> tuple[np.ndarray, np.ndarray]:
+    """Equispaced node times of every cell, (n_cells, g + 1), and the curve
+    positions there, (n_axes, n_cells, g + 1), taken from the reconstruction."""
     basis = NodalBasis(_clamped_geometry_degree(geom_degree))
     mesh = axis_polys[0].mesh
-    node_times = mesh.interfaces[cell] + basis.nodes * mesh.widths[cell]
-    nodal = np.array([p.cells[cell].value(node_times) for p in axis_polys])
-    return CellGeometry(basis, node_times, nodal)
+    node_times = mesh.interfaces[:-1, None] + basis.nodes * mesh.widths[:, None]
+    u = (node_times - mesh.barycenters[:, None]) / mesh.widths[:, None]
+    coeffs = np.stack([p.coeffs for p in axis_polys])[:, :, None, :]
+    return node_times, _taylor_eval(coeffs, u)
 
 
-def cell_length(
-    axis_polys: list[PiecewisePoly], cell: int, geom_degree: int = 3
-) -> float:
-    """Arc length of one cell of the reconstructed curve.
+def cell_lengths(axis_polys: list[PiecewisePoly], geom_degree: int = 3) -> np.ndarray:
+    """Arc length of every cell of the reconstructed curve.
 
     Degrees above 3 fall back to the cubic geometry (the highest basis
     available); the quadrature uses max(degree + 1, 3) Gauss points.
     """
-    geom = cell_geometry(axis_polys, cell, geom_degree)
-    n_g = geom.basis.degree
-    xi_q, w_q = gauss_points(0.0, 1.0, max(n_g + 1, 3))
-    jac = np.sqrt(np.sum(geom.tangent(xi_q) ** 2, axis=0))
-    return float(np.dot(w_q, jac))
+    basis = NodalBasis(_clamped_geometry_degree(geom_degree))
+    _, nodal = nodal_positions(axis_polys, basis.degree)
+    xi_q, w_q = gauss_points(0.0, 1.0, max(basis.degree + 1, 3))
+    tangent = nodal @ basis.derivatives(xi_q)      # ds/dxi, (n_axes, n_cells, n_q)
+    return np.sqrt(np.sum(tangent**2, axis=0)) @ w_q
 
 
 def trajectory_length(axis_polys: list[PiecewisePoly], geom_degree: int = 3) -> float:
-    """Total curve length: the cells' lengths summed in cell order."""
-    return sum(
-        cell_length(axis_polys, i, geom_degree)
-        for i in range(axis_polys[0].mesh.n_cells)
-    )
+    """Total curve length: the sum of the cells' lengths."""
+    return float(np.sum(cell_lengths(axis_polys, geom_degree)))

@@ -1,144 +1,10 @@
 """Gauss-Legendre quadrature nodes and weights.
 
-Rules up to 10 points are hardcoded from standard tables (33 significant
-digits, exact to the double rounding); an n-point rule integrates
-polynomials up to degree 2n-1 exactly.
+An n-point rule integrates polynomials up to degree 2n-1 exactly. Rules
+come from ``numpy.polynomial.legendre.leggauss`` and are cached read-only.
 """
 
 import numpy as np
-
-_GAUSS_LEGENDRE = {
-    1: (
-        (0.0,),
-        (2.0,),
-    ),
-    2: (
-        (-0.577350269189625764509148780501957,
-         0.577350269189625764509148780501957),
-        (1.0,
-         1.0),
-    ),
-    3: (
-        (-0.77459666924148337703585307995648,
-         0.0,
-         0.77459666924148337703585307995648),
-        (0.555555555555555555555555555555556,
-         0.888888888888888888888888888888889,
-         0.555555555555555555555555555555556),
-    ),
-    4: (
-        (-0.86113631159405257522394648889281,
-         -0.339981043584856264802665759103245,
-         0.339981043584856264802665759103245,
-         0.86113631159405257522394648889281),
-        (0.347854845137453857373063949221999,
-         0.652145154862546142626936050778001,
-         0.652145154862546142626936050778001,
-         0.347854845137453857373063949221999),
-    ),
-    5: (
-        (-0.906179845938663992797626878299393,
-         -0.538469310105683091036314420700209,
-         0.0,
-         0.538469310105683091036314420700209,
-         0.906179845938663992797626878299393),
-        (0.236926885056189087514264040719917,
-         0.478628670499366468041291514835638,
-         0.568888888888888888888888888888889,
-         0.478628670499366468041291514835638,
-         0.236926885056189087514264040719917),
-    ),
-    6: (
-        (-0.932469514203152027812301554493995,
-         -0.661209386466264513661399595019905,
-         -0.238619186083196908630501721680712,
-         0.238619186083196908630501721680712,
-         0.661209386466264513661399595019905,
-         0.932469514203152027812301554493995),
-        (0.171324492379170345040296142172733,
-         0.360761573048138607569833513837716,
-         0.467913934572691047389870343989551,
-         0.467913934572691047389870343989551,
-         0.360761573048138607569833513837716,
-         0.171324492379170345040296142172733),
-    ),
-    7: (
-        (-0.949107912342758524526189684047851,
-         -0.741531185599394439863864773280788,
-         -0.405845151377397166906606412076961,
-         0.0,
-         0.405845151377397166906606412076961,
-         0.741531185599394439863864773280788,
-         0.949107912342758524526189684047851),
-        (0.129484966168869693270611432679082,
-         0.27970539148927666790146777142378,
-         0.381830050505118944950369775488975,
-         0.417959183673469387755102040816327,
-         0.381830050505118944950369775488975,
-         0.27970539148927666790146777142378,
-         0.129484966168869693270611432679082),
-    ),
-    8: (
-        (-0.960289856497536231683560868569473,
-         -0.79666647741362673959155393647583,
-         -0.525532409916328985817739049189246,
-         -0.183434642495649804939476142360184,
-         0.183434642495649804939476142360184,
-         0.525532409916328985817739049189246,
-         0.79666647741362673959155393647583,
-         0.960289856497536231683560868569473),
-        (0.101228536290376259152531354309962,
-         0.222381034453374470544355994426241,
-         0.313706645877887287337962201986601,
-         0.362683783378361982965150449277196,
-         0.362683783378361982965150449277196,
-         0.313706645877887287337962201986601,
-         0.222381034453374470544355994426241,
-         0.101228536290376259152531354309962),
-    ),
-    9: (
-        (-0.968160239507626089835576202903673,
-         -0.836031107326635794299429788069735,
-         -0.613371432700590397308702039341474,
-         -0.324253423403808929038538014643337,
-         0.0,
-         0.324253423403808929038538014643337,
-         0.613371432700590397308702039341474,
-         0.836031107326635794299429788069735,
-         0.968160239507626089835576202903673),
-        (0.0812743883615744119718921581105237,
-         0.180648160694857404058472031242913,
-         0.260610696402935462318742869418633,
-         0.312347077040002840068630406584444,
-         0.330239355001259763164525069286974,
-         0.312347077040002840068630406584444,
-         0.260610696402935462318742869418633,
-         0.180648160694857404058472031242913,
-         0.0812743883615744119718921581105237),
-    ),
-    10: (
-        (-0.973906528517171720077964012084452,
-         -0.865063366688984510732096688423493,
-         -0.679409568299024406234327365114874,
-         -0.433395394129247190799265943165784,
-         -0.14887433898163121088482600112972,
-         0.14887433898163121088482600112972,
-         0.433395394129247190799265943165784,
-         0.679409568299024406234327365114874,
-         0.865063366688984510732096688423493,
-         0.973906528517171720077964012084452),
-        (0.0666713443086881375935688098933318,
-         0.149451349150580593145776339657697,
-         0.219086362515982043995534934228163,
-         0.269266719309996355091226921569469,
-         0.295524224714752870173892994651338,
-         0.295524224714752870173892994651338,
-         0.269266719309996355091226921569469,
-         0.219086362515982043995534934228163,
-         0.149451349150580593145776339657697,
-         0.0666713443086881375935688098933318),
-    ),
-}
 
 _CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -148,11 +14,7 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n < 1:
         raise ValueError(f"quadrature order must be >= 1, got {n}")
     if n not in _CACHE:
-        if n in _GAUSS_LEGENDRE:
-            xs, ws = _GAUSS_LEGENDRE[n]
-            pair = (np.array(xs, dtype=float), np.array(ws, dtype=float))
-        else:
-            pair = np.polynomial.legendre.leggauss(n)
+        pair = np.polynomial.legendre.leggauss(n)
         pair[0].setflags(write=False)
         pair[1].setflags(write=False)
         _CACHE[n] = pair

@@ -11,11 +11,14 @@ interface samples. The equality-constrained normal equations are solved as
 a small KKT block system; the inverse action is precomputed per cell as a
 matrix that maps stencil samples straight to coefficients, so the three
 spatial axes (which share the mesh) reuse the same factorization.
+
+A reconstruction is the mesh plus an ``(n_cells, N + 1)`` array of these
+coefficients; every cell's KKT system is solved in one batched call.
 """
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +33,22 @@ MAX_DEGREE = 9  # the width normalization keeps conditioning acceptable up to he
 _FACT = np.array([math.factorial(k) for k in range(MAX_DEGREE + 2)], dtype=float)
 
 
-@dataclass
+def _taylor_eval(coeffs: np.ndarray, u, order: int = 0) -> np.ndarray:
+    """order-th derivative in u of sum_l coeffs[..., l] u^l / l!, by Horner.
+
+    coeffs[..., l] must broadcast against u. Dividing by width**order turns
+    the result into the physical-time derivative.
+    """
+    n = coeffs.shape[-1]
+    if order >= n:
+        return np.zeros(np.broadcast_shapes(coeffs.shape[:-1], np.shape(u)))
+    acc = coeffs[..., n - 1] / _FACT[n - 1 - order]
+    for l in range(n - 2, order - 1, -1):
+        acc = acc * u + coeffs[..., l] / _FACT[l - order]
+    return acc
+
+
+@dataclass(frozen=True)
 class TaylorBasis:
     """Normalized Taylor basis about a cell barycenter."""
 
@@ -38,117 +56,72 @@ class TaylorBasis:
     center: float
     width: float
 
-    def design_row(self, t: float) -> np.ndarray:
-        """Values of all basis functions at time t."""
-        u = (t - self.center) / self.width
-        powers = u ** np.arange(self.degree + 1)
-        return powers / _FACT[: self.degree + 1]
 
-
-@dataclass
-class Stencil:
-    """Interface sample indices feeding one cell's least-squares fit."""
-
-    cell: int
-    interface_indices: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return len(self.interface_indices)
-
-    def constraint_rows(self) -> tuple[int, int]:
-        """Positions of the cell's own interfaces within the stencil."""
-        idx = self.interface_indices
-        left = int(np.nonzero(idx == self.cell)[0][0])
-        right = int(np.nonzero(idx == self.cell + 1)[0][0])
-        return left, right
-
-
-@dataclass
+@dataclass(frozen=True)
 class CellPoly:
     """Polynomial of one cell: coefficients in its Taylor basis."""
 
     coeffs: np.ndarray
     basis: TaylorBasis
 
-    def value(self, t):
+    def _eval(self, t, order: int):
         u = (np.asarray(t, dtype=float) - self.basis.center) / self.basis.width
-        n = len(self.coeffs)
-        return np.polynomial.polynomial.polyval(u, self.coeffs / _FACT[:n])
+        return _taylor_eval(self.coeffs, u, order) / self.basis.width**order
+
+    def value(self, t):
+        return self._eval(t, 0)
 
     def derivative(self, t):
-        u = (np.asarray(t, dtype=float) - self.basis.center) / self.basis.width
-        n = len(self.coeffs)
-        if n < 2:
-            return np.zeros_like(u)
-        c = self.coeffs[1:] / _FACT[: n - 1]
-        return np.polynomial.polynomial.polyval(u, c) / self.basis.width
+        return self._eval(t, 1)
 
     def second_derivative(self, t):
-        u = (np.asarray(t, dtype=float) - self.basis.center) / self.basis.width
-        n = len(self.coeffs)
-        if n < 3:
-            return np.zeros_like(u)
-        c = self.coeffs[2:] / _FACT[: n - 2]
-        return np.polynomial.polynomial.polyval(u, c) / self.basis.width**2
+        return self._eval(t, 2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PiecewisePoly:
-    """Per-cell reconstruction of one axis over a staggered mesh."""
+    """Reconstruction of one axis: the mesh and each cell's coefficients."""
 
     mesh: StaggeredMesh
-    cells: list[CellPoly]
-    degree: int
-    _coeff_matrix: np.ndarray = field(init=False, repr=False)
+    coeffs: np.ndarray  # (n_cells, degree + 1), normalized Taylor basis per cell
 
     def __post_init__(self):
-        self._coeff_matrix = np.array([c.coeffs for c in self.cells])
+        self.coeffs.setflags(write=False)
 
-    def _local(self, t):
+    @property
+    def degree(self) -> int:
+        return self.coeffs.shape[1] - 1
+
+    @property
+    def cells(self) -> list[CellPoly]:
+        """Read-only per-cell views of the coefficient array."""
+        return [
+            CellPoly(c, TaylorBasis(self.degree, float(center), float(width)))
+            for c, center, width in zip(self.coeffs, self.mesh.barycenters, self.mesh.widths)
+        ]
+
+    def _eval(self, t, order: int):
         t = np.asarray(t, dtype=float)
         idx = locate_cells(self.mesh, t)
-        u = (t - self.mesh.barycenters[idx]) / self.mesh.widths[idx]
-        return idx, u
+        width = self.mesh.widths[idx]
+        u = (t - self.mesh.barycenters[idx]) / width
+        return _taylor_eval(self.coeffs[idx], u, order) / width**order
 
     def value(self, t):
-        idx, u = self._local(t)
-        n = self.degree + 1
-        acc = self._coeff_matrix[idx, n - 1] / _FACT[n - 1]
-        for l in range(n - 2, -1, -1):
-            acc = acc * u + self._coeff_matrix[idx, l] / _FACT[l]
-        return acc
+        return self._eval(t, 0)
 
     def derivative(self, t):
-        idx, u = self._local(t)
-        n = self.degree + 1
-        if n < 2:
-            return np.zeros_like(u)
-        acc = self._coeff_matrix[idx, n - 1] / _FACT[n - 2]
-        for l in range(n - 2, 0, -1):
-            acc = acc * u + self._coeff_matrix[idx, l] / _FACT[l - 1]
-        return acc / self.mesh.widths[idx]
+        return self._eval(t, 1)
 
     def second_derivative(self, t):
-        idx, u = self._local(t)
-        n = self.degree + 1
-        if n < 3:
-            return np.zeros_like(u)
-        acc = self._coeff_matrix[idx, n - 1] / _FACT[n - 3]
-        for l in range(n - 2, 1, -1):
-            acc = acc * u + self._coeff_matrix[idx, l] / _FACT[l - 2]
-        return acc / self.mesh.widths[idx] ** 2
+        return self._eval(t, 2)
 
     def to_dict(self) -> dict:
         return {
             "degree": self.degree,
             "cells": [
-                {
-                    "center": c.basis.center,
-                    "width": c.basis.width,
-                    "coeffs": [float(v) for v in c.coeffs],
-                }
-                for c in self.cells
+                {"center": float(center), "width": float(width), "coeffs": c.tolist()}
+                for c, center, width in zip(self.coeffs, self.mesh.barycenters, self.mesh.widths)
             ],
         }
 
@@ -165,128 +138,104 @@ def effective_degree(n_points: int, degree: int) -> int:
     return max(1, min(degree, n_points - 1))
 
 
-def build_stencil(mesh: StaggeredMesh, cell: int, degree: int) -> Stencil:
-    """Stencil of 2(N+1) cells: the 2N+3 interfaces centered on the cell's
-    left interface, shifted one-sided near the track ends.
+def _stencil_starts(n_if: int, cells: np.ndarray, degree: int) -> tuple[np.ndarray, int]:
+    """First interface index and size of each cell's stencil.
 
-    Always contains the cell's own interfaces ``cell`` and ``cell + 1``.
-    With fewer samples in the whole track the stencil is simply every
-    interface.
+    The stencil covers 2(N+1) cells: the 2N+3 interfaces centered on the
+    cell's left interface, shifted one-sided near the track ends, or every
+    interface of a shorter track. It always holds the cell's own interfaces.
+    """
+    size = min(2 * degree + 3, n_if)
+    return np.minimum(np.maximum(cells - (degree + 1), 0), n_if - size), size
+
+
+def _solve(K: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve a stack of systems; also return which were singular.
+
+    A batch with a singular member is re-solved one system at a time, so
+    only the singular ones are lost (their solution rows are NaN).
+    """
+    try:
+        return np.linalg.solve(K, rhs), np.zeros(len(K), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(K) == 1:
+            return np.full(rhs.shape, np.nan), np.ones(1, dtype=bool)
+        parts = [_solve(K[i : i + 1], rhs[i : i + 1]) for i in range(len(K))]
+        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
+def _kkt_operators(
+    mesh: StaggeredMesh, cells: np.ndarray, starts: np.ndarray, size: int, degree: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient blocks of the inverted KKT matrices of the given cells.
+
+    Returns (R, singular): R[k] maps the samples of cell k's stencil to its
+    degree+1 coefficients.
+    """
+    n = degree + 1
+    b = len(cells)
+    rows = np.arange(b)[:, None]
+    t = mesh.interfaces[starts[:, None] + np.arange(size)]
+    u = (t - mesh.barycenters[cells, None]) / mesh.widths[cells, None]
+    M = u[..., None] ** np.arange(n) / _FACT[:n]             # (b, size, n)
+    own = np.stack([cells - starts, cells + 1 - starts], axis=1)
+    C = M[rows, own]                                           # (b, 2, n)
+    MT2 = 2.0 * M.transpose(0, 2, 1)
+    K = np.zeros((b, n + 2, n + 2))
+    K[:, :n, :n] = MT2 @ M
+    K[:, :n, n:] = -C.transpose(0, 2, 1)
+    K[:, n:, :n] = C
+    rhs = np.zeros((b, n + 2, size))
+    rhs[:, :n] = MT2
+    rhs[rows, [n, n + 1], own] = 1.0
+    sol, singular = _solve(K, rhs)
+    return sol[:, :n], singular
+
+
+def reconstruction_operators(mesh: StaggeredMesh, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample-to-coefficients operators of every cell of a mesh.
+
+    Returns (windows, R): windows[i] are the interface indices of cell i's
+    stencil and ``R[i] @ values[windows[i]]`` its degree+1 coefficients.
+    A cell whose system is singular retries at the next lower degree; its
+    lower-degree stencil lies inside the full one, so its operator keeps
+    the same shape, with zero columns and zero high-order rows.
     """
     n_if = len(mesh.interfaces)
-    size = min(2 * degree + 3, n_if)
-    lo = min(max(cell - (degree + 1), 0), n_if - size)
-    return Stencil(cell, np.arange(lo, lo + size))
-
-
-def assemble_clsq(
-    series: AxisSeries,
-    mesh: StaggeredMesh,
-    stencil: Stencil,
-    basis: TaylorBasis,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Assemble the least-squares system (M, B) and constraints (C, d)."""
-    times = series.times[stencil.interface_indices]
-    M = np.array([basis.design_row(t) for t in times])
-    B = series.values[stencil.interface_indices].copy()
-    r0, r1 = stencil.constraint_rows()
-    C = M[[r0, r1], :].copy()
-    d = B[[r0, r1]].copy()
-    return M, B, C, d
-
-
-def _kkt_matrix(M: np.ndarray, C: np.ndarray) -> np.ndarray:
-    n = M.shape[1]
-    m = C.shape[0]
-    K = np.zeros((n + m, n + m))
-    K[:n, :n] = 2.0 * M.T @ M
-    K[:n, n:] = -C.T
-    K[n:, :n] = C
-    return K
-
-
-def solve_clsq(
-    M: np.ndarray, B: np.ndarray, C: np.ndarray, d: np.ndarray
-) -> np.ndarray:
-    """Minimize ||M s - B|| subject to C s = d.
-
-    Solves the KKT block system with dense partial-pivoting elimination and
-    discards the Lagrange multipliers.
-    """
-    n = M.shape[1]
-    rhs = np.concatenate([2.0 * M.T @ B, d])
-    try:
-        sol = np.linalg.solve(_kkt_matrix(M, C), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    return sol[:n]
-
-
-def reconstruction_matrix(M: np.ndarray, stencil: Stencil) -> np.ndarray:
-    """Matrix mapping stencil samples directly to cell coefficients.
-
-    This is the coefficient block of the inverted KKT operator; applying it
-    to a sample vector is one matrix-vector product, and the same matrix
-    serves every axis sharing the mesh.
-    """
-    n = M.shape[1]
-    r0, r1 = stencil.constraint_rows()
-    C = M[[r0, r1], :]
-    D = np.zeros((2, stencil.size))
-    D[0, r0] = 1.0
-    D[1, r1] = 1.0
-    rhs = np.vstack([2.0 * M.T, D])
-    try:
-        sol = np.linalg.solve(_kkt_matrix(M, C), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    return sol[:n]
-
-
-@dataclass
-class CellOperator:
-    """Precomputed geometry-only reconstruction operator of one cell."""
-
-    stencil: Stencil
-    basis: TaylorBasis
-    matrix: np.ndarray
-
-
-def _cell_operator(mesh: StaggeredMesh, i: int, degree: int) -> CellOperator:
-    center = float(mesh.barycenters[i])
-    width = float(mesh.widths[i])
+    cells = np.arange(mesh.n_cells)
+    starts, size = _stencil_starts(n_if, cells, degree)
+    R = np.zeros((mesh.n_cells, degree + 1, size))
     for deg in range(degree, 0, -1):
-        basis = TaylorBasis(deg, center, width)
-        stencil = build_stencil(mesh, i, deg)
-        times = mesh.interfaces[stencil.interface_indices]
-        M = np.array([basis.design_row(t) for t in times])
-        try:
-            R = reconstruction_matrix(M, stencil)
-        except SingularSystem as exc:
+        deg_starts, deg_size = _stencil_starts(n_if, cells, deg)
+        R_deg, singular = _kkt_operators(mesh, cells, deg_starts, deg_size, deg)
+        ok = ~singular
+        cols = (deg_starts - starts[cells])[ok, None] + np.arange(deg_size)
+        R[cells[ok, None, None], np.arange(deg + 1)[:, None], cols[:, None, :]] = R_deg[ok]
+        for i in cells[singular]:
             if deg == 1:
-                raise SingularSystem(f"cell {i}: {exc}") from exc
+                raise SingularSystem(f"cell {i}: Singular matrix")
             logger.warning("cell %d: singular at degree %d, retrying at %d", i, deg, deg - 1)
-            continue
-        if deg < degree:
-            # zero high-order coefficients keep the per-axis coeff length uniform
-            R = np.vstack([R, np.zeros((degree - deg, stencil.size))])
-        return CellOperator(stencil, TaylorBasis(degree, center, width), R)
-    raise SingularSystem(f"cell {i}: no solvable degree")  # pragma: no cover
+        cells = cells[singular]
+        if not len(cells):
+            break
+    return starts[:, None] + np.arange(size), R
 
 
-def reconstruction_operators(mesh: StaggeredMesh, degree: int) -> list[CellOperator]:
-    """Build the per-cell sample-to-coefficients operators for a mesh."""
-    return [_cell_operator(mesh, i, degree) for i in range(mesh.n_cells)]
-
-
-def _apply_operators(
-    ops: list[CellOperator], series: AxisSeries, mesh: StaggeredMesh
+def _apply(
+    ops: tuple[np.ndarray, np.ndarray], mesh: StaggeredMesh, values: np.ndarray
 ) -> PiecewisePoly:
-    cells = [
-        CellPoly(op.matrix @ series.values[op.stencil.interface_indices], op.basis)
-        for op in ops
-    ]
-    return PiecewisePoly(mesh, cells, ops[0].basis.degree)
+    windows, R = ops
+    return PiecewisePoly(mesh, np.matmul(R, values[windows][..., None])[..., 0])
+
+
+def _limit(poly: PiecewisePoly, series: AxisSeries, limiter: str, cweno_config) -> PiecewisePoly:
+    if limiter == "none":
+        return poly
+    if limiter != "cweno":
+        raise ValueError(f"unknown limiter {limiter!r}")
+    from .cweno import CwenoConfig, limit_piecewise
+
+    return limit_piecewise(poly, series, cweno_config or CwenoConfig())
 
 
 def reconstruct_axis(
@@ -294,7 +243,6 @@ def reconstruct_axis(
     degree: int,
     limiter: str = "none",
     cweno_config=None,
-    _operators: list[CellOperator] | None = None,
 ) -> PiecewisePoly:
     """Reconstruct one axis as a piecewise polynomial of the given degree.
 
@@ -302,17 +250,10 @@ def reconstruct_axis(
     blend against the one-sided linear candidates; "none" keeps the
     unlimited constrained least-squares polynomials.
     """
-    if limiter not in ("none", "cweno"):
-        raise ValueError(f"unknown limiter {limiter!r}")
     n_eff = effective_degree(len(series), degree)
     mesh = build_mesh(series.times)
-    ops = _operators if _operators is not None else reconstruction_operators(mesh, n_eff)
-    poly = _apply_operators(ops, series, mesh)
-    if limiter == "cweno":
-        from .cweno import CwenoConfig, limit_piecewise
-
-        poly = limit_piecewise(poly, series, cweno_config or CwenoConfig())
-    return poly
+    poly = _apply(reconstruction_operators(mesh, n_eff), mesh, series.values)
+    return _limit(poly, series, limiter, cweno_config)
 
 
 def reconstruct_track(
@@ -335,6 +276,6 @@ def reconstruct_track(
     mesh = build_mesh(track.times)
     ops = reconstruction_operators(mesh, n_eff)
     return [
-        reconstruct_axis(s, n_eff, limiter, cweno_config, _operators=ops)
+        _limit(_apply(ops, mesh, s.values), s, limiter, cweno_config)
         for s in split_axes(track)
     ]

@@ -17,7 +17,7 @@ fewer than 2 usable rows are dropped with a warning.
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,6 +55,8 @@ class TrackSeries:
             )
         if len(self.times) < 2:
             raise ValueError(f"track {self.track_id!r} has fewer than 2 samples")
+        if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.coords))):
+            raise ValueError(f"track {self.track_id!r} has non-finite times or coordinates")
         if not np.all(np.diff(self.times) > 0):
             raise DuplicateTimestamp(
                 f"track {self.track_id!r} has non-increasing timestamps"
@@ -78,6 +80,8 @@ class AxisSeries:
         self.values = np.ascontiguousarray(self.values, dtype=float)
         if self.times.shape != self.values.shape:
             raise ValueError("times and values must have the same length")
+        if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.values))):
+            raise ValueError("axis series has non-finite times or values")
         if not np.all(np.diff(self.times) > 0):
             raise DuplicateTimestamp("axis series times are not strictly increasing")
         self.times.setflags(write=False)
@@ -93,7 +97,6 @@ class TrackSet:
 
     tracks: dict[str, TrackSeries]
     source: str = ""
-    units: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         dims = {t.dim for t in self.tracks.values()}

@@ -256,3 +256,10 @@ def test_invalid_dtau_exits_one(tmp_path, capsys, rng):
     path = write_csv(tmp_path / "a.csv", track_to_rows(random_track(rng, 6, 2, "a")))
     code, _, err = run_cli(capsys, "backtrace", "--input", path, "--dtau", "-1")
     assert code == 1
+
+
+def test_invalid_degree_exits_one(tmp_path, capsys, rng):
+    path = write_csv(tmp_path / "a.csv", track_to_rows(random_track(rng, 6, 2, "a")))
+    code, _, err = run_cli(capsys, "summary", "--input", path, "--degree", "0")
+    assert code == 1
+    assert "degree" in err

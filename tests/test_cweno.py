@@ -2,18 +2,16 @@ import numpy as np
 import pytest
 
 from shotr.cweno import (
-    CandidateSet,
     CwenoConfig,
     blend,
-    central_poly,
+    candidates,
     limit_piecewise,
-    make_candidates,
     nonlinear_weights,
-    one_sided_p1,
-    oscillation_indicator,
+    oscillation_indicators,
+    side_lines,
 )
-from shotr.errors import MissingNeighbor
-from shotr.recon import CellPoly, TaylorBasis, reconstruct_axis
+from shotr.mesh import build_mesh
+from shotr.recon import CellPoly, PiecewisePoly, TaylorBasis, reconstruct_axis
 from shotr.trajdata import AxisSeries
 
 from .conftest import random_times
@@ -40,34 +38,33 @@ def test_config_defaults_sum_to_one():
 
 def test_left_line_has_unit_slope():
     series = AxisSeries([0.0, 1.0, 2.0], [0.0, 1.0, 1.5])
-    basis = TaylorBasis(3, 1.5, 1.0)  # cell 1
-    left = one_sided_p1(series, 1, "left", basis)
+    left, _ = side_lines(series, 3)
+    line = CellPoly(left[1], TaylorBasis(3, 1.5, 1.0))  # cell 1
     pts = np.linspace(0.8, 2.3, 7)
-    np.testing.assert_allclose(left.derivative(pts), 1.0, atol=1e-13)
-    assert left.value(1.0) == pytest.approx(1.0)
+    np.testing.assert_allclose(line.derivative(pts), 1.0, atol=1e-13)
+    assert line.value(1.0) == pytest.approx(1.0)
 
 
 def test_first_cell_has_no_left_line():
     series = AxisSeries([0.0, 1.0, 2.0], [0.0, 1.0, 1.5])
-    basis = TaylorBasis(2, 0.5, 1.0)
-    with pytest.raises(MissingNeighbor):
-        one_sided_p1(series, 0, "left", basis)
-    # the right line is the cell's own linking segment and always exists
-    right = one_sided_p1(series, 2 - 1, "right", basis)
-    assert right is not None
+    left, right = side_lines(series, 2)
+    # the right line is the cell's own linking segment and always exists;
+    # it stands in for the missing left line of the first cell
+    np.testing.assert_array_equal(left[0], right[0])
+    assert not np.array_equal(left[1], right[1])
 
 
 def test_constant_data_lines_equal_central(rng):
     times = random_times(rng, 8)
     series = AxisSeries(times, np.full(8, 2.5))
     poly = reconstruct_axis(series, 3)
-    cfg = CwenoConfig()
+    cands = candidates(poly, series, CwenoConfig())
     for i, cell in enumerate(poly.cells):
-        cands = make_candidates(cell, series, i, cfg)
         pts = np.linspace(times[i], times[i + 1], 5)
-        np.testing.assert_allclose(cands.left.value(pts), 2.5, atol=1e-12)
-        np.testing.assert_allclose(cands.right.value(pts), 2.5, atol=1e-12)
-        np.testing.assert_allclose(cands.central.value(pts), 2.5, atol=1e-10)
+        central, left, right = (CellPoly(c, cell.basis) for c in cands[i])
+        np.testing.assert_allclose(left.value(pts), 2.5, atol=1e-12)
+        np.testing.assert_allclose(right.value(pts), 2.5, atol=1e-12)
+        np.testing.assert_allclose(central.value(pts), 2.5, atol=1e-10)
 
 
 def test_line_reexpansion_reproduces_defining_samples(rng):
@@ -75,40 +72,36 @@ def test_line_reexpansion_reproduces_defining_samples(rng):
     times = random_times(rng, 10)
     values = rng.normal(0, 2, 10)
     series = AxisSeries(times, values)
+    poly = reconstruct_axis(series, 3)
+    left, right = side_lines(series, 3)
     for cell in range(1, 9):
-        basis = TaylorBasis(
-            3, float(0.5 * (times[cell] + times[cell + 1])), float(times[cell + 1] - times[cell])
-        )
-        left = one_sided_p1(series, cell, "left", basis)
-        assert left.value(times[cell - 1]) == pytest.approx(values[cell - 1], abs=1e-12)
-        assert left.value(times[cell]) == pytest.approx(values[cell], abs=1e-12)
-        right = one_sided_p1(series, cell, "right", basis)
-        assert right.value(times[cell]) == pytest.approx(values[cell], abs=1e-12)
-        assert right.value(times[cell + 1]) == pytest.approx(values[cell + 1], abs=1e-12)
+        basis = poly.cells[cell].basis
+        line = CellPoly(left[cell], basis)
+        assert line.value(times[cell - 1]) == pytest.approx(values[cell - 1], abs=1e-12)
+        assert line.value(times[cell]) == pytest.approx(values[cell], abs=1e-12)
+        line = CellPoly(right[cell], basis)
+        assert line.value(times[cell]) == pytest.approx(values[cell], abs=1e-12)
+        assert line.value(times[cell + 1]) == pytest.approx(values[cell + 1], abs=1e-12)
 
 
 def test_central_recombination_identity(rng):
     cfg = CwenoConfig()
-    basis = TaylorBasis(3, 0.0, 1.0)
     for _ in range(20):
-        optimal = CellPoly(rng.normal(size=4), basis)
-        left = CellPoly(np.concatenate([rng.normal(size=2), [0, 0]]), basis)
-        right = CellPoly(np.concatenate([rng.normal(size=2), [0, 0]]), basis)
-        p0 = central_poly(optimal, left, right, cfg)
+        times = random_times(rng, 9)
+        series = AxisSeries(times, rng.normal(size=9))
+        optimal = PiecewisePoly(build_mesh(times), rng.normal(size=(8, 4)))
+        p0, left, right = candidates(optimal, series, cfg).transpose(1, 0, 2)
         recombined = (
-            cfg.lambda_central * p0.coeffs
-            + cfg.lambda_side * left.coeffs
-            + cfg.lambda_side * right.coeffs
+            cfg.lambda_central * p0 + cfg.lambda_side * left + cfg.lambda_side * right
         )
         np.testing.assert_allclose(recombined, optimal.coeffs, atol=1e-14)
 
 
 def test_central_of_constant_is_constant():
-    cfg = CwenoConfig()
-    basis = TaylorBasis(2, 0.0, 1.0)
-    const = CellPoly(np.array([4.0, 0.0, 0.0]), basis)
-    p0 = central_poly(const, const, const, cfg)
-    np.testing.assert_allclose(p0.coeffs, const.coeffs, atol=1e-13)
+    series = AxisSeries([0.0, 1.0, 2.0, 3.0], [4.0, 4.0, 4.0, 4.0])
+    poly = reconstruct_axis(series, 2)
+    p0 = candidates(poly, series, CwenoConfig())[:, 0]
+    np.testing.assert_allclose(p0, np.tile([4.0, 0.0, 0.0], (3, 1)), atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -116,22 +109,20 @@ def test_central_of_constant_is_constant():
 # ---------------------------------------------------------------------------
 
 def test_sigma_constant_is_zero():
-    poly = CellPoly(np.array([7.0, 0.0, 0.0, 0.0]), TaylorBasis(3, 0.5, 1.0))
-    assert oscillation_indicator(poly, (0.0, 1.0)) == 0.0
+    assert oscillation_indicators(np.array([7.0, 0.0, 0.0, 0.0]), 1.0) == 0.0
 
 
 def test_sigma_unit_slope_line():
     # p(t) = t on [0, 1]: the only derivative term integrates to 1
-    poly = CellPoly(np.array([0.5, 1.0]), TaylorBasis(1, 0.5, 1.0))
-    assert oscillation_indicator(poly, (0.0, 1.0)) == pytest.approx(1.0, abs=1e-14)
+    assert oscillation_indicators(np.array([0.5, 1.0]), 1.0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_sigma_matches_symbolic_integration(rng):
-    """Quadrature vs exact polynomial integration of the squared derivatives."""
+    """Gram-matrix form vs exact polynomial integration of the squared
+    derivatives over the cell, in physical time."""
     for _ in range(10):
         center, width = rng.uniform(-2, 2), rng.uniform(0.3, 2.0)
         coeffs = rng.normal(size=4)
-        cell_poly = CellPoly(coeffs, TaylorBasis(3, center, width))
         a, b = center - width / 2, center + width / 2
         # monomial form in t: p(u)/... with u=(t-center)/width
         fact = np.array([1.0, 1.0, 2.0, 6.0])
@@ -144,7 +135,7 @@ def test_sigma_matches_symbolic_integration(rng):
             anti = sq.integ()
             ua, ub = (a - center) / width, (b - center) / width
             expected += (anti(ub) - anti(ua)) * width / width ** (2 * order)
-        got = oscillation_indicator(cell_poly, (a, b))
+        got = oscillation_indicators(coeffs, width)
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-13)
 
 
@@ -166,14 +157,11 @@ def test_equal_sigmas_recover_linear_weights_and_optimal(rng):
     w = nonlinear_weights(np.array([3.7, 3.7, 3.7]), cfg)
     np.testing.assert_allclose(w, [cfg.lambda_central, cfg.lambda_side, cfg.lambda_side], atol=1e-15)
 
-    basis = TaylorBasis(3, 0.0, 1.0)
-    optimal = CellPoly(rng.normal(size=4), basis)
-    left = CellPoly(np.array([0.3, 1.1, 0.0, 0.0]), basis)
-    right = CellPoly(np.array([-0.2, 0.9, 0.0, 0.0]), basis)
-    p0 = central_poly(optimal, left, right, cfg)
-    cands = CandidateSet(p0, left, right, np.array([1.0, 1.0, 1.0]))
-    blended = blend(cands, cfg)
-    np.testing.assert_allclose(blended.coeffs, optimal.coeffs, atol=1e-13)
+    times = random_times(rng, 9)
+    series = AxisSeries(times, rng.normal(size=9))
+    optimal = PiecewisePoly(build_mesh(times), rng.normal(size=(8, 4)))
+    blended = blend(candidates(optimal, series, cfg), np.ones((8, 3)), cfg)
+    np.testing.assert_allclose(blended, optimal.coeffs, atol=1e-13)
 
 
 def test_step_data_collapses_to_flat_side_line():
@@ -181,13 +169,15 @@ def test_step_data_collapses_to_flat_side_line():
     poly = reconstruct_axis(series, 3)
     cfg = CwenoConfig()
     jump_cell = 2  # samples 2 and 3 straddle the jump
-    cands = make_candidates(poly.cells[jump_cell], series, jump_cell, cfg)
-    w = nonlinear_weights(cands.sigmas, cfg)
+    cands = candidates(poly, series, cfg)[jump_cell]
+    sigmas = oscillation_indicators(cands, poly.mesh.widths[jump_cell])
+    w = nonlinear_weights(sigmas, cfg)
     assert w[0] < 0.01          # central candidate suppressed
     assert w[1] > 0.98          # flat backward line wins
-    blended = blend(cands, cfg)
+    basis = poly.cells[jump_cell].basis
+    blended = CellPoly(blend(cands, sigmas, cfg), basis)
     pts = np.linspace(series.times[jump_cell], series.times[jump_cell + 1], 30)
-    np.testing.assert_allclose(blended.value(pts), cands.left.value(pts), atol=1e-2)
+    np.testing.assert_allclose(blended.value(pts), CellPoly(cands[1], basis).value(pts), atol=1e-2)
 
 
 def test_smooth_cubic_blend_matches_optimal():
@@ -207,14 +197,13 @@ def test_blend_is_convex_combination(rng):
     values = rng.normal(0, 2, 12)
     series = AxisSeries(times, values)
     poly = reconstruct_axis(series, 3)
-    cfg = CwenoConfig()
-    for i in range(poly.mesh.n_cells):
-        cands = make_candidates(poly.cells[i], series, i, cfg)
-        blended = blend(cands, cfg)
+    cands = candidates(poly, series, CwenoConfig())
+    limited = limit_piecewise(poly, series)
+    for i, cell in enumerate(limited.cells):
         pts = rng.uniform(times[i], times[i + 1], 20)
-        stack = np.array([c.value(pts) for c in (cands.central, cands.left, cands.right)])
-        assert np.all(blended.value(pts) >= stack.min(axis=0) - 1e-12)
-        assert np.all(blended.value(pts) <= stack.max(axis=0) + 1e-12)
+        stack = np.array([CellPoly(c, cell.basis).value(pts) for c in cands[i]])
+        assert np.all(cell.value(pts) >= stack.min(axis=0) - 1e-12)
+        assert np.all(cell.value(pts) <= stack.max(axis=0) + 1e-12)
 
 
 def test_monotone_step_total_variation_bound():

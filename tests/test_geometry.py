@@ -4,9 +4,9 @@ import pytest
 from shotr.errors import UnsupportedDegree
 from shotr.geometry import (
     NodalBasis,
-    cell_geometry,
-    cell_length,
+    cell_lengths,
     nodal_basis_derivatives,
+    nodal_positions,
     trajectory_length,
 )
 from shotr.recon import reconstruct_track
@@ -56,14 +56,13 @@ def test_straight_segment_length_is_five():
     track = TrackSeries("seg", [0.0, 1.0], [[0.0, 0.0], [3.0, 4.0]], 2)
     polys = reconstruct_track(track, 1)
     for geom_degree in (1, 2, 3):
-        assert cell_length(polys, 0, geom_degree) == pytest.approx(5.0, abs=1e-12)
+        assert cell_lengths(polys, geom_degree)[0] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_1d_monotone_cell_collapses_to_displacement():
     track = TrackSeries("m", [0.0, 1.0, 2.0], [[0.0], [2.0], [3.0]], 1)
     polys = reconstruct_track(track, 1)
-    assert cell_length(polys, 0, 3) == pytest.approx(2.0, abs=1e-12)
-    assert cell_length(polys, 1, 3) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(cell_lengths(polys, 3), [2.0, 1.0], atol=1e-12)
 
 
 def test_polyline_length_linear_geometry():
@@ -128,12 +127,17 @@ def test_cell_geometry_end_nodes_hit_interface_samples(rng):
     # last curve nodes of every cell are the recorded positions
     track = random_track(rng, 10, dim=2)
     polys = reconstruct_track(track, 3)
+    node_times, nodal = nodal_positions(polys, 3)
+    np.testing.assert_allclose(nodal[:, :, 0].T, track.coords[:-1], atol=1e-10)
+    np.testing.assert_allclose(nodal[:, :, -1].T, track.coords[1:], atol=1e-10)
+    np.testing.assert_allclose(node_times[:, 0], track.times[:-1])
+    np.testing.assert_allclose(node_times[:, -1], track.times[1:])
+    # the interior nodes evaluate each cell's own polynomial
     for cell in range(polys[0].mesh.n_cells):
-        geom = cell_geometry(polys, cell, 3)
-        np.testing.assert_allclose(geom.nodal_values[:, 0], track.coords[cell], atol=1e-10)
-        np.testing.assert_allclose(geom.nodal_values[:, -1], track.coords[cell + 1], atol=1e-10)
-        assert geom.node_times[0] == pytest.approx(track.times[cell])
-        assert geom.node_times[-1] == pytest.approx(track.times[cell + 1])
+        for d, p in enumerate(polys):
+            np.testing.assert_allclose(
+                nodal[d, cell], p.cells[cell].value(node_times[cell]), rtol=1e-14
+            )
 
 
 def test_geometry_degree_above_three_falls_back():

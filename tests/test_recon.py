@@ -7,15 +7,13 @@ from shotr.errors import SingularSystem, UnsupportedDegree
 from shotr.mesh import build_mesh
 from shotr.recon import (
     TaylorBasis,
-    assemble_clsq,
-    build_stencil,
     effective_degree,
     reconstruct_axis,
-    reconstruction_matrix,
-    solve_clsq,
+    reconstruction_operators,
 )
 from shotr.trajdata import AxisSeries
 
+from . import oracle
 from .conftest import random_times
 
 
@@ -32,29 +30,28 @@ def taylor_coeffs(poly: np.polynomial.Polynomial, center: float, width: float, d
 
 def test_stencil_interior_spans_2n_plus_2_cells():
     mesh = build_mesh(np.arange(20.0))
-    st_ = build_stencil(mesh, 9, 1)
-    np.testing.assert_array_equal(st_.interface_indices, [7, 8, 9, 10, 11])
-    st_ = build_stencil(mesh, 9, 3)
-    np.testing.assert_array_equal(st_.interface_indices, np.arange(5, 14))
-    assert st_.size == 2 * 3 + 3
+    windows, _ = reconstruction_operators(mesh, 1)
+    np.testing.assert_array_equal(windows[9], [7, 8, 9, 10, 11])
+    windows, R = reconstruction_operators(mesh, 3)
+    np.testing.assert_array_equal(windows[9], np.arange(5, 14))
+    assert R.shape == (mesh.n_cells, 4, 2 * 3 + 3)
 
 
 def test_stencil_boundary_shifts_one_sided():
     mesh = build_mesh(np.arange(10.0))  # 10-point track
-    st_ = build_stencil(mesh, 0, 3)
-    np.testing.assert_array_equal(st_.interface_indices, np.arange(0, 9))
-    st_ = build_stencil(mesh, 8, 3)
-    np.testing.assert_array_equal(st_.interface_indices, np.arange(1, 10))
+    windows, _ = reconstruction_operators(mesh, 3)
+    np.testing.assert_array_equal(windows[0], np.arange(0, 9))
+    np.testing.assert_array_equal(windows[8], np.arange(1, 10))
     # own interfaces always present
     for cell in range(mesh.n_cells):
-        idx = build_stencil(mesh, cell, 3).interface_indices
-        assert cell in idx and cell + 1 in idx
+        assert cell in windows[cell] and cell + 1 in windows[cell]
 
 
 def test_stencil_two_point_track_is_square():
     mesh = build_mesh(np.array([0.0, 1.0]))
-    st_ = build_stencil(mesh, 0, 1)
-    np.testing.assert_array_equal(st_.interface_indices, [0, 1])
+    windows, R = reconstruction_operators(mesh, 1)
+    np.testing.assert_array_equal(windows, [[0, 1]])
+    assert R.shape == (1, 2, 2)
 
 
 def test_effective_degree_reduction():
@@ -76,8 +73,8 @@ def test_assemble_rows_are_basis_values():
     series = AxisSeries([0.0, 1.0], [2.0, 5.0])
     mesh = build_mesh(series.times)
     basis = TaylorBasis(1, 0.5, 1.0)
-    stencil = build_stencil(mesh, 0, 1)
-    M, B, C, d = assemble_clsq(series, mesh, stencil, basis)
+    stencil = oracle.build_stencil(mesh, 0, 1)
+    M, B, C, d = oracle.assemble_clsq(series, stencil, basis)
     np.testing.assert_allclose(M, [[1.0, -0.5], [1.0, 0.5]])
     np.testing.assert_array_equal(B, [2.0, 5.0])
     np.testing.assert_array_equal(C, M)
@@ -92,8 +89,8 @@ def test_assemble_rows_reproduce_polynomial_samples(rng):
     mesh = build_mesh(times)
     cell = 5
     basis = TaylorBasis(2, float(mesh.barycenters[cell]), float(mesh.widths[cell]))
-    stencil = build_stencil(mesh, cell, 2)
-    M, B, C, d = assemble_clsq(series, mesh, stencil, basis)
+    stencil = oracle.build_stencil(mesh, cell, 2)
+    M, B, C, d = oracle.assemble_clsq(series, stencil, basis)
     exact = taylor_coeffs(p, basis.center, basis.width, 2)
     np.testing.assert_allclose(M @ exact, B, rtol=1e-12, atol=1e-12)
     np.testing.assert_array_equal(d, series.values[[cell, cell + 1]])
@@ -103,8 +100,8 @@ def test_solve_square_system_interpolates():
     series = AxisSeries([0.0, 1.0], [2.0, 5.0])
     mesh = build_mesh(series.times)
     basis = TaylorBasis(1, 0.5, 1.0)
-    M, B, C, d = assemble_clsq(series, mesh, build_stencil(mesh, 0, 1), basis)
-    coeffs = solve_clsq(M, B, C, d)
+    M, B, C, d = oracle.assemble_clsq(series, oracle.build_stencil(mesh, 0, 1), basis)
+    coeffs = oracle.solve_clsq(M, B, C, d)
     np.testing.assert_allclose(M @ coeffs, B, atol=1e-13)
     np.testing.assert_allclose(coeffs, [3.5, 3.0])  # midpoint value, slope * width
 
@@ -112,13 +109,12 @@ def test_solve_square_system_interpolates():
 def test_constraints_hold_even_with_noisy_data(rng):
     times = random_times(rng, 16)
     values = rng.normal(0, 10, 16)  # rough data: large LSQ residual
-    series = AxisSeries(times, values)
-    mesh = build_mesh(times)
+    poly = reconstruct_axis(AxisSeries(times, values), 3)
+    cells = poly.cells
     for cell in (0, 7, 14):
-        basis = TaylorBasis(3, float(mesh.barycenters[cell]), float(mesh.widths[cell]))
-        M, B, C, d = assemble_clsq(series, mesh, build_stencil(mesh, cell, 3), basis)
-        coeffs = solve_clsq(M, B, C, d)
-        np.testing.assert_allclose(C @ coeffs, d, atol=1e-10 * max(1, np.abs(d).max()))
+        d = values[[cell, cell + 1]]
+        got = cells[cell].value(times[[cell, cell + 1]])
+        np.testing.assert_allclose(got, d, atol=1e-10 * max(1, np.abs(d).max()))
 
 
 def test_quadratic_data_reconstructed_exactly(rng):
@@ -133,20 +129,22 @@ def test_singular_system_raises():
     M = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
     C = M[:2]
     with pytest.raises(SingularSystem):
-        solve_clsq(M, np.zeros(3), C, np.zeros(2))
+        oracle.solve_clsq(M, np.zeros(3), C, np.zeros(2))
 
 
 def test_reconstruction_matrix_matches_direct_solve(rng):
+    """The batched operator applied to the samples solves each cell's
+    constrained least-squares problem."""
     times = random_times(rng, 14)
-    values = rng.normal(size=14)
-    series = AxisSeries(times, values)
+    series = AxisSeries(times, rng.normal(size=14))
     mesh = build_mesh(times)
-    cell = 6
-    basis = TaylorBasis(3, float(mesh.barycenters[cell]), float(mesh.widths[cell]))
-    stencil = build_stencil(mesh, cell, 3)
-    M, B, C, d = assemble_clsq(series, mesh, stencil, basis)
-    R = reconstruction_matrix(M, stencil)
-    np.testing.assert_allclose(R @ B, solve_clsq(M, B, C, d), atol=1e-11)
+    windows, R = reconstruction_operators(mesh, 3)
+    for cell in (0, 6, 12):
+        basis = TaylorBasis(3, float(mesh.barycenters[cell]), float(mesh.widths[cell]))
+        stencil = oracle.build_stencil(mesh, cell, 3)
+        np.testing.assert_array_equal(windows[cell], stencil.interface_indices)
+        M, B, C, d = oracle.assemble_clsq(series, stencil, basis)
+        np.testing.assert_allclose(R[cell] @ B, oracle.solve_clsq(M, B, C, d), atol=1e-11)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shotr.errors import DuplicateTimestamp, MalformedRow
-from shotr.trajdata import TrackSeries, parse_tracks, split_axes
+from shotr.trajdata import AxisSeries, TrackSeries, parse_tracks, split_axes
 
 from .conftest import write_csv
 
@@ -142,3 +142,21 @@ def test_track_series_invariants():
     track = TrackSeries("a", [0.0, 1.0], [[1.0], [2.0]], 1)
     with pytest.raises(ValueError):
         track.times[0] = 5.0  # read-only after construction
+
+
+def test_nan_time_rejected_as_non_finite():
+    # not reported as a non-increasing (duplicate) timestamp
+    with pytest.raises(ValueError, match="track 'p7' has non-finite"):
+        TrackSeries("p7", [0.0, np.nan, 2.0], [[1.0], [2.0], [3.0]], 1)
+
+
+def test_nan_coordinate_rejected_as_non_finite():
+    with pytest.raises(ValueError, match="track 'p7' has non-finite"):
+        TrackSeries("p7", [0.0, 1.0, 2.0], [[1.0, 0.0], [np.nan, 0.0], [3.0, 0.0]], 2)
+
+
+def test_axis_series_rejects_infinite_time():
+    with pytest.raises(ValueError, match="non-finite"):
+        AxisSeries([0.0, 1.0, np.inf], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        AxisSeries([0.0, 1.0, 2.0], [1.0, -np.inf, 3.0])
