@@ -21,13 +21,19 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _CACHE[n]
 
 
-def gauss_points(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+def gauss_points(
+    a: float | np.ndarray, b: float | np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point rule mapped to [a, b].
 
     The returned weights include the interval Jacobian, so
-    ``np.dot(w, f(x))`` approximates the integral over [a, b].
+    ``np.dot(w, f(x))`` approximates the integral over [a, b]. Scalar
+    bounds give arrays of shape ``(n,)``; arrays of k bounds give
+    ``(k, n)``, row i holding the rule on [a[i], b[i]].
     """
     x, w = gauss_legendre(n)
+    a = np.asarray(a, dtype=float)[..., None]
+    b = np.asarray(b, dtype=float)[..., None]
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     return mid + half * x, half * w

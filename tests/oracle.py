@@ -1,11 +1,15 @@
-"""Per-cell reference implementation of the reconstruction and the limiter.
+"""Per-cell reference implementation of the reconstruction, the limiter
+and the validation norms and backtrace.
 
 One small dense solve per cell and one candidate set per cell, with the
-oscillation indicator integrated by Gauss quadrature. Slow, but written
-independently of the batched array code in ``shotr.recon`` and
-``shotr.cweno``, which the differential tests check against it.
+oscillation indicator integrated by Gauss quadrature; error norms summed
+cell by cell and backtrace stepped one RK step at a time. Slow, but
+written independently of the array code in ``shotr.recon``,
+``shotr.cweno`` and ``shotr.validate``, which the differential tests check
+against it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,8 +17,9 @@ import numpy as np
 from shotr.errors import SingularSystem
 from shotr.mesh import StaggeredMesh, build_mesh
 from shotr.quadrature import gauss_points
-from shotr.recon import _FACT, CellPoly, TaylorBasis, effective_degree
-from shotr.trajdata import AxisSeries
+from shotr.recon import _FACT, CellPoly, TaylorBasis, effective_degree, reconstruct_track
+from shotr.trajdata import AxisSeries, TrackSeries
+from shotr.validate import ErrorNorms, rk_step
 
 
 class MissingNeighbor(Exception):
@@ -209,3 +214,57 @@ def limit(coeffs: np.ndarray, series: AxisSeries, cfg) -> np.ndarray:
         cands, sigmas = make_candidates(CellPoly(c, basis), series, i, cfg)
         out.append(blend(cands, sigmas, cfg))
     return np.array(out)
+
+
+# ---------------------------------------------------------------------------
+# validation
+# ---------------------------------------------------------------------------
+
+def error_norms(reference, candidate, window, quad_points_per_cell, mesh) -> ErrorNorms:
+    """L1/L2 by Gauss quadrature and Linf over nodes and clipped interfaces,
+    one cell at a time."""
+    a, b = window
+    l1 = 0.0
+    l2_sq = 0.0
+    linf = 0.0
+    for i in range(mesh.n_cells):
+        lo = max(float(mesh.interfaces[i]), a)
+        hi = min(float(mesh.interfaces[i + 1]), b)
+        if hi <= lo:
+            continue
+        nodes, weights = gauss_points(lo, hi, quad_points_per_cell)
+        pts = np.concatenate([nodes, [lo, hi]])
+        err = np.abs(np.asarray(reference(pts)) - np.asarray(candidate(pts)))
+        l1 += float(np.dot(weights, err[:-2]))
+        l2_sq += float(np.dot(weights, err[:-2] ** 2))
+        linf = max(linf, float(err.max()))
+    return ErrorNorms(l1, math.sqrt(l2_sq), linf)
+
+
+def backtrace_path(
+    track: TrackSeries, degree: int, dtau: float, order: str | None = None, limiter: str = "none"
+) -> tuple[np.ndarray, np.ndarray]:
+    """(taus, path) of the backward integration, one RK step per loop pass
+    with one scalar velocity lookup per axis and stage."""
+    polys = reconstruct_track(track, degree, limiter)
+    t0, t1 = polys[0].mesh.span
+    duration = t1 - t0
+    if order is None:
+        order = "rk2" if effective_degree(len(track), degree) == 1 else "rk4"
+
+    def field(x: np.ndarray, tau: float) -> np.ndarray:
+        t_phys = min(max(t1 - tau, t0), t1)
+        return np.array([float(p.derivative(t_phys)) for p in polys])
+
+    n_full = int(math.floor(duration / dtau + 1e-12))
+    steps = [dtau] * n_full
+    rest = duration - n_full * dtau
+    if rest > 1e-12 * max(duration, 1.0):
+        steps.append(rest)
+
+    taus = [0.0]
+    path = [track.coords[-1].astype(float)]
+    for h in steps:
+        path.append(rk_step(path[-1], taus[-1], h, field, order))
+        taus.append(taus[-1] + h)
+    return np.array(taus), np.array(path)

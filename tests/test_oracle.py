@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from shotr.cweno import CwenoConfig
-from shotr.recon import MAX_DEGREE, _stencil_starts, reconstruct_axis
+from shotr.mesh import build_mesh
+from shotr.recon import MAX_DEGREE, _stencil_starts, reconstruct_axis, reconstruct_track
 from shotr.trajdata import AxisSeries
+from shotr.validate import backtrace, error_norms
 
 from . import oracle
-from .conftest import random_times
+from .conftest import random_times, random_track
 
 
 def assert_matches(got, ref):
@@ -68,3 +70,44 @@ def test_lower_degree_stencils_nest_in_the_full_window():
             for deg in range(1, degree):
                 lo, width = _stencil_starts(n_if, cells, deg)
                 assert np.all(lo >= start) and np.all(lo + width <= start + size)
+
+
+@pytest.mark.parametrize("limiter", ["none", "cweno"])
+@pytest.mark.parametrize("degree", [1, 2, 3, 5])
+def test_backtrace_matches_stepwise_oracle(rng, degree, limiter):
+    """The all-steps-at-once backtrace reproduces the step-by-step loop bit
+    for bit: steps that divide the duration, a partial final step, and a
+    step longer than the track."""
+    for n, dim in [(2, 3), (3, 2), (2 * degree + 3, 3), (40, 2), (260, 3)]:
+        track = random_track(rng, n, dim)
+        duration = track.times[-1] - track.times[0]
+        for dtau in (duration / 7, 0.37 * duration / min(n, 30), 2.5 * duration):
+            for order in (None, "rk2", "rk4"):
+                res = backtrace(track, degree, dtau, order=order, limiter=limiter)
+                taus, path = oracle.backtrace_path(track, degree, dtau, order, limiter)
+                assert np.array_equal(res.taus, taus)
+                assert np.array_equal(res.path, path)
+
+
+def test_error_norms_match_per_cell_oracle(rng):
+    """Full, clipped and partially overlapping windows, on reconstructions
+    and on closed-form functions, to 1e-13 relative."""
+    for _ in range(20):
+        n = int(rng.integers(2, 200))
+        track = random_track(rng, n, 1)
+        poly = reconstruct_track(track, int(rng.integers(1, 6)))[0]
+        mesh = build_mesh(track.times)
+        t0, t1 = mesh.span
+        span = t1 - t0
+        g = lambda t: np.sin(3 * t) + 0.1 * t**2
+        windows = [
+            (t0, t1),
+            (t0 + 0.3 * span, t1 - 0.2 * span),
+            (t0 - span, t0 + 0.4 * span),
+            (t0 + 0.6 * span, t1 + span),
+        ]
+        for window in windows:
+            for quad in (1, 4, 7):
+                got = error_norms(g, poly.value, window, quad, mesh)
+                ref = oracle.error_norms(g, poly.value, window, quad, mesh)
+                np.testing.assert_allclose(got.as_tuple(), ref.as_tuple(), rtol=1e-13, atol=0)

@@ -28,3 +28,16 @@ def test_nodes_are_read_only():
     x, _ = gauss_legendre(5)
     with pytest.raises(ValueError):
         x[0] = 0.0
+
+
+def test_array_bounds_map_the_rule_onto_every_interval(rng):
+    """Row i of an array call is the scalar call on [a[i], b[i]], bit for bit."""
+    a = np.sort(rng.uniform(-5, 5, 9))
+    b = a + rng.uniform(0.01, 2, 9)
+    for n in (1, 4, 7):
+        x, w = gauss_points(a, b, n)
+        assert x.shape == w.shape == (9, n)
+        for i in range(9):
+            xi, wi = gauss_points(float(a[i]), float(b[i]), n)
+            assert xi.shape == (n,)
+            assert np.array_equal(x[i], xi) and np.array_equal(w[i], wi)

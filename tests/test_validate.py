@@ -68,6 +68,14 @@ def test_window_clips_cells():
     assert en.l1 == pytest.approx(1.0, abs=1e-13)
 
 
+def test_window_outside_the_mesh_gives_zero_norms():
+    mesh = build_mesh(np.linspace(0, 2, 21))
+    one = lambda t: np.ones_like(t)
+    for window in ((3.0, 4.0), (-2.0, -1.0), (2.0, 3.0), (1.0, 1.0)):
+        en = error_norms(one, lambda t: np.zeros_like(t), window, 4, mesh)
+        assert en.as_tuple() == (0.0, 0.0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # synthetic cases
 # ---------------------------------------------------------------------------
@@ -287,3 +295,10 @@ def test_backtrace_partial_final_step():
     track = TrackSeries("p", times, np.column_stack([times, times**2]), 2)
     res = backtrace(track, 3, 0.5)
     assert res.taus[-1] == pytest.approx(1.3, abs=1e-12)
+
+
+def test_backtrace_rejects_unknown_order():
+    times = np.linspace(0, 1.3, 14)
+    track = TrackSeries("p", times, np.column_stack([times, times**2]), 2)
+    with pytest.raises(ValueError, match="rk2"):
+        backtrace(track, 3, 0.5, order="rk3")
