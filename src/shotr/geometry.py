@@ -8,6 +8,7 @@ sqrt(sum_axes (ds/dxi)^2); for degree 1 this collapses to the straight
 chord, i.e. summing cells reproduces the classical polyline length.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,16 +87,29 @@ def _clamped_geometry_degree(geom_degree: int) -> int:
     return min(geom_degree, MAX_GEOMETRY_DEGREE)
 
 
+@functools.cache
+def _reference_cell(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Constants of the degree-g reference cell: the nodes, (g + 1,); the
+    basis derivatives at the max(g + 1, 3) Gauss points of [0, 1],
+    (g + 1, n_q); and the Gauss weights, (n_q,)."""
+    basis = NodalBasis(degree)
+    xi_q, w_q = gauss_points(0.0, 1.0, max(degree + 1, 3))
+    tables = basis.nodes, basis.derivatives(xi_q), w_q
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def nodal_positions(
     axis_polys: list[PiecewisePoly], geom_degree: int = 3
 ) -> tuple[np.ndarray, np.ndarray]:
     """Equispaced node times of every cell, (n_cells, g + 1), and the curve
     positions there, (n_axes, n_cells, g + 1), taken from the reconstruction."""
-    basis = NodalBasis(_clamped_geometry_degree(geom_degree))
+    nodes, _, _ = _reference_cell(_clamped_geometry_degree(geom_degree))
     mesh = axis_polys[0].mesh
-    node_times = mesh.interfaces[:-1, None] + basis.nodes * mesh.widths[:, None]
+    node_times = mesh.interfaces[:-1, None] + nodes * mesh.widths[:, None]
     u = (node_times - mesh.barycenters[:, None]) / mesh.widths[:, None]
-    coeffs = np.stack([p.coeffs for p in axis_polys])[:, :, None, :]
+    coeffs = np.array([p.coeffs for p in axis_polys])[:, :, None, :]
     return node_times, _taylor_eval(coeffs, u)
 
 
@@ -105,10 +119,10 @@ def cell_lengths(axis_polys: list[PiecewisePoly], geom_degree: int = 3) -> np.nd
     Degrees above 3 fall back to the cubic geometry (the highest basis
     available); the quadrature uses max(degree + 1, 3) Gauss points.
     """
-    basis = NodalBasis(_clamped_geometry_degree(geom_degree))
-    _, nodal = nodal_positions(axis_polys, basis.degree)
-    xi_q, w_q = gauss_points(0.0, 1.0, max(basis.degree + 1, 3))
-    tangent = nodal @ basis.derivatives(xi_q)      # ds/dxi, (n_axes, n_cells, n_q)
+    degree = _clamped_geometry_degree(geom_degree)
+    _, nodal = nodal_positions(axis_polys, degree)
+    _, dphi, w_q = _reference_cell(degree)
+    tangent = nodal @ dphi                          # ds/dxi, (n_axes, n_cells, n_q)
     return np.sqrt(np.sum(tangent**2, axis=0)) @ w_q
 
 

@@ -31,6 +31,8 @@ logger = logging.getLogger(__name__)
 MAX_DEGREE = 9  # the width normalization keeps conditioning acceptable up to here
 
 _FACT = np.array([math.factorial(k) for k in range(MAX_DEGREE + 2)], dtype=float)
+_POWERS = np.arange(MAX_DEGREE + 1, dtype=float)
+_PAIR = np.arange(2)
 
 
 def _taylor_eval(coeffs: np.ndarray, u, order: int = 0) -> np.ndarray:
@@ -42,9 +44,10 @@ def _taylor_eval(coeffs: np.ndarray, u, order: int = 0) -> np.ndarray:
     n = coeffs.shape[-1]
     if order >= n:
         return np.zeros(np.broadcast_shapes(coeffs.shape[:-1], np.shape(u)))
-    acc = coeffs[..., n - 1] / _FACT[n - 1 - order]
-    for l in range(n - 2, order - 1, -1):
-        acc = acc * u + coeffs[..., l] / _FACT[l - order]
+    scaled = coeffs[..., order:] / _FACT[: n - order]
+    acc = scaled[..., -1]
+    for l in range(n - order - 2, -1, -1):
+        acc = acc * u + scaled[..., l]
     return acc
 
 
@@ -165,29 +168,33 @@ def _solve(K: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _kkt_operators(
-    mesh: StaggeredMesh, cells: np.ndarray, starts: np.ndarray, size: int, degree: int
+    mesh: StaggeredMesh, cells: np.ndarray, windows: np.ndarray, degree: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient blocks of the inverted KKT matrices of the given cells.
+    """Coefficient blocks of the inverted KKT matrices of the given cells,
+    whose stencils are the interface indices in the rows of windows.
 
     Returns (R, singular): R[k] maps the samples of cell k's stencil to its
     degree+1 coefficients.
     """
     n = degree + 1
-    b = len(cells)
+    b, size = windows.shape
+    u = (mesh.interfaces[windows] - mesh.barycenters[cells, None]) / mesh.widths[cells, None]
+    # u**0 / 0! is exactly 1. The powers from 1 up stay one array call: with
+    # a single exponent numpy squares by a path that rounds differently.
+    M = np.empty((b, size, n))
+    M[..., 0] = 1.0
+    M[..., 1:] = np.power(u[..., None], _POWERS[1:n]) / _FACT[1:n]
     rows = np.arange(b)[:, None]
-    t = mesh.interfaces[starts[:, None] + np.arange(size)]
-    u = (t - mesh.barycenters[cells, None]) / mesh.widths[cells, None]
-    M = u[..., None] ** np.arange(n) / _FACT[:n]             # (b, size, n)
-    own = np.stack([cells - starts, cells + 1 - starts], axis=1)
+    own = (cells - windows[:, 0])[:, None] + _PAIR          # the cell's interfaces
     C = M[rows, own]                                           # (b, 2, n)
     MT2 = 2.0 * M.transpose(0, 2, 1)
     K = np.zeros((b, n + 2, n + 2))
     K[:, :n, :n] = MT2 @ M
-    K[:, :n, n:] = -C.transpose(0, 2, 1)
+    np.negative(C.transpose(0, 2, 1), out=K[:, :n, n:])
     K[:, n:, :n] = C
     rhs = np.zeros((b, n + 2, size))
     rhs[:, :n] = MT2
-    rhs[rows, [n, n + 1], own] = 1.0
+    rhs[rows, n + _PAIR, own] = 1.0
     sol, singular = _solve(K, rhs)
     return sol[:, :n], singular
 
@@ -197,28 +204,32 @@ def reconstruction_operators(mesh: StaggeredMesh, degree: int) -> tuple[np.ndarr
 
     Returns (windows, R): windows[i] are the interface indices of cell i's
     stencil and ``R[i] @ values[windows[i]]`` its degree+1 coefficients.
-    A cell whose system is singular retries at the next lower degree; its
-    lower-degree stencil lies inside the full one, so its operator keeps
-    the same shape, with zero columns and zero high-order rows.
+    All cells are solved at the full degree at once. A cell whose system is
+    singular retries at the next lower degree; its lower-degree stencil lies
+    inside the full one, so its operator keeps the same shape, with zero
+    columns and zero high-order rows.
     """
     n_if = len(mesh.interfaces)
     cells = np.arange(mesh.n_cells)
     starts, size = _stencil_starts(n_if, cells, degree)
-    R = np.zeros((mesh.n_cells, degree + 1, size))
-    for deg in range(degree, 0, -1):
-        deg_starts, deg_size = _stencil_starts(n_if, cells, deg)
-        R_deg, singular = _kkt_operators(mesh, cells, deg_starts, deg_size, deg)
-        ok = ~singular
-        cols = (deg_starts - starts[cells])[ok, None] + np.arange(deg_size)
-        R[cells[ok, None, None], np.arange(deg + 1)[:, None], cols[:, None, :]] = R_deg[ok]
-        for i in cells[singular]:
+    windows = starts[:, None] + np.arange(size)
+    R, singular = _kkt_operators(mesh, cells, windows, degree)
+    deg = degree
+    while singular.any():
+        cells = cells[singular]
+        for i in cells:
             if deg == 1:
                 raise SingularSystem(f"cell {i}: Singular matrix")
             logger.warning("cell %d: singular at degree %d, retrying at %d", i, deg, deg - 1)
-        cells = cells[singular]
-        if not len(cells):
-            break
-    return starts[:, None] + np.arange(size), R
+        R[cells] = 0.0  # drop the failed solve's rows
+        deg -= 1
+        deg_starts, deg_size = _stencil_starts(n_if, cells, deg)
+        deg_windows = deg_starts[:, None] + np.arange(deg_size)
+        R_deg, singular = _kkt_operators(mesh, cells, deg_windows, deg)
+        ok = ~singular
+        cols = deg_windows[ok] - starts[cells[ok], None]
+        R[cells[ok, None, None], np.arange(deg + 1)[:, None], cols[:, None, :]] = R_deg[ok]
+    return windows, R
 
 
 def _apply(
@@ -275,7 +286,7 @@ def reconstruct_track(
         )
     mesh = build_mesh(track.times)
     ops = reconstruction_operators(mesh, n_eff)
-    return [
-        _limit(_apply(ops, mesh, s.values), s, limiter, cweno_config)
-        for s in split_axes(track)
-    ]
+    polys = [_apply(ops, mesh, track.coords[:, d]) for d in range(track.dim)]
+    if limiter == "none":
+        return polys
+    return [_limit(p, s, limiter, cweno_config) for p, s in zip(polys, split_axes(track))]

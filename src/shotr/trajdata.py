@@ -16,8 +16,9 @@ fewer than 2 usable rows are dropped with a warning.
 
 import csv
 import logging
-import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 
 import numpy as np
 
@@ -27,6 +28,7 @@ logger = logging.getLogger(__name__)
 
 GENERIC_AXIS_COLUMNS = ("x", "y", "z")
 TRACKMATE_AXIS_COLUMNS = ("POSITION_X", "POSITION_Y", "POSITION_Z")
+_BLOCK_ROWS = 256  # rows held as text at once; earlier rows are already floats
 
 
 @dataclass
@@ -55,9 +57,9 @@ class TrackSeries:
             )
         if len(self.times) < 2:
             raise ValueError(f"track {self.track_id!r} has fewer than 2 samples")
-        if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.coords))):
+        if not (np.isfinite(self.times).all() and np.isfinite(self.coords).all()):
             raise ValueError(f"track {self.track_id!r} has non-finite times or coordinates")
-        if not np.all(np.diff(self.times) > 0):
+        if not (self.times[1:] > self.times[:-1]).all():
             raise DuplicateTimestamp(
                 f"track {self.track_id!r} has non-increasing timestamps"
             )
@@ -80,9 +82,9 @@ class AxisSeries:
         self.values = np.ascontiguousarray(self.values, dtype=float)
         if self.times.shape != self.values.shape:
             raise ValueError("times and values must have the same length")
-        if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.values))):
+        if not (np.isfinite(self.times).all() and np.isfinite(self.values).all()):
             raise ValueError("axis series has non-finite times or values")
-        if not np.all(np.diff(self.times) > 0):
+        if not (self.times[1:] > self.times[:-1]).all():
             raise DuplicateTimestamp("axis series times are not strictly increasing")
         self.times.setflags(write=False)
         self.values.setflags(write=False)
@@ -109,13 +111,6 @@ class TrackSet:
 
     def __len__(self) -> int:
         return len(self.tracks)
-
-
-def _parse_float(token: str, what: str, line_no: int) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise MalformedRow(f"line {line_no}: cannot parse {what} from {token!r}") from None
 
 
 def _column_map(header: list[str], fmt: str, path: str) -> tuple[int, int, list[int]]:
@@ -149,6 +144,53 @@ def _column_map(header: list[str], fmt: str, path: str) -> tuple[int, int, list[
     return track_col, time_col, axis_cols
 
 
+def _float_columns(
+    columns: list[tuple[str, ...]], line_nos: list[int]
+) -> tuple[np.ndarray, MalformedRow | None]:
+    """Token columns (time, then each coordinate) as a (columns, rows) float
+    array, converted by float() so the accepted syntax is Python's.
+
+    If a token does not parse, the array stops before its row and the error
+    names the first such token in file order.
+    """
+    try:
+        return np.array([list(map(float, col)) for col in columns]), None
+    except ValueError:
+        pass
+    for i, tokens in enumerate(zip(*columns)):
+        for j, token in enumerate(tokens):
+            try:
+                float(token)
+            except ValueError:
+                what = "time" if j == 0 else f"coordinate {j - 1}"
+                error = MalformedRow(f"line {line_nos[i]}: cannot parse {what} from {token!r}")
+                return np.array([list(map(float, col[:i])) for col in columns]), error
+    raise AssertionError("unreachable")
+
+
+def _row_blocks(reader, used: itemgetter, n_needed: int):
+    """Yield (fields, line numbers, error) for blocks of up to _BLOCK_ROWS
+    non-blank rows, where fields are the used tokens of each row. The last
+    block ends at the end of the file, or before the first short row, whose
+    MalformedRow it carries."""
+    fields: list[tuple[str, ...]] = []
+    line_nos: list[int] = []
+    for line_no, row in enumerate(reader, start=2):
+        if not "".join(row).strip():
+            continue
+        if len(row) < n_needed:
+            yield fields, line_nos, MalformedRow(
+                f"line {line_no}: expected at least {n_needed} fields, got {len(row)}"
+            )
+            return
+        fields.append(used(row))
+        line_nos.append(line_no)
+        if len(fields) == _BLOCK_ROWS:
+            yield fields, line_nos, None
+            fields, line_nos = [], []
+    yield fields, line_nos, None
+
+
 def parse_tracks(path: str, fmt: str = "generic_csv") -> TrackSet:
     """Parse a CSV file of track samples into a TrackSet.
 
@@ -156,9 +198,11 @@ def parse_tracks(path: str, fmt: str = "generic_csv") -> TrackSet:
     coordinates are rejected with a warning. Raises MalformedRow for rows
     that cannot be parsed and DuplicateTimestamp when a track repeats a
     time stamp. Tracks left with fewer than 2 rows are dropped (warning).
+    A UTF-8 byte-order mark at the start of the file is skipped.
     """
-    rows_by_track: dict[str, list[tuple[float, tuple[float, ...]]]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    first_seen: dict[str, int] = {}  # track id -> number, by first accepted row
+    codes, blocks = [], []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -166,40 +210,47 @@ def parse_tracks(path: str, fmt: str = "generic_csv") -> TrackSet:
             raise MalformedRow(f"{path}: empty file") from None
         track_col, time_col, axis_cols = _column_map(header, fmt, path)
         n_needed = max(track_col, time_col, *axis_cols) + 1
+        used = itemgetter(track_col, time_col, *axis_cols)
+        dim = len(axis_cols)
 
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) < n_needed:
-                raise MalformedRow(
-                    f"line {line_no}: expected at least {n_needed} fields, got {len(row)}"
-                )
-            track_id = row[track_col].strip()
-            t = _parse_float(row[time_col], "time", line_no)
-            coord = tuple(
-                _parse_float(row[c], f"coordinate {i}", line_no)
-                for i, c in enumerate(axis_cols)
-            )
-            if not (math.isfinite(t) and all(map(math.isfinite, coord))):
-                logger.warning("%s line %d: non-finite sample rejected", path, line_no)
-                continue
-            rows_by_track.setdefault(track_id, []).append((t, coord))
+        for fields, line_nos, error in _row_blocks(reader, used, n_needed):
+            columns = list(zip(*fields)) or [()] * (2 + dim)
+            # rows before an unparsable one still get their warnings, in line order
+            values, parse_error = _float_columns(columns[1:], line_nos)
+            if parse_error is not None:
+                error = parse_error
+            finite = np.isfinite(values).all(axis=0)
+            for i in np.flatnonzero(~finite).tolist():
+                logger.warning("%s line %d: non-finite sample rejected", path, line_nos[i])
+            if error is not None:
+                raise error
+            codes.append(np.array(
+                [first_seen.setdefault(tid.strip(), len(first_seen))
+                 for tid in compress(columns[0], finite.tolist())],
+                dtype=np.intp,
+            ))
+            blocks.append(values[:, finite])
 
-    dim = len(axis_cols)
+    codes = np.concatenate(codes)
+    values = np.concatenate(blocks, axis=1)
+    order = np.lexsort((values[0], codes))
+    codes = codes[order]
+    times = values[0, order]
+    coords = np.ascontiguousarray(values[1:, order].T)
+    repeated = (times[1:] == times[:-1]) & (codes[1:] == codes[:-1])
+    first_dup = int(codes[1:][repeated].min()) if repeated.any() else len(first_seen)
+    ends = np.cumsum(np.bincount(codes, minlength=len(first_seen))).tolist()
+
     tracks: dict[str, TrackSeries] = {}
-    for track_id, samples in rows_by_track.items():
-        samples.sort(key=lambda s: s[0])
-        times = np.array([s[0] for s in samples])
-        if len(times) >= 2 and np.any(np.diff(times) == 0):
+    for k, (track_id, lo, hi) in enumerate(zip(first_seen, [0, *ends[:-1]], ends)):
+        if k == first_dup:
             raise DuplicateTimestamp(f"track {track_id!r} has duplicate timestamps")
-        if len(samples) < 2:
+        if hi - lo < 2:
             logger.warning(
-                "%s: track %r dropped (%d sample(s), need >= 2)",
-                path, track_id, len(samples),
+                "%s: track %r dropped (%d sample(s), need >= 2)", path, track_id, hi - lo
             )
             continue
-        coords = np.array([s[1] for s in samples])
-        tracks[track_id] = TrackSeries(track_id, times, coords, dim)
+        tracks[track_id] = TrackSeries(track_id, times[lo:hi], coords[lo:hi], dim)
 
     return TrackSet(tracks=tracks, source=str(path))
 

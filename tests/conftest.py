@@ -25,3 +25,14 @@ def write_csv(path, rows, header="track,t,x,y"):
     lines = [header] + [",".join(str(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
+
+
+def count_calls(monkeypatch, module, name: str, calls: list) -> None:
+    """Replace module.name by a wrapper that appends name to calls."""
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)

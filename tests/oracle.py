@@ -1,26 +1,97 @@
-"""Per-cell reference implementation of the reconstruction, the limiter
-and the validation norms and backtrace.
+"""Row-by-row and per-cell reference implementations of the CSV parse,
+the reconstruction, the limiter and the validation norms and backtrace.
 
-One small dense solve per cell and one candidate set per cell, with the
+The file is read one row at a time, each token converted as it is met;
+one small dense solve per cell and one candidate set per cell, with the
 oscillation indicator integrated by Gauss quadrature; error norms summed
 cell by cell and backtrace stepped one RK step at a time. Slow, but
-written independently of the array code in ``shotr.recon``,
-``shotr.cweno`` and ``shotr.validate``, which the differential tests check
-against it.
+written independently of the array code in ``shotr.trajdata``,
+``shotr.recon``, ``shotr.cweno`` and ``shotr.validate``, which the
+differential tests check against it.
 """
 
+import csv
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from shotr.errors import SingularSystem
+from shotr.errors import DuplicateTimestamp, MalformedRow, SingularSystem
 from shotr.mesh import StaggeredMesh, build_mesh
 from shotr.quadrature import gauss_points
 from shotr.recon import _FACT, CellPoly, TaylorBasis, effective_degree, reconstruct_track
-from shotr.trajdata import AxisSeries, TrackSeries
+from shotr.trajdata import AxisSeries, TrackSeries, TrackSet, _column_map
 from shotr.validate import ErrorNorms, rk_step
 
+
+logger = logging.getLogger(__name__)
+
+
+# ---------------------------------------------------------------------------
+# parse
+# ---------------------------------------------------------------------------
+
+def _parse_float(token: str, what: str, line_no: int) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise MalformedRow(f"line {line_no}: cannot parse {what} from {token!r}") from None
+
+
+def parse_tracks(path: str, fmt: str = "generic_csv") -> TrackSet:
+    """One row at a time: the first bad line raises, non-finite rows are
+    warned about as they are met, tracks sort their rows by time."""
+    rows_by_track: dict[str, list[tuple[float, tuple[float, ...]]]] = {}
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MalformedRow(f"{path}: empty file") from None
+        track_col, time_col, axis_cols = _column_map(header, fmt, path)
+        n_needed = max(track_col, time_col, *axis_cols) + 1
+
+        for line_no, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) < n_needed:
+                raise MalformedRow(
+                    f"line {line_no}: expected at least {n_needed} fields, got {len(row)}"
+                )
+            track_id = row[track_col].strip()
+            t = _parse_float(row[time_col], "time", line_no)
+            coord = tuple(
+                _parse_float(row[c], f"coordinate {i}", line_no)
+                for i, c in enumerate(axis_cols)
+            )
+            if not (math.isfinite(t) and all(map(math.isfinite, coord))):
+                logger.warning("%s line %d: non-finite sample rejected", path, line_no)
+                continue
+            rows_by_track.setdefault(track_id, []).append((t, coord))
+
+    dim = len(axis_cols)
+    tracks: dict[str, TrackSeries] = {}
+    for track_id, samples in rows_by_track.items():
+        samples.sort(key=lambda s: s[0])
+        times = np.array([s[0] for s in samples])
+        if len(times) >= 2 and np.any(np.diff(times) == 0):
+            raise DuplicateTimestamp(f"track {track_id!r} has duplicate timestamps")
+        if len(samples) < 2:
+            logger.warning(
+                "%s: track %r dropped (%d sample(s), need >= 2)",
+                path, track_id, len(samples),
+            )
+            continue
+        coords = np.array([s[1] for s in samples])
+        tracks[track_id] = TrackSeries(track_id, times, coords, dim)
+
+    return TrackSet(tracks=tracks, source=str(path))
+
+
+# ---------------------------------------------------------------------------
+# reconstruction
+# ---------------------------------------------------------------------------
 
 class MissingNeighbor(Exception):
     """A one-sided candidate polynomial has no neighbor sample on that side."""

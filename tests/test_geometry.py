@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from shotr.errors import UnsupportedDegree
+from shotr.quadrature import gauss_points
 from shotr.geometry import (
     NodalBasis,
     cell_lengths,
@@ -12,7 +13,7 @@ from shotr.geometry import (
 from shotr.recon import reconstruct_track
 from shotr.trajdata import TrackSeries
 
-from .conftest import random_track
+from .conftest import count_calls, random_track
 
 
 def track_from_fn(fns, times, track_id="t"):
@@ -144,3 +145,32 @@ def test_geometry_degree_above_three_falls_back():
     track = track_from_fn((np.cos, np.sin), np.linspace(0, 1.5, 30), "qc")
     polys = reconstruct_track(track, 5)
     assert trajectory_length(polys, 7) == pytest.approx(trajectory_length(polys, 3), abs=1e-15)
+
+
+@pytest.mark.parametrize("geom_degree", [1, 2, 3, 5])
+def test_cell_lengths_match_the_nodal_basis(rng, geom_degree):
+    """The per-degree tables give the lengths NodalBasis gives, bit for bit."""
+    polys = reconstruct_track(random_track(rng, 30, 3), 4)
+    degree = min(geom_degree, 3)
+    basis = NodalBasis(degree)
+    xi_q, w_q = gauss_points(0.0, 1.0, max(degree + 1, 3))
+    tangent = nodal_positions(polys, degree)[1] @ basis.derivatives(xi_q)
+    want = np.sqrt(np.sum(tangent**2, axis=0)) @ w_q
+    assert cell_lengths(polys, geom_degree).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("geom_degree", [1, 2, 3])
+def test_cell_lengths_build_the_basis_tables_once(rng, monkeypatch, geom_degree):
+    """After its first call for a degree, cell_lengths calls no
+    numpy.polynomial function."""
+    polys = reconstruct_track(random_track(rng, 12, 2), 3)
+    first = cell_lengths(polys, geom_degree)
+    calls = []
+    count_calls(monkeypatch, np.polynomial.polynomial, "polyval", calls)
+    count_calls(monkeypatch, np.polynomial.polynomial, "polyder", calls)
+    count_calls(monkeypatch, np.polynomial.legendre, "leggauss", calls)
+    again = cell_lengths(polys, geom_degree)
+    assert calls == []
+    assert again.tobytes() == first.tobytes()
+    NodalBasis(geom_degree).derivatives(0.5)
+    assert "polyval" in calls  # the counters see the basis when it is evaluated

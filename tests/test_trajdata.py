@@ -67,6 +67,26 @@ def test_missing_fields_reports_line_number(tmp_path):
         parse_tracks(str(path))
 
 
+def test_first_bad_line_in_file_order_is_reported(tmp_path):
+    """An unparsable time before a short row is the error, not the short row."""
+    path = tmp_path / "a.csv"
+    path.write_text("track,t,x,y\na,0,1,1\na,zero,2,2\na,2,3,3\na,3\n", encoding="utf-8")
+    with pytest.raises(MalformedRow, match="^line 3: cannot parse time from 'zero'$"):
+        parse_tracks(str(path))
+    path.write_text("track,t,x,y\na,0,1,1\na,1\na,zero,2,2\n", encoding="utf-8")
+    with pytest.raises(MalformedRow, match="^line 3: expected at least 4 fields, got 2$"):
+        parse_tracks(str(path))
+
+
+def test_utf8_byte_order_mark_is_skipped(tmp_path):
+    """Spreadsheet exports often start with a UTF-8 byte-order mark."""
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbftrack,t,x\na,0,1\na,1,2\n")
+    ts = parse_tracks(str(path))
+    assert list(ts.tracks) == ["a"]
+    np.testing.assert_array_equal(ts.tracks["a"].coords, [[1.0], [2.0]])
+
+
 def test_non_finite_rows_rejected_with_warning(tmp_path, caplog):
     path = write_csv(
         tmp_path / "a.csv",
