@@ -16,7 +16,6 @@ from .errors import (
     NonMonotoneTimes,
     OutOfDomain,
     ShotrError,
-    SingularSystem,
     UnsupportedDegree,
 )
 from .trajdata import AxisSeries, TrackSeries, TrackSet, parse_tracks, split_axes

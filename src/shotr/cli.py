@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import sys
 
 import numpy as np
@@ -183,8 +184,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_backtrace(args: argparse.Namespace) -> int:
     header = ["track", "method", "endpoint_err", "L1", "L2", "Linf"]
     pairs = (("RK2+P1", 1, "rk2"), ("RK4+P3", 3, "rk4"))
-    if args.dtau <= 0:
-        raise ShotrError(f"dtau must be > 0, got {args.dtau!r}")
+    if not (math.isfinite(args.dtau) and args.dtau > 0):
+        raise ShotrError(f"dtau must be finite and > 0, got {args.dtau!r}")
 
     if args.case:
         case = validate.get_case(args.case)

@@ -13,6 +13,7 @@ coefficient arrays in the cells' Taylor bases, stacked central, left, right.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,12 @@ class CwenoConfig:
     exponent: int = 4
 
     def __post_init__(self):
+        for name in ("lambda_central", "lambda_side", "epsilon", "exponent"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if self.epsilon <= 0:
+            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
         total = self.lambda_central + 2.0 * self.lambda_side
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"linear weights must sum to 1, got {total!r}")

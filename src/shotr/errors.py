@@ -21,10 +21,6 @@ class OutOfDomain(ShotrError):
     """An evaluation time lies outside the reconstructed time span."""
 
 
-class SingularSystem(ShotrError):
-    """The constrained least-squares system could not be solved."""
-
-
 class UnsupportedDegree(ShotrError):
     """Requested degree outside the supported range."""
 

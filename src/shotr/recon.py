@@ -3,36 +3,50 @@
 Each cell of the staggered mesh gets a degree-N polynomial written in a
 normalized Taylor basis about the cell barycenter,
 
-    p_i(t) = sum_l  s_hat[l] * (t - t_i)^l / (l! * dt_i^l),
+    p_i(t) = sum_l  s_hat[l] * u^l / l!,   u = (t - t_i) / dt_i,
 
 fitted in the least-squares sense to the samples of a stencil spanning
 2(N+1) cells, subject to exact interpolation of the cell's own two
-interface samples. The equality-constrained normal equations are solved as
-a small KKT block system; the inverse action is precomputed per cell as a
-matrix that maps stencil samples straight to coefficients, so the three
-spatial axes (which share the mesh) reuse the same factorization.
+interface samples, at u_l and u_r (about -1/2 and 1/2, as computed).
+
+The constraints are eliminated: every polynomial through the two samples
+is the cell's linear-linking segment plus (u - u_l)(u - u_r) q(u), with q
+of degree N - 2. Only q is fitted, to the samples' residuals about the
+segment, by Householder QR in powers of v = (u - mid) / half, which spans
+[-1, 1] over the stencil, and then converted to Taylor coefficients. So
+interpolation and continuity hold up to the rounding of those
+coefficients, and the fit has full rank whenever times strictly increase.
+One batched QR gives every cell's sample-to-coefficients operator, which
+the spatial axes (sharing the mesh) reuse.
+
+Measured: coefficients match an exact rational solve to 1e-12 of their
+scale (degrees 1-9), and degree-N data is reproduced to 1e-12 while widths
+vary tenfold. Next to a cell a millionth the width of its neighbours q is
+ill-determined: some fits of degree 3 and up then miss their samples by
+the rounding of large coefficients.
 
 A reconstruction is the mesh plus an ``(n_cells, N + 1)`` array of these
-coefficients; every cell's KKT system is solved in one batched call.
+coefficients.
 """
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularSystem, UnsupportedDegree
+from .errors import UnsupportedDegree
 from .mesh import StaggeredMesh, build_mesh, locate_cells
 from .trajdata import AxisSeries, TrackSeries, split_axes
 
 logger = logging.getLogger(__name__)
 
-MAX_DEGREE = 9  # the width normalization keeps conditioning acceptable up to here
+MAX_DEGREE = 9  # the highest degree tested: exact for degree-9 data at tenfold width spread
 
 _FACT = np.array([math.factorial(k) for k in range(MAX_DEGREE + 2)], dtype=float)
-_POWERS = np.arange(MAX_DEGREE + 1, dtype=float)
 _PAIR = np.arange(2)
+_SIGNS = np.array([1.0, -1.0])
 
 
 def _taylor_eval(coeffs: np.ndarray, u, order: int = 0) -> np.ndarray:
@@ -141,94 +155,73 @@ def effective_degree(n_points: int, degree: int) -> int:
     return max(1, min(degree, n_points - 1))
 
 
-def _stencil_starts(n_if: int, cells: np.ndarray, degree: int) -> tuple[np.ndarray, int]:
-    """First interface index and size of each cell's stencil.
-
-    The stencil covers 2(N+1) cells: the 2N+3 interfaces centered on the
-    cell's left interface, shifted one-sided near the track ends, or every
-    interface of a shorter track. It always holds the cell's own interfaces.
-    """
+@functools.lru_cache(maxsize=256)
+def _stencils(n_cells: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Interface indices of each cell's stencil, (n_cells, size), and the
+    positions of the cell's own two interfaces in it, (n_cells, 2). The
+    stencil covers 2(N+1) cells: the 2N+3 interfaces centered on the cell's
+    left interface, shifted one-sided near the track ends, or every
+    interface of a shorter track."""
+    n_if = n_cells + 1
     size = min(2 * degree + 3, n_if)
-    return np.minimum(np.maximum(cells - (degree + 1), 0), n_if - size), size
-
-
-def _solve(K: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve a stack of systems; also return which were singular.
-
-    A batch with a singular member is re-solved one system at a time, so
-    only the singular ones are lost (their solution rows are NaN).
-    """
-    try:
-        return np.linalg.solve(K, rhs), np.zeros(len(K), dtype=bool)
-    except np.linalg.LinAlgError:
-        if len(K) == 1:
-            return np.full(rhs.shape, np.nan), np.ones(1, dtype=bool)
-        parts = [_solve(K[i : i + 1], rhs[i : i + 1]) for i in range(len(K))]
-        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
-
-
-def _kkt_operators(
-    mesh: StaggeredMesh, cells: np.ndarray, windows: np.ndarray, degree: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient blocks of the inverted KKT matrices of the given cells,
-    whose stencils are the interface indices in the rows of windows.
-
-    Returns (R, singular): R[k] maps the samples of cell k's stencil to its
-    degree+1 coefficients.
-    """
-    n = degree + 1
-    b, size = windows.shape
-    u = (mesh.interfaces[windows] - mesh.barycenters[cells, None]) / mesh.widths[cells, None]
-    # u**0 / 0! is exactly 1. The powers from 1 up stay one array call: with
-    # a single exponent numpy squares by a path that rounds differently.
-    M = np.empty((b, size, n))
-    M[..., 0] = 1.0
-    M[..., 1:] = np.power(u[..., None], _POWERS[1:n]) / _FACT[1:n]
-    rows = np.arange(b)[:, None]
-    own = (cells - windows[:, 0])[:, None] + _PAIR          # the cell's interfaces
-    C = M[rows, own]                                           # (b, 2, n)
-    MT2 = 2.0 * M.transpose(0, 2, 1)
-    K = np.zeros((b, n + 2, n + 2))
-    K[:, :n, :n] = MT2 @ M
-    np.negative(C.transpose(0, 2, 1), out=K[:, :n, n:])
-    K[:, n:, :n] = C
-    rhs = np.zeros((b, n + 2, size))
-    rhs[:, :n] = MT2
-    rhs[rows, n + _PAIR, own] = 1.0
-    sol, singular = _solve(K, rhs)
-    return sol[:, :n], singular
+    cells = np.arange(n_cells)
+    starts = np.minimum(np.maximum(cells - (degree + 1), 0), n_if - size)
+    windows = starts[:, None] + np.arange(size)
+    own = (cells - starts)[:, None] + _PAIR
+    windows.setflags(write=False)
+    own.setflags(write=False)
+    return windows, own
 
 
 def reconstruction_operators(mesh: StaggeredMesh, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample-to-coefficients operators of every cell of a mesh.
 
     Returns (windows, R): windows[i] are the interface indices of cell i's
-    stencil and ``R[i] @ values[windows[i]]`` its degree+1 coefficients.
-    All cells are solved at the full degree at once. A cell whose system is
-    singular retries at the next lower degree; its lower-degree stencil lies
-    inside the full one, so its operator keeps the same shape, with zero
-    columns and zero high-order rows.
+    stencil (read-only) and ``R[i] @ values[windows[i]]`` its degree+1
+    coefficients. Every cell is fitted in one batched QR.
     """
-    n_if = len(mesh.interfaces)
-    cells = np.arange(mesh.n_cells)
-    starts, size = _stencil_starts(n_if, cells, degree)
-    windows = starts[:, None] + np.arange(size)
-    R, singular = _kkt_operators(mesh, cells, windows, degree)
-    deg = degree
-    while singular.any():
-        cells = cells[singular]
-        for i in cells:
-            if deg == 1:
-                raise SingularSystem(f"cell {i}: Singular matrix")
-            logger.warning("cell %d: singular at degree %d, retrying at %d", i, deg, deg - 1)
-        R[cells] = 0.0  # drop the failed solve's rows
-        deg -= 1
-        deg_starts, deg_size = _stencil_starts(n_if, cells, deg)
-        deg_windows = deg_starts[:, None] + np.arange(deg_size)
-        R_deg, singular = _kkt_operators(mesh, cells, deg_windows, deg)
-        ok = ~singular
-        cols = deg_windows[ok] - starts[cells[ok], None]
-        R[cells[ok, None, None], np.arange(deg + 1)[:, None], cols[:, None, :]] = R_deg[ok]
+    n, k = degree + 1, degree - 1
+    b = mesh.n_cells
+    windows, own = _stencils(b, degree)
+    size = windows.shape[1]
+    rows = np.arange(b)[:, None]
+    # 1 and u at every stencil sample, u = (t - barycenter) / width
+    ones_u = np.ones((b, size, 2))
+    ones_u[..., 1] = (mesh.interfaces[windows] - mesh.barycenters[:, None]) / mesh.widths[:, None]
+    u = ones_u[..., 1]
+    u_own = u[rows, own]
+    ul, ur = u_own[:, :1], u_own[:, 1:]
+    # the linear-linking segment: value (u_r s_l - u_l s_r) / (u_r - u_l) and
+    # slope (s_r - s_l) / (u_r - u_l) at u = 0
+    R = np.zeros((b, n, size))
+    weights = _SIGNS / (ur - ul)
+    R[rows, 0, own] = u_own[:, ::-1] * weights
+    R[rows, 1, own] = -weights
+    if degree == 1:
+        return windows, R
+    # q in powers of v = (u - mid) / half, fitted to the samples' residuals
+    # about the segment; the rows of the cell's own samples are zero
+    half = 0.5 * (u[:, -1:] - u[:, :1])
+    mid = u[:, :1] + half
+    v = (u - mid) / half
+    A = np.empty((b, size, k))
+    A[..., 0] = (u - ul) * (u - ur)
+    for j in range(1, k):
+        A[..., j] = A[..., j - 1] * v
+    Q, T = np.linalg.qr(A)
+    Qt = Q.transpose(0, 2, 1)
+    # q's coefficients: T^-1 Q^T applied to the samples minus the segment's values
+    X = np.linalg.inv(T) @ (Qt - (Qt @ ones_u) @ R[:, :2])
+    # P[:, :, j]: coefficients in powers of u of (u - ul)(u - ur) v^j
+    P = np.zeros((b, n, k))
+    P[:, 0, :1] = ul * ur
+    P[:, 1, :1] = -(ul + ur)
+    P[:, 2, 0] = 1.0
+    for j in range(1, k):
+        P[:, 1:, j] = P[:, :-1, j - 1] / half
+        P[:, :, j] -= P[:, :, j - 1] * (mid / half)
+    R += P @ X
+    R *= _FACT[:n, None]
     return windows, R
 
 

@@ -483,8 +483,8 @@ def backtrace(
     scored at the RK step times against ``reference`` (physical time ->
     positions), which defaults to the cubic reconstruction of the track.
     """
-    if dtau <= 0:
-        raise ValueError(f"dtau must be positive, got {dtau!r}")
+    if not (math.isfinite(dtau) and dtau > 0):
+        raise ValueError(f"dtau must be finite and positive, got {dtau!r}")
     polys = reconstruct_track(track, degree, limiter)
     t0, t1 = polys[0].mesh.span
     duration = t1 - t0

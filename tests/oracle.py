@@ -2,9 +2,10 @@
 the reconstruction, the limiter and the validation norms and backtrace.
 
 The file is read one row at a time, each token converted as it is met;
-one small dense solve per cell and one candidate set per cell, with the
-oscillation indicator integrated by Gauss quadrature; error norms summed
-cell by cell and backtrace stepped one RK step at a time. Slow, but
+one exact rational solve of the constrained least-squares (KKT) system per
+cell and one candidate set per cell, with the oscillation indicator
+integrated by Gauss quadrature; error norms summed cell by cell and
+backtrace stepped one RK step at a time. Slow, but
 written independently of the array code in ``shotr.trajdata``,
 ``shotr.recon``, ``shotr.cweno`` and ``shotr.validate``, which the
 differential tests check against it.
@@ -14,10 +15,11 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from shotr.errors import DuplicateTimestamp, MalformedRow, SingularSystem
+from shotr.errors import DuplicateTimestamp, MalformedRow
 from shotr.mesh import StaggeredMesh, build_mesh
 from shotr.quadrature import gauss_points
 from shotr.recon import _FACT, CellPoly, TaylorBasis, effective_degree, reconstruct_track
@@ -141,67 +143,87 @@ def assemble_clsq(series: AxisSeries, stencil: Stencil, basis: TaylorBasis):
     return M, B, M[[r0, r1], :].copy(), B[[r0, r1]].copy()
 
 
-def _kkt_matrix(M: np.ndarray, C: np.ndarray) -> np.ndarray:
-    n, m = M.shape[1], C.shape[0]
-    K = np.zeros((n + m, n + m))
-    K[:n, :n] = 2.0 * M.T @ M
-    K[:n, n:] = -C.T
-    K[n:, :n] = C
-    return K
+def _as_integers(values) -> tuple[list[int], int]:
+    """Rationals as integers over their least common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _solve_exact(K: list[list[int]], rhs: list[int]) -> tuple[list[int], int]:
+    """Solution x = y / det of an integer system K x = rhs, with y and det
+    integers: fraction-free (Bareiss) elimination, swapping rows past zero
+    pivots, then back substitution in exact integer division."""
+    n = len(K)
+    A = [row + [r] for row, r in zip(K, rhs)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if A[i][k] != 0), None)
+        if piv is None:
+            raise np.linalg.LinAlgError("singular KKT system")
+        A[k], A[piv] = A[piv], A[k]
+        pivot_row, p = A[k], A[k][k]
+        for i in range(k + 1, n):
+            f = A[i][k]
+            A[i] = [0] * (k + 1) + [
+                (x * p - f * y) // prev for x, y in zip(A[i][k + 1 :], pivot_row[k + 1 :])
+            ]
+        prev = p
+    det = prev  # the determinant of K up to sign; y_i = x_i * det are integers
+    y = [0] * n
+    for i in reversed(range(n)):
+        y[i] = (A[i][n] * det - sum(A[i][j] * y[j] for j in range(i + 1, n))) // A[i][i]
+    return y, det
+
+
+def clsq_exact(M, B, C, d) -> np.ndarray:
+    """Minimizer of ||M s - B|| subject to C s = d for rational entries,
+    solved exactly and rounded once: the KKT system
+    [[M^T M, C^T], [C, 0]] [s; mu] = [M^T B; d] in integers. Each column of
+    M and C is scaled by its own least common denominator D_l (which scales
+    s_l by 1 / D_l), B and d by theirs."""
+    n_m, cols = len(M), len(M[0])
+    scaled = [_as_integers([row[l] for row in [*M, *C]]) for l in range(cols)]
+    rows = [[scaled[l][0][i] for l in range(cols)] for i in range(n_m + len(C))]
+    Mi, Ci = rows[:n_m], rows[n_m:]
+    bd, rhs_den = _as_integers([*B, *d])
+    Bi, di = bd[:n_m], bd[n_m:]
+    K = [
+        [sum(r[a] * r[b] for r in Mi) for b in range(cols)] + [c[a] for c in Ci]
+        for a in range(cols)
+    ] + [c + [0] * len(C) for c in Ci]
+    rhs = [sum(r[a] * y for r, y in zip(Mi, Bi)) for a in range(cols)] + di
+    y, det = _solve_exact(K, rhs)
+    # int / int is correctly rounded
+    return np.array([y[l] * scaled[l][1] / (det * rhs_den) for l in range(cols)])
 
 
 def solve_clsq(M, B, C, d) -> np.ndarray:
-    """Minimize ||M s - B|| subject to C s = d via the KKT block system."""
-    rhs = np.concatenate([2.0 * M.T @ B, d])
-    try:
-        sol = np.linalg.solve(_kkt_matrix(M, C), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    return sol[: M.shape[1]]
+    """clsq_exact of a float system."""
+    frac = lambda a: [Fraction(float(x)) for x in a]
+    return clsq_exact([frac(r) for r in M], frac(B), [frac(r) for r in C], frac(d))
 
 
-def reconstruction_matrix(M: np.ndarray, stencil: Stencil) -> np.ndarray:
-    """Coefficient block of the inverted KKT operator: stencil samples to
-    cell coefficients."""
+def cell_coeffs(mesh: StaggeredMesh, values: np.ndarray, cell: int, degree: int) -> np.ndarray:
+    """Exact constrained least-squares coefficients of one cell in its
+    normalized Taylor basis, rounded once: the basis values u^l / l!,
+    u = (t - center) / width, are formed in rationals from the mesh's
+    floats."""
+    stencil = build_stencil(mesh, cell, degree)
+    center = Fraction(float(mesh.barycenters[cell]))
+    width = Fraction(float(mesh.widths[cell]))
+    idx = stencil.interface_indices
+    us = [(Fraction(float(t)) - center) / width for t in mesh.interfaces[idx]]
+    M = [[u**l / math.factorial(l) for l in range(degree + 1)] for u in us]
+    B = [Fraction(float(v)) for v in values[idx]]
     r0, r1 = stencil.constraint_rows()
-    D = np.zeros((2, stencil.size))
-    D[0, r0] = 1.0
-    D[1, r1] = 1.0
-    rhs = np.vstack([2.0 * M.T, D])
-    try:
-        sol = np.linalg.solve(_kkt_matrix(M, M[[r0, r1], :]), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    return sol[: M.shape[1]]
-
-
-def cell_operator(mesh: StaggeredMesh, i: int, degree: int) -> tuple[Stencil, np.ndarray]:
-    """Stencil and operator of one cell, retrying singular systems at lower
-    degrees; the operator is zero-padded to degree + 1 rows."""
-    center, width = float(mesh.barycenters[i]), float(mesh.widths[i])
-    for deg in range(degree, 0, -1):
-        basis = TaylorBasis(deg, center, width)
-        stencil = build_stencil(mesh, i, deg)
-        M = np.array([design_row(basis, t) for t in mesh.interfaces[stencil.interface_indices]])
-        try:
-            R = reconstruction_matrix(M, stencil)
-        except SingularSystem as exc:
-            if deg == 1:
-                raise SingularSystem(f"cell {i}: {exc}") from exc
-            continue
-        return stencil, np.vstack([R, np.zeros((degree - deg, stencil.size))])
-    raise AssertionError("unreachable")
+    return clsq_exact(M, B, [M[r0], M[r1]], [B[r0], B[r1]])
 
 
 def reconstruct_axis(series: AxisSeries, degree: int) -> np.ndarray:
-    """Unlimited coefficients, (n_cells, N_eff + 1), one solve per cell."""
+    """Unlimited coefficients, (n_cells, N_eff + 1), one exact solve per cell."""
     n_eff = effective_degree(len(series), degree)
     mesh = build_mesh(series.times)
-    rows = []
-    for i in range(mesh.n_cells):
-        stencil, R = cell_operator(mesh, i, n_eff)
-        rows.append(R @ series.values[stencil.interface_indices])
-    return np.array(rows)
+    return np.array([cell_coeffs(mesh, series.values, i, n_eff) for i in range(mesh.n_cells)])
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,29 @@ def test_invalid_dtau_exits_one(tmp_path, capsys, rng):
     assert code == 1
 
 
+@pytest.mark.parametrize("dtau", ["inf", "nan", "0"])
+def test_non_finite_or_zero_dtau_exits_one(capsys, dtau):
+    code, out, err = run_cli(capsys, "backtrace", "--case", "tanhcos2d", "--dtau", dtau)
+    assert code == 1
+    assert out == ""
+    assert "dtau must be finite and > 0" in err
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--cweno-eps", "nan", "epsilon"),
+    ("--cweno-eps", "0", "epsilon"),
+    ("--cweno-eps", "-1e-14", "epsilon"),
+    ("--cweno-lambda0", "nan", "lambda_central"),
+    ("--cweno-lambda0", "inf", "lambda_central"),
+])
+def test_invalid_cweno_parameters_exit_one(tmp_path, capsys, flag, value, field):
+    path = write_csv(tmp_path / "c.csv", [("a", t, 1.0, 2.0) for t in range(6)])
+    code, out, err = run_cli(capsys, "length", "--input", path, f"{flag}={value}")
+    assert code == 1
+    assert out == ""
+    assert field in err
+
+
 def test_invalid_degree_exits_one(tmp_path, capsys, rng):
     path = write_csv(tmp_path / "a.csv", track_to_rows(random_track(rng, 6, 2, "a")))
     code, _, err = run_cli(capsys, "summary", "--input", path, "--degree", "0")

@@ -36,6 +36,26 @@ def test_config_defaults_sum_to_one():
     assert custom.lambda_side == pytest.approx(0.05)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lambda_central", float("nan")),
+    ("lambda_side", float("inf")),
+    ("epsilon", float("nan")),
+    ("epsilon", float("inf")),
+    ("epsilon", 0.0),
+    ("epsilon", -1e-14),
+])
+def test_config_rejects_non_finite_fields_and_non_positive_epsilon(field, value):
+    """NaN would also slip through the sum-to-one check: abs(nan - 1) > 1e-12
+    is False."""
+    with pytest.raises(ValueError, match=field):
+        CwenoConfig(**{field: value})
+
+
+def test_config_with_infinite_central_weight_is_rejected():
+    with pytest.raises(ValueError, match="lambda_central"):
+        CwenoConfig.with_central_weight(float("inf"))
+
+
 def test_left_line_has_unit_slope():
     series = AxisSeries([0.0, 1.0, 2.0], [0.0, 1.0, 1.5])
     left, _ = side_lines(series, 3)

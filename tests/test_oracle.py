@@ -9,7 +9,7 @@ from shotr import trajdata
 from shotr.cweno import CwenoConfig
 from shotr.errors import ShotrError
 from shotr.mesh import build_mesh
-from shotr.recon import MAX_DEGREE, _stencil_starts, reconstruct_axis, reconstruct_track
+from shotr.recon import MAX_DEGREE, reconstruct_axis, reconstruct_track
 from shotr.trajdata import AxisSeries, parse_tracks
 from shotr.validate import backtrace, error_norms
 
@@ -23,10 +23,13 @@ def assert_matches(got, ref):
 
 @pytest.mark.parametrize("degree", range(1, MAX_DEGREE + 1))
 def test_array_core_matches_oracle(rng, degree):
-    """Random non-uniform tracks of every short length and one long one,
-    without and with the limiter, at arbitrary time and value scales."""
+    """Random non-uniform tracks, without and with the limiter, at arbitrary
+    time and value scales, against the exact rational solve: square
+    interpolation (up to N+1 samples), the first overdetermined fit, the
+    lengths where the stencil reaches its full size, and interior cells."""
     cfg = CwenoConfig()
-    for n in [*range(2, 2 * degree + 5), 60]:
+    for n in sorted({2, 3, degree + 1, degree + 2, *range(2 * degree + 2, 2 * degree + 5),
+                     2 * degree + 8}):
         times = random_times(rng, n, t0=rng.uniform(-10, 10)) * 10.0 ** rng.uniform(-3, 3)
         values = rng.normal(size=n).cumsum() * 10.0 ** rng.uniform(-3, 3)
         series = AxisSeries(times, values)
@@ -37,41 +40,30 @@ def test_array_core_matches_oracle(rng, degree):
         )
 
 
-SINGULAR_CASES = [
-    # the lower-degree stencil starts where the full one does
-    (np.array([0, 1, 2, 3, 3 + 1e-15, 4, 5, 6, 7, 8, 9, 10.0]), 3, 1),
-    # two fallbacks; the degree-1 stencil starts two columns into the full one
-    (np.array([0, 1, 2, 3, 4, 5, 6, 6 + 1e-15, 7, 8, 9, 10, 11, 12, 13, 14.0]), 6, 2),
+# one cell 1e-15 the width of its neighbours (1e85 next to 1e100 once scaled)
+FORMER_SINGULAR_TIMES = [
+    np.array([0, 1, 2, 3, 3 + 1e-15, 4, 5, 6, 7, 8, 9, 10.0]),
+    np.array([0, 1, 2, 3, 4, 5, 6, 6 + 1e-15, 7, 8, 9, 10, 11, 12, 13, 14.0]),
 ]
 
 
-@pytest.mark.parametrize("times, cell, fallbacks", SINGULAR_CASES)
-def test_singular_fallback_matches_oracle(caplog, times, cell, fallbacks):
+@pytest.mark.parametrize("times", FORMER_SINGULAR_TIMES)
+def test_extreme_width_ratios_fit_at_full_degree(caplog, times):
+    """Both interface samples of every cell are met, and the limiter
+    matches the oracle's on the exact fit."""
     series = AxisSeries(times * 1e100, np.sin(np.arange(len(times), dtype=float)))
-    with caplog.at_level(logging.WARNING, logger="shotr.recon"):
-        got = reconstruct_axis(series, 3)
-    assert [r.getMessage() for r in caplog.records] == [
-        f"cell {cell}: singular at degree {d}, retrying at {d - 1}"
-        for d in range(3, 3 - fallbacks, -1)
-    ]
-    assert got.degree == 3
-    np.testing.assert_array_equal(got.coeffs[cell, 4 - fallbacks :], 0.0)
+    with caplog.at_level(logging.WARNING):
+        poly = reconstruct_axis(series, 3)
+        limited = reconstruct_axis(series, 3, "cweno")
+    assert caplog.records == []
+    assert poly.degree == 3
+    t, s = series.times, series.values
+    for at, samples in ((t[:-1], s[:-1]), (t[1:], s[1:])):
+        got = np.array([c.value(x) for c, x in zip(poly.cells, at)])
+        np.testing.assert_allclose(got, samples, rtol=0, atol=1e-12)
     ref = oracle.reconstruct_axis(series, 3)
-    assert_matches(got.coeffs, ref)
-    cfg = CwenoConfig()
-    assert_matches(reconstruct_axis(series, 3, "cweno").coeffs, oracle.limit(ref, series, cfg))
-
-
-def test_lower_degree_stencils_nest_in_the_full_window():
-    """A singular cell's lower-degree operator is stored inside the columns
-    of its full-degree stencil."""
-    for n_if in range(2, 40):
-        cells = np.arange(n_if - 1)
-        for degree in range(1, MAX_DEGREE + 1):
-            start, size = _stencil_starts(n_if, cells, degree)
-            for deg in range(1, degree):
-                lo, width = _stencil_starts(n_if, cells, deg)
-                assert np.all(lo >= start) and np.all(lo + width <= start + size)
+    assert_matches(poly.coeffs, ref)
+    assert_matches(limited.coeffs, oracle.limit(ref, series, CwenoConfig()))
 
 
 @pytest.mark.parametrize("limiter", ["none", "cweno"])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shotr.errors import SingularSystem, UnsupportedDegree
+from shotr.errors import UnsupportedDegree
 from shotr.mesh import build_mesh
 from shotr.recon import (
     MAX_DEGREE,
@@ -127,13 +127,6 @@ def test_quadratic_data_reconstructed_exactly(rng):
     np.testing.assert_allclose(poly.value(pts), pts**2, atol=1e-12)
 
 
-def test_singular_system_raises():
-    M = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-    C = M[:2]
-    with pytest.raises(SingularSystem):
-        oracle.solve_clsq(M, np.zeros(3), C, np.zeros(2))
-
-
 def test_reconstruction_matrix_matches_direct_solve(rng):
     """The batched operator applied to the samples solves each cell's
     constrained least-squares problem."""
@@ -199,18 +192,21 @@ def test_polynomial_exactness(rng, degree):
 
 
 def test_interface_interpolation_and_continuity(rng):
-    times = random_times(rng, 20)
-    values = rng.normal(0, 3, 20)
-    series = AxisSeries(times, values)
-    scale = max(1.0, np.abs(values).max())
-    for degree in (2, 3, 4):
-        poly = reconstruct_axis(series, degree)
-        for i, cell in enumerate(poly.cells):
-            assert abs(cell.value(times[i]) - values[i]) <= 1e-10 * scale
-            assert abs(cell.value(times[i + 1]) - values[i + 1]) <= 1e-10 * scale
-        for i in range(1, poly.mesh.n_cells):
-            jump = abs(poly.cells[i - 1].value(times[i]) - poly.cells[i].value(times[i]))
-            assert jump <= 1e-10 * scale
+    """Also at epoch-scale times, where a cell's interfaces are not exactly
+    at u = -1/2 and 1/2 of its rounded barycenter."""
+    for t0 in (0.0, EPOCH):
+        times = random_times(rng, 20, t0)
+        values = rng.normal(0, 3, 20)
+        series = AxisSeries(times, values)
+        scale = max(1.0, np.abs(values).max())
+        for degree in (2, 3, 4):
+            poly = reconstruct_axis(series, degree)
+            for i, cell in enumerate(poly.cells):
+                assert abs(cell.value(times[i]) - values[i]) <= 1e-10 * scale
+                assert abs(cell.value(times[i + 1]) - values[i + 1]) <= 1e-10 * scale
+            for i in range(1, poly.mesh.n_cells):
+                jump = abs(poly.cells[i - 1].value(times[i]) - poly.cells[i].value(times[i]))
+                assert jump <= 1e-10 * scale
 
 
 @settings(max_examples=30, deadline=None)
@@ -263,13 +259,16 @@ def test_to_dict_shape(rng):
 
 @pytest.mark.parametrize("limiter", ["none", "cweno"])
 def test_track_without_singular_cells_takes_one_solve(rng, monkeypatch, limiter):
-    """All cells of all axes come from one batched KKT solve."""
+    """All cells of all axes come from one batched QR factorization and one
+    inverse of its triangular factors; degree 1 (two samples) fits nothing
+    beyond the linear-linking segment."""
     calls = []
-    count_calls(monkeypatch, np.linalg, "solve", calls)
-    for n, degree in [(2, 3), (5, 3), (9, 4), (40, 3), (40, 9)]:
+    for name in ("qr", "inv", "solve", "lstsq"):
+        count_calls(monkeypatch, np.linalg, name, calls)
+    for n, degree in [(2, 3), (3, 3), (5, 3), (9, 4), (40, 3), (40, 9)]:
         calls.clear()
         reconstruct_track(random_track(rng, n, 3), degree, limiter)
-        assert calls == ["solve"]
+        assert calls == ([] if n == 2 else ["qr", "inv"])
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +315,15 @@ def property_errors(track: TrackSeries, degree: int, exact) -> tuple[float, floa
 
 
 def tolerance(degree: int) -> float:
-    """The KKT normal equations lose about one digit per degree."""
+    """Allowed interface miss, interface jump and departure from degree-N
+    data, relative to the data scale. Interpolation and continuity hold by
+    construction, so what is left is the rounding of the fitted Taylor
+    coefficients: at tenfold width spread the worst of 300 seeded tracks per
+    degree stays below 1e-12 at every degree. At millionfold spread, on the
+    draws of the test below, it grows to 1e-8 (degree 5) and 2e-6 (degree
+    9), and degrees 4, 7 and 8 exceed this bound (strict xfails); other
+    draws can miss by far more (ROADMAP item 2)."""
     return 1e-12 * 10.0**degree
-
-
-EXACT_UP_TO = 6  # the highest degree whose exactness holds at tenfold width spread
 
 
 @settings(max_examples=60, deadline=None)
@@ -332,17 +335,14 @@ EXACT_UP_TO = 6  # the highest degree whose exactness holds at tenfold width spr
 )
 def test_interpolation_continuity_and_exactness(seed, degree, extra, epoch):
     """Tracks of 2 to 2N+4 samples, at zero or epoch-scale times, with
-    cell widths varying up to tenfold (missed frames). Exactness is checked
-    up to degree 6: beyond it, the worst of 3000 such tracks per degree
-    departs by 1e-5 (N=7), 5e-4 (N=8) and 2e-2 (N=9) of the data scale."""
+    cell widths varying up to tenfold (missed frames)."""
     rng = np.random.default_rng(seed)
     n = 2 + extra % (2 * degree + 3)
     track, exact = width_ratio_track(rng, degree, n, 10.0, EPOCH if epoch else 0.0)
     miss, jump, off = property_errors(track, degree, exact)
     assert miss < tolerance(degree)
     assert jump < tolerance(degree)
-    if degree <= EXACT_UP_TO:
-        assert off < tolerance(degree)
+    assert off < tolerance(degree)
 
 
 @settings(max_examples=60, deadline=None)
@@ -365,28 +365,57 @@ def test_finite_input_gives_finite_output(seed, degree, extra, epoch, log_ratio,
             assert np.isfinite(poly.coeffs).all()
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the KKT normal equations square the conditioning of the stencil: at a "
-    "millionfold width ratio the fit misses its own interface samples by "
-    "1e-7 to 1e-4 of the data scale (degree 1: 4e-6, tolerance 1e-11) and "
-    "departs from degree-N data by up to 1.5 of it (degree 4)"
-))
-def test_properties_hold_at_millionfold_width_ratios():
+MILLIONFOLD_MISSES = {
+    # degree: worst property error on the test's draws, relative to the data scale
+    4: 2e-7,
+    7: 7e-2,
+    8: 3e-1,
+}
+
+
+@pytest.mark.parametrize("degree", [
+    pytest.param(d, marks=pytest.mark.xfail(strict=True, reason=(
+        f"a cell a millionth the width of its neighbours: the samples of the "
+        f"wide cells cluster at their interfaces, the fit of q is ill-posed "
+        f"there and its Taylor coefficients grow until their rounding misses "
+        f"the samples by {MILLIONFOLD_MISSES[d]:.0e} of the data scale "
+        f"(bound {tolerance(d):.0e})"
+    ))) if d in MILLIONFOLD_MISSES else d
+    for d in range(1, MAX_DEGREE + 1)
+])
+def test_properties_hold_at_millionfold_width_ratios(degree):
+    """Two track lengths at zero and epoch-scale times per degree, drawn
+    from one stream for all degrees in turn."""
     rng = np.random.default_rng(20241018)
-    worst = 0.0
-    for degree in range(1, MAX_DEGREE + 1):
-        for n in (degree + 2, 2 * degree + 4):
-            for t0 in (0.0, EPOCH):
-                track, exact = width_ratio_track(rng, degree, n, 1e6, t0)
-                worst = max(worst, max(property_errors(track, degree, exact)) / tolerance(degree))
-    assert worst < 1.0
+    for d in range(1, degree + 1):
+        cases = [width_ratio_track(rng, d, n, 1e6, t0)
+                 for n in (d + 2, 2 * d + 4) for t0 in (0.0, EPOCH)]
+    worst = max(max(property_errors(track, degree, exact)) for track, exact in cases)
+    assert worst < tolerance(degree)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "degree 9 on 10 samples is square interpolation in the monomial Taylor "
-    "basis; with tenfold width spread it departs from degree-9 data by "
-    "1.5e-2 of the data scale"
-))
 def test_degree_nine_is_exact_at_tenfold_width_ratios():
+    """Ten samples: square interpolation at degree 9."""
     track, exact = width_ratio_track(np.random.default_rng(5421), 9, 10, 10.0, 0.0)
     assert property_errors(track, 9, exact)[2] < tolerance(9)
+
+
+@pytest.mark.parametrize("degree", range(1, MAX_DEGREE + 1))
+def test_unlimited_fit_does_not_depend_on_the_unit_of_time(degree):
+    """Times from zero in seconds, milliseconds, kiloseconds and an odd unit,
+    with tenfold width spread: positions at fixed fractions of every cell
+    agree to 1e-8 of the data scale."""
+    fractions = np.array([0.0, 0.2, 0.5, 0.8, 1.0])
+    for seed in range(8):
+        rng = np.random.default_rng([seed, degree])
+        n = 2 + int(rng.integers(0, 2 * degree + 3))
+        track, _ = width_ratio_track(rng, degree, n, 10.0, 0.0)
+        positions = []
+        for unit in (1.0, 1e-3, 1e3, 7.3):
+            t = track.times * unit
+            at = t[:-1, None] + fractions * np.diff(t)[:, None]
+            polys = reconstruct_track(TrackSeries("u", t, track.coords, 2), degree)
+            positions.append(np.stack([p.value(at) for p in polys]))
+        scale = np.abs(track.coords).max()
+        for got in positions[1:]:
+            assert np.abs(got - positions[0]).max() < 1e-8 * scale

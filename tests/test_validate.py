@@ -302,3 +302,11 @@ def test_backtrace_rejects_unknown_order():
     track = TrackSeries("p", times, np.column_stack([times, times**2]), 2)
     with pytest.raises(ValueError, match="rk2"):
         backtrace(track, 3, 0.5, order="rk3")
+
+
+@pytest.mark.parametrize("dtau", [0.0, -0.5, float("inf"), float("nan")])
+def test_backtrace_rejects_step_that_is_not_finite_and_positive(dtau):
+    times = np.linspace(0, 1.3, 14)
+    track = TrackSeries("p", times, np.column_stack([times, times**2]), 2)
+    with pytest.raises(ValueError, match="dtau"):
+        backtrace(track, 3, dtau)
