@@ -29,7 +29,6 @@ A reconstruction is the mesh plus an ``(n_cells, N + 1)`` array of these
 coefficients.
 """
 
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -155,7 +154,6 @@ def effective_degree(n_points: int, degree: int) -> int:
     return max(1, min(degree, n_points - 1))
 
 
-@functools.lru_cache(maxsize=256)
 def _stencils(n_cells: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Interface indices of each cell's stencil, (n_cells, size), and the
     positions of the cell's own two interfaces in it, (n_cells, 2). The
@@ -168,8 +166,6 @@ def _stencils(n_cells: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     starts = np.minimum(np.maximum(cells - (degree + 1), 0), n_if - size)
     windows = starts[:, None] + np.arange(size)
     own = (cells - starts)[:, None] + _PAIR
-    windows.setflags(write=False)
-    own.setflags(write=False)
     return windows, own
 
 
@@ -177,7 +173,7 @@ def reconstruction_operators(mesh: StaggeredMesh, degree: int) -> tuple[np.ndarr
     """Sample-to-coefficients operators of every cell of a mesh.
 
     Returns (windows, R): windows[i] are the interface indices of cell i's
-    stencil (read-only) and ``R[i] @ values[windows[i]]`` its degree+1
+    stencil and ``R[i] @ values[windows[i]]`` its degree+1
     coefficients. Every cell is fitted in one batched QR.
     """
     n, k = degree + 1, degree - 1

@@ -23,13 +23,11 @@ def assert_matches(got, ref):
 
 @pytest.mark.parametrize("degree", range(1, MAX_DEGREE + 1))
 def test_array_core_matches_oracle(rng, degree):
-    """Random non-uniform tracks, without and with the limiter, at arbitrary
-    time and value scales, against the exact rational solve: square
-    interpolation (up to N+1 samples), the first overdetermined fit, the
-    lengths where the stencil reaches its full size, and interior cells."""
+    """Random non-uniform tracks of every short length and one long one,
+    without and with the limiter, at arbitrary time and value scales,
+    against the exact rational solve."""
     cfg = CwenoConfig()
-    for n in sorted({2, 3, degree + 1, degree + 2, *range(2 * degree + 2, 2 * degree + 5),
-                     2 * degree + 8}):
+    for n in [*range(2, 2 * degree + 5), 60]:
         times = random_times(rng, n, t0=rng.uniform(-10, 10)) * 10.0 ** rng.uniform(-3, 3)
         values = rng.normal(size=n).cumsum() * 10.0 ** rng.uniform(-3, 3)
         series = AxisSeries(times, values)
