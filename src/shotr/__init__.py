@@ -19,14 +19,13 @@ from .errors import (
     UnsupportedDegree,
 )
 from .trajdata import AxisSeries, TrackSeries, TrackSet, parse_tracks, split_axes
-from .mesh import StaggeredMesh, build_mesh, locate_cell
+from .mesh import StaggeredMesh, build_mesh
 from .quadrature import gauss_legendre, gauss_points
 from .recon import (
     CellPoly,
     PiecewisePoly,
     TaylorBasis,
     effective_degree,
-    reconstruct_axis,
     reconstruct_track,
     reconstruction_operators,
 )
@@ -39,13 +38,7 @@ from .cweno import (
     oscillation_indicators,
     side_lines,
 )
-from .geometry import (
-    NodalBasis,
-    cell_lengths,
-    nodal_basis_derivatives,
-    nodal_positions,
-    trajectory_length,
-)
+from .geometry import cell_lengths, trajectory_length
 from .kinematics import (
     KinematicSample,
     VelocitySummary,

@@ -46,6 +46,8 @@ class CwenoConfig:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
+        if self.exponent < 1:
+            raise ValueError(f"exponent must be >= 1, got {self.exponent!r}")
         total = self.lambda_central + 2.0 * self.lambda_side
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"linear weights must sum to 1, got {total!r}")
@@ -125,9 +127,13 @@ def oscillation_indicators(coeffs: np.ndarray, widths) -> np.ndarray:
 
 def nonlinear_weights(sigmas: np.ndarray, cfg: CwenoConfig) -> np.ndarray:
     """Data-dependent weights (central, left, right) along the last axis;
-    they sum to one."""
+    they sum to one.
+
+    lambda / (sigma + epsilon)^r, scaled by the smallest (sigma + epsilon)^r
+    of each set so that a large exponent cannot underflow every weight."""
     lam = np.array([cfg.lambda_central, cfg.lambda_side, cfg.lambda_side])
-    raw = lam / (np.asarray(sigmas, dtype=float) + cfg.epsilon) ** cfg.exponent
+    s = np.asarray(sigmas, dtype=float) + cfg.epsilon
+    raw = lam * (s.min(axis=-1, keepdims=True) / s) ** cfg.exponent
     return raw / raw.sum(axis=-1, keepdims=True)
 
 

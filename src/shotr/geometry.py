@@ -9,7 +9,6 @@ chord, i.e. summing cells reproduces the classical polyline length.
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,68 +16,10 @@ from .errors import UnsupportedDegree
 from .quadrature import gauss_points
 from .recon import PiecewisePoly, _taylor_eval
 
+# Cubic isoparametric cells at most. The tables derive for any degree, but a
+# higher cap would change the `length` and `summary` of every reconstruction
+# above degree 3, and equispaced Lagrange nodes grow ill-conditioned with degree.
 MAX_GEOMETRY_DEGREE = 3
-
-# Lagrange bases on equispaced nodes m/N of [0, 1], as monomial coefficients
-# (rows: basis functions, columns: powers of xi).
-_NODAL_COEFFS = {
-    1: np.array([
-        [1.0, -1.0],
-        [0.0, 1.0],
-    ]),
-    2: np.array([
-        [1.0, -3.0, 2.0],
-        [0.0, 4.0, -4.0],
-        [0.0, -1.0, 2.0],
-    ]),
-    3: np.array([
-        [1.0, -11.0 / 2.0, 9.0, -9.0 / 2.0],
-        [0.0, 9.0, -45.0 / 2.0, 27.0 / 2.0],
-        [0.0, -9.0 / 2.0, 18.0, -27.0 / 2.0],
-        [0.0, 1.0, -9.0 / 2.0, 9.0 / 2.0],
-    ]),
-}
-
-
-@dataclass(frozen=True)
-class NodalBasis:
-    """Lagrange nodal basis of the reference cell [0, 1]."""
-
-    degree: int
-
-    def __post_init__(self):
-        if self.degree not in _NODAL_COEFFS:
-            raise UnsupportedDegree(
-                f"nodal basis degree must be in {sorted(_NODAL_COEFFS)}, got {self.degree}"
-            )
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.arange(self.degree + 1) / self.degree
-
-    def values(self, xi) -> np.ndarray:
-        """Basis values at xi; shape (degree + 1,) + shape(xi)."""
-        xi = np.asarray(xi, dtype=float)
-        return np.array(
-            [np.polynomial.polynomial.polyval(xi, c) for c in _NODAL_COEFFS[self.degree]]
-        )
-
-    def derivatives(self, xi) -> np.ndarray:
-        """Exact basis derivatives at xi; shape (degree + 1,) + shape(xi)."""
-        xi = np.asarray(xi, dtype=float)
-        return np.array(
-            [
-                np.polynomial.polynomial.polyval(
-                    xi, np.polynomial.polynomial.polyder(c)
-                )
-                for c in _NODAL_COEFFS[self.degree]
-            ]
-        )
-
-
-def nodal_basis_derivatives(degree: int, xi) -> np.ndarray:
-    """Derivatives of all nodal basis functions at reference coordinate xi."""
-    return NodalBasis(degree).derivatives(xi)
 
 
 def _clamped_geometry_degree(geom_degree: int) -> int:
@@ -89,40 +30,43 @@ def _clamped_geometry_degree(geom_degree: int) -> int:
 
 @functools.cache
 def _reference_cell(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Constants of the degree-g reference cell: the nodes, (g + 1,); the
-    basis derivatives at the max(g + 1, 3) Gauss points of [0, 1],
-    (g + 1, n_q); and the Gauss weights, (n_q,)."""
-    basis = NodalBasis(degree)
+    """Constants of the degree-g reference cell: the equispaced nodes m/g,
+    (g + 1,); the derivatives of their Lagrange basis at the max(g + 1, 3)
+    Gauss points of [0, 1], (g + 1, n_q); and the Gauss weights, (n_q,).
+
+    In y = g xi the m-th basis function is prod_{k != m} (y - k) / (m - k):
+    integer coefficients over an integer denominator, so its coefficients in
+    powers of xi are rounded once, as if written out by hand (arc length is
+    ill-conditioned for short steps far from the origin, and a float solve
+    for them moved lengths by up to 4e-13 relative)."""
+    P = np.polynomial.polynomial
+    k = np.arange(degree + 1)
     xi_q, w_q = gauss_points(0.0, 1.0, max(degree + 1, 3))
-    tables = basis.nodes, basis.derivatives(xi_q), w_q
+    dphi = []
+    for m in k:
+        others = np.delete(k, m)
+        coeffs = P.polyfromroots(others) * degree**k / np.prod(m - others)
+        dphi.append(P.polyval(xi_q, P.polyder(coeffs)))
+    tables = k / degree, np.array(dphi), w_q
     for table in tables:
         table.setflags(write=False)
     return tables
 
 
-def nodal_positions(
-    axis_polys: list[PiecewisePoly], geom_degree: int = 3
-) -> tuple[np.ndarray, np.ndarray]:
-    """Equispaced node times of every cell, (n_cells, g + 1), and the curve
-    positions there, (n_axes, n_cells, g + 1), taken from the reconstruction."""
-    nodes, _, _ = _reference_cell(_clamped_geometry_degree(geom_degree))
+def cell_lengths(axis_polys: list[PiecewisePoly], geom_degree: int = 3) -> np.ndarray:
+    """Arc length of every cell of the reconstructed curve.
+
+    The curve positions at each cell's equispaced node times, taken from the
+    reconstruction, define its degree-g geometry; g above
+    MAX_GEOMETRY_DEGREE falls back to it. The quadrature uses
+    max(g + 1, 3) Gauss points.
+    """
+    nodes, dphi, w_q = _reference_cell(_clamped_geometry_degree(geom_degree))
     mesh = axis_polys[0].mesh
     node_times = mesh.interfaces[:-1, None] + nodes * mesh.widths[:, None]
     u = (node_times - mesh.barycenters[:, None]) / mesh.widths[:, None]
     coeffs = np.array([p.coeffs for p in axis_polys])[:, :, None, :]
-    return node_times, _taylor_eval(coeffs, u)
-
-
-def cell_lengths(axis_polys: list[PiecewisePoly], geom_degree: int = 3) -> np.ndarray:
-    """Arc length of every cell of the reconstructed curve.
-
-    Degrees above 3 fall back to the cubic geometry (the highest basis
-    available); the quadrature uses max(degree + 1, 3) Gauss points.
-    """
-    degree = _clamped_geometry_degree(geom_degree)
-    _, nodal = nodal_positions(axis_polys, degree)
-    _, dphi, w_q = _reference_cell(degree)
-    tangent = nodal @ dphi                          # ds/dxi, (n_axes, n_cells, n_q)
+    tangent = _taylor_eval(coeffs, u) @ dphi        # ds/dxi, (n_axes, n_cells, n_q)
     return np.sqrt(np.sum(tangent**2, axis=0)) @ w_q
 
 

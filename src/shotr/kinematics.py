@@ -46,7 +46,7 @@ class VelocitySummary:
 def _check_domain(axis_polys: list[PiecewisePoly], t) -> None:
     lo, hi = axis_polys[0].mesh.span
     t = np.asarray(t, dtype=float)
-    if np.any(t < lo) or np.any(t > hi):
+    if not np.all((t >= lo) & (t <= hi)):  # also rejects NaN
         raise OutOfDomain(f"t outside [{lo!r}, {hi!r}]")
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonMonotoneTimes, OutOfDomain
+from .errors import NonMonotoneTimes
 
 
 @dataclass
@@ -45,22 +45,8 @@ def build_mesh(times: np.ndarray) -> StaggeredMesh:
     return StaggeredMesh(times.copy(), widths, barycenters)
 
 
-def locate_cell(mesh: StaggeredMesh, t: float) -> int:
-    """Index of the cell containing t (binary search).
-
-    At an interior interface the left cell is returned, which makes
-    evaluation deterministic; position is continuous there anyway.
-    """
-    interfaces = mesh.interfaces
-    if t < interfaces[0] or t > interfaces[-1]:
-        raise OutOfDomain(
-            f"t={t!r} outside [{interfaces[0]!r}, {interfaces[-1]!r}]"
-        )
-    i = int(np.searchsorted(interfaces, t, side="left")) - 1
-    return min(max(i, 0), mesh.n_cells - 1)
-
-
 def locate_cells(mesh: StaggeredMesh, t: np.ndarray) -> np.ndarray:
-    """Vectorized locate_cell without the domain check (times are clipped)."""
+    """Index of the cell containing each t, by binary search and clipped to
+    the end cells; an interior interface belongs to its left cell."""
     idx = np.searchsorted(mesh.interfaces, t, side="left") - 1
     return np.clip(idx, 0, mesh.n_cells - 1)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import UnsupportedDegree
 from .mesh import StaggeredMesh, build_mesh, locate_cells
-from .trajdata import AxisSeries, TrackSeries, split_axes
+from .trajdata import TrackSeries, split_axes
 
 logger = logging.getLogger(__name__)
 
@@ -221,41 +221,6 @@ def reconstruction_operators(mesh: StaggeredMesh, degree: int) -> tuple[np.ndarr
     return windows, R
 
 
-def _apply(
-    ops: tuple[np.ndarray, np.ndarray], mesh: StaggeredMesh, values: np.ndarray
-) -> PiecewisePoly:
-    windows, R = ops
-    return PiecewisePoly(mesh, np.matmul(R, values[windows][..., None])[..., 0])
-
-
-def _limit(poly: PiecewisePoly, series: AxisSeries, limiter: str, cweno_config) -> PiecewisePoly:
-    if limiter == "none":
-        return poly
-    if limiter != "cweno":
-        raise ValueError(f"unknown limiter {limiter!r}")
-    from .cweno import CwenoConfig, limit_piecewise
-
-    return limit_piecewise(poly, series, cweno_config or CwenoConfig())
-
-
-def reconstruct_axis(
-    series: AxisSeries,
-    degree: int,
-    limiter: str = "none",
-    cweno_config=None,
-) -> PiecewisePoly:
-    """Reconstruct one axis as a piecewise polynomial of the given degree.
-
-    limiter="cweno" replaces each cell's coefficients with the nonlinear
-    blend against the one-sided linear candidates; "none" keeps the
-    unlimited constrained least-squares polynomials.
-    """
-    n_eff = effective_degree(len(series), degree)
-    mesh = build_mesh(series.times)
-    poly = _apply(reconstruction_operators(mesh, n_eff), mesh, series.values)
-    return _limit(poly, series, limiter, cweno_config)
-
-
 def reconstruct_track(
     track: TrackSeries,
     degree: int,
@@ -265,8 +230,13 @@ def reconstruct_track(
     """Reconstruct every axis of a track, one PiecewisePoly per dimension.
 
     The per-cell operators are computed once and shared across axes, since
-    all axes sample the same times.
+    all axes sample the same times. limiter="cweno" replaces each cell's
+    coefficients with the nonlinear blend against the one-sided linear
+    candidates; "none" keeps the unlimited constrained least-squares
+    polynomials. A single axis is a track of dim 1.
     """
+    if limiter not in ("none", "cweno"):
+        raise ValueError(f"unknown limiter {limiter!r}")
     n_eff = effective_degree(len(track), degree)
     if n_eff < degree:
         logger.warning(
@@ -274,8 +244,13 @@ def reconstruct_track(
             track.track_id, degree, n_eff, len(track),
         )
     mesh = build_mesh(track.times)
-    ops = reconstruction_operators(mesh, n_eff)
-    polys = [_apply(ops, mesh, track.coords[:, d]) for d in range(track.dim)]
+    windows, R = reconstruction_operators(mesh, n_eff)
+    polys = [
+        PiecewisePoly(mesh, np.matmul(R, track.coords[:, d][windows][..., None])[..., 0])
+        for d in range(track.dim)
+    ]
     if limiter == "none":
         return polys
-    return [_limit(p, s, limiter, cweno_config) for p, s in zip(polys, split_axes(track))]
+    from .cweno import limit_piecewise
+
+    return [limit_piecewise(p, s, cweno_config) for p, s in zip(polys, split_axes(track))]

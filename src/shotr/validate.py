@@ -17,9 +17,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ShotrError
-from .mesh import StaggeredMesh, build_mesh
+from .mesh import StaggeredMesh
 from .quadrature import gauss_points
-from .recon import PiecewisePoly, effective_degree, reconstruct_track
+from .recon import reconstruct_track
 from .trajdata import TrackSeries
 
 AXES = "xyz"
@@ -225,14 +225,6 @@ class ConvergenceRow:
     orders: dict[str, tuple[float, float, float]] | None
 
 
-def _reconstruct_case(
-    case: SyntheticCase, n_points: int, degree: int, limiter: str = "none"
-) -> tuple[list[PiecewisePoly], StaggeredMesh]:
-    track = case.sample(n_points)
-    polys = reconstruct_track(track, degree, limiter)
-    return polys, polys[0].mesh
-
-
 def run_convergence(
     case: SyntheticCase,
     degrees: Sequence[int],
@@ -240,14 +232,19 @@ def run_convergence(
     limiter: str = "none",
 ) -> list[ConvergenceRow]:
     """Position errors and empirical orders over a mesh-refinement sequence."""
+    for before, after in zip(mesh_cells, mesh_cells[1:]):
+        if before == after:
+            raise ValueError(
+                f"mesh cell count {after} repeated: an order needs two different meshes"
+            )
     rows: list[ConvergenceRow] = []
     a, b = case.domain
     axes = AXES[: case.dim]
     for degree in degrees:
         prev: ConvergenceRow | None = None
         for cells in mesh_cells:
-            polys, mesh = _reconstruct_case(case, cells + 1, degree, limiter)
-            quad = effective_degree(cells + 1, degree) + 1
+            polys = reconstruct_track(case.sample(cells + 1), degree, limiter)
+            mesh, quad = polys[0].mesh, polys[0].degree + 1
             errors = {
                 ax: error_norms(case.position_fns[d], polys[d].value, (a, b), quad, mesh)
                 for d, ax in enumerate(axes)
@@ -353,7 +350,8 @@ def compare_spt(
     axes = AXES[: case.dim]
     for n_points in mesh_points:
         for degree in COMPARISON_DEGREES:
-            polys, mesh = _reconstruct_case(case, n_points, degree)
+            polys = reconstruct_track(case.sample(n_points), degree)
+            mesh = polys[0].mesh
             method = f"P{degree}"
             for d, ax in enumerate(axes):
                 rows.append(
@@ -489,7 +487,7 @@ def backtrace(
     t0, t1 = polys[0].mesh.span
     duration = t1 - t0
     if order is None:
-        order = "rk2" if effective_degree(len(track), degree) == 1 else "rk4"
+        order = "rk2" if polys[0].degree == 1 else "rk4"
 
     n_full = int(math.floor(duration / dtau + 1e-12))
     steps = [dtau] * n_full

@@ -1,14 +1,15 @@
 """Row-by-row and per-cell reference implementations of the CSV parse,
-the reconstruction, the limiter and the validation norms and backtrace.
+the reconstruction, the limiter, the arc length and the validation norms
+and backtrace.
 
 The file is read one row at a time, each token converted as it is met;
 one exact rational solve of the constrained least-squares (KKT) system per
 cell and one candidate set per cell, with the oscillation indicator
-integrated by Gauss quadrature; error norms summed cell by cell and
-backtrace stepped one RK step at a time. Slow, but
-written independently of the array code in ``shotr.trajdata``,
-``shotr.recon``, ``shotr.cweno`` and ``shotr.validate``, which the
-differential tests check against it.
+integrated by Gauss quadrature; arc lengths from a hand-written Lagrange
+table, cell by cell; error norms summed cell by cell and backtrace stepped
+one RK step at a time. Slow, but written independently of the array code in
+``shotr.trajdata``, ``shotr.recon``, ``shotr.cweno``, ``shotr.geometry``
+and ``shotr.validate``, which the differential tests check against it.
 """
 
 import csv
@@ -307,6 +308,54 @@ def limit(coeffs: np.ndarray, series: AxisSeries, cfg) -> np.ndarray:
         cands, sigmas = make_candidates(CellPoly(c, basis), series, i, cfg)
         out.append(blend(cands, sigmas, cfg))
     return np.array(out)
+
+
+# ---------------------------------------------------------------------------
+# geometry
+# ---------------------------------------------------------------------------
+
+# Lagrange bases on equispaced nodes m/N of [0, 1], as monomial coefficients
+# (rows: basis functions, columns: powers of xi), written out by hand.
+NODAL_COEFFS = {
+    1: np.array([
+        [1.0, -1.0],
+        [0.0, 1.0],
+    ]),
+    2: np.array([
+        [1.0, -3.0, 2.0],
+        [0.0, 4.0, -4.0],
+        [0.0, -1.0, 2.0],
+    ]),
+    3: np.array([
+        [1.0, -11.0 / 2.0, 9.0, -9.0 / 2.0],
+        [0.0, 9.0, -45.0 / 2.0, 27.0 / 2.0],
+        [0.0, -9.0 / 2.0, 18.0, -27.0 / 2.0],
+        [0.0, 1.0, -9.0 / 2.0, 9.0 / 2.0],
+    ]),
+}
+
+
+def nodal_basis_derivatives(degree: int, xi) -> np.ndarray:
+    """Derivatives of the hand-written basis at xi, (degree + 1,) + shape(xi)."""
+    P = np.polynomial.polynomial
+    return np.array([P.polyval(np.asarray(xi, dtype=float), P.polyder(c))
+                     for c in NODAL_COEFFS[degree]])
+
+
+def cell_lengths(axis_polys, degree: int) -> np.ndarray:
+    """Arc length of every cell, one cell at a time: node positions from the
+    cell's own polynomial, the hand-written basis, max(degree + 1, 3) Gauss
+    points."""
+    mesh = axis_polys[0].mesh
+    nodes = np.arange(degree + 1) / degree
+    xi_q, w_q = gauss_points(0.0, 1.0, max(degree + 1, 3))
+    dphi = nodal_basis_derivatives(degree, xi_q)
+    lengths = []
+    for i in range(mesh.n_cells):
+        node_times = mesh.interfaces[i] + nodes * mesh.widths[i]
+        nodal = np.array([p.cells[i].value(node_times) for p in axis_polys])
+        lengths.append(np.sqrt(np.sum((nodal @ dphi) ** 2, axis=0)) @ w_q)
+    return np.array(lengths)
 
 
 # ---------------------------------------------------------------------------

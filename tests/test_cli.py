@@ -193,6 +193,14 @@ def test_convergence_custom_meshes(capsys):
     assert orders and all(abs(o - 3.0) < 0.25 for o in orders)
 
 
+def test_convergence_repeated_mesh_exits_one(capsys):
+    """Two equal meshes give no order (log(dt / dt) = 0)."""
+    code, out, err = run_cli(capsys, "convergence", "--meshes", "100,100", "--degrees", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "100" in err and "repeated" in err
+
+
 def test_compare_row_shape(capsys):
     code, out, _ = run_cli(capsys, "compare", "--case", "tanhcos2d", "--meshes", "21,41")
     assert code == 0
@@ -272,6 +280,8 @@ def test_non_finite_or_zero_dtau_exits_one(capsys, dtau):
     ("--cweno-eps", "-1e-14", "epsilon"),
     ("--cweno-lambda0", "nan", "lambda_central"),
     ("--cweno-lambda0", "inf", "lambda_central"),
+    ("--cweno-r", "0", "exponent"),
+    ("--cweno-r", "-2", "exponent"),
 ])
 def test_invalid_cweno_parameters_exit_one(tmp_path, capsys, flag, value, field):
     path = write_csv(tmp_path / "c.csv", [("a", t, 1.0, 2.0) for t in range(6)])

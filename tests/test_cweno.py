@@ -11,10 +11,10 @@ from shotr.cweno import (
     side_lines,
 )
 from shotr.mesh import build_mesh
-from shotr.recon import CellPoly, PiecewisePoly, TaylorBasis, reconstruct_axis
+from shotr.recon import CellPoly, PiecewisePoly, TaylorBasis
 from shotr.trajdata import AxisSeries
 
-from .conftest import random_times
+from .conftest import fit_axis, random_times
 
 
 def step_series(n_left=3, n_right=3, lo=0.0, hi=1.0):
@@ -56,6 +56,18 @@ def test_config_with_infinite_central_weight_is_rejected():
         CwenoConfig.with_central_weight(float("inf"))
 
 
+def test_large_exponent_gives_finite_output(rng):
+    """(sigma + epsilon)^200 underflows or overflows for every candidate;
+    the weights must not (numpy RuntimeWarnings fail the suite)."""
+    times = random_times(rng, 60)
+    series = AxisSeries(times, rng.normal(size=60).cumsum())
+    limited = fit_axis(series, 3, "cweno", CwenoConfig(exponent=200))
+    assert np.isfinite(limited.coeffs).all()
+    omega = nonlinear_weights(np.array([[1e-3, 1e-2, 1e-1], [1e3, 1e2, 1e1]]),
+                              CwenoConfig(exponent=200))
+    np.testing.assert_allclose(omega, [[1, 0, 0], [0, 0, 1]], rtol=0, atol=1e-150)
+
+
 def test_left_line_has_unit_slope():
     series = AxisSeries([0.0, 1.0, 2.0], [0.0, 1.0, 1.5])
     left, _ = side_lines(series, 3)
@@ -77,7 +89,7 @@ def test_first_cell_has_no_left_line():
 def test_constant_data_lines_equal_central(rng):
     times = random_times(rng, 8)
     series = AxisSeries(times, np.full(8, 2.5))
-    poly = reconstruct_axis(series, 3)
+    poly = fit_axis(series, 3)
     cands = candidates(poly, series, CwenoConfig())
     for i, cell in enumerate(poly.cells):
         pts = np.linspace(times[i], times[i + 1], 5)
@@ -92,7 +104,7 @@ def test_line_reexpansion_reproduces_defining_samples(rng):
     times = random_times(rng, 10)
     values = rng.normal(0, 2, 10)
     series = AxisSeries(times, values)
-    poly = reconstruct_axis(series, 3)
+    poly = fit_axis(series, 3)
     left, right = side_lines(series, 3)
     for cell in range(1, 9):
         basis = poly.cells[cell].basis
@@ -119,7 +131,7 @@ def test_central_recombination_identity(rng):
 
 def test_central_of_constant_is_constant():
     series = AxisSeries([0.0, 1.0, 2.0, 3.0], [4.0, 4.0, 4.0, 4.0])
-    poly = reconstruct_axis(series, 2)
+    poly = fit_axis(series, 2)
     p0 = candidates(poly, series, CwenoConfig())[:, 0]
     np.testing.assert_allclose(p0, np.tile([4.0, 0.0, 0.0], (3, 1)), atol=1e-13)
 
@@ -186,7 +198,7 @@ def test_equal_sigmas_recover_linear_weights_and_optimal(rng):
 
 def test_step_data_collapses_to_flat_side_line():
     series = step_series()
-    poly = reconstruct_axis(series, 3)
+    poly = fit_axis(series, 3)
     cfg = CwenoConfig()
     jump_cell = 2  # samples 2 and 3 straddle the jump
     cands = candidates(poly, series, cfg)[jump_cell]
@@ -204,7 +216,7 @@ def test_smooth_cubic_blend_matches_optimal():
     ts = np.linspace(0.0, 1.0, 201)
     f = lambda t: t**3 + 30.0 * t
     series = AxisSeries(ts, f(ts))
-    unlimited = reconstruct_axis(series, 3)
+    unlimited = fit_axis(series, 3)
     limited = limit_piecewise(unlimited, series)
     pts = np.linspace(0, 1, 1500)
     scale = np.max(np.abs(f(pts)))
@@ -216,7 +228,7 @@ def test_blend_is_convex_combination(rng):
     times = random_times(rng, 12)
     values = rng.normal(0, 2, 12)
     series = AxisSeries(times, values)
-    poly = reconstruct_axis(series, 3)
+    poly = fit_axis(series, 3)
     cands = candidates(poly, series, CwenoConfig())
     limited = limit_piecewise(poly, series)
     for i, cell in enumerate(limited.cells):
@@ -229,7 +241,7 @@ def test_blend_is_convex_combination(rng):
 def test_monotone_step_total_variation_bound():
     """Per-cell variation of the limited curve stays at the linking level."""
     series = step_series(4, 4)
-    unlimited = reconstruct_axis(series, 3)
+    unlimited = fit_axis(series, 3)
     limited = limit_piecewise(unlimited, series)
     times = series.times
     for i in range(limited.mesh.n_cells):
@@ -241,11 +253,13 @@ def test_monotone_step_total_variation_bound():
         assert tv <= tv_linking * 1.01 + 1e-12
 
 
-def test_limited_reconstruction_via_reconstruct_axis(rng):
+def test_limited_reconstruction_via_reconstruct_track(rng):
     times = random_times(rng, 10)
     values = rng.normal(size=10)
     series = AxisSeries(times, values)
-    direct = limit_piecewise(reconstruct_axis(series, 3), series)
-    via_flag = reconstruct_axis(series, 3, limiter="cweno")
+    direct = limit_piecewise(fit_axis(series, 3), series)
+    via_flag = fit_axis(series, 3, limiter="cweno")
     pts = rng.uniform(times[0], times[-1], 50)
     np.testing.assert_allclose(via_flag.value(pts), direct.value(pts), atol=1e-13)
+    with pytest.raises(ValueError, match="unknown limiter"):
+        fit_axis(series, 3, limiter="minmod")

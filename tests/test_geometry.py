@@ -3,16 +3,11 @@ import pytest
 
 from shotr.errors import UnsupportedDegree
 from shotr.quadrature import gauss_points
-from shotr.geometry import (
-    NodalBasis,
-    cell_lengths,
-    nodal_basis_derivatives,
-    nodal_positions,
-    trajectory_length,
-)
+from shotr.geometry import _reference_cell, cell_lengths, trajectory_length
 from shotr.recon import reconstruct_track
 from shotr.trajdata import TrackSeries
 
+from . import oracle
 from .conftest import count_calls, random_track
 
 
@@ -22,35 +17,40 @@ def track_from_fn(fns, times, track_id="t"):
 
 
 def test_linear_basis_derivatives_constant():
-    d = nodal_basis_derivatives(1, 0.37)
-    np.testing.assert_allclose(d.ravel(), [-1.0, 1.0])
+    _, d, _ = _reference_cell(1)
+    np.testing.assert_array_equal(d, [[-1.0] * d.shape[1], [1.0] * d.shape[1]])
 
 
-def test_quadratic_basis_derivatives_at_zero():
-    d = nodal_basis_derivatives(2, 0.0)
-    np.testing.assert_allclose(d.ravel(), [-3.0, 4.0, -1.0])
+def test_quadratic_basis_derivatives_closed_form():
+    """-3 + 4 xi, 4 - 8 xi and -1 + 4 xi ([-3, 4, -1] at xi = 0), at the
+    Gauss points."""
+    _, d, _ = _reference_cell(2)
+    xi, _ = gauss_points(0.0, 1.0, 3)
+    np.testing.assert_allclose(d, [-3 + 4 * xi, 4 - 8 * xi, -1 + 4 * xi], rtol=0, atol=1e-14)
 
 
-def test_basis_interpolation_condition():
-    for degree in (1, 2, 3):
-        basis = NodalBasis(degree)
-        vals = basis.values(basis.nodes)  # (n_basis, n_nodes)
-        np.testing.assert_allclose(vals, np.eye(degree + 1), atol=1e-13)
+def test_partition_of_unity_and_derivative_sum():
+    """The basis sums to one, so its derivatives sum to zero."""
+    for degree in (1, 2, 3, 5):
+        nodes, d, w = _reference_cell(degree)
+        np.testing.assert_allclose(nodes, np.linspace(0.0, 1.0, degree + 1), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(d.sum(axis=0), 0.0, atol=1e-12)
+        assert w.sum() == pytest.approx(1.0, abs=1e-15)
 
 
-def test_partition_of_unity_and_derivative_sum(rng):
-    xi = rng.uniform(0, 1, 20)
-    for degree in (1, 2, 3):
-        basis = NodalBasis(degree)
-        np.testing.assert_allclose(basis.values(xi).sum(axis=0), 1.0, atol=1e-13)
-        np.testing.assert_allclose(basis.derivatives(xi).sum(axis=0), 0.0, atol=1e-12)
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_derived_tables_match_the_hand_written_basis(degree):
+    """Bit for bit."""
+    _, d, _ = _reference_cell(degree)
+    xi, _ = gauss_points(0.0, 1.0, max(degree + 1, 3))
+    assert d.tobytes() == oracle.nodal_basis_derivatives(degree, xi).tobytes()
 
 
 def test_unsupported_degree_raises():
-    with pytest.raises(UnsupportedDegree):
-        nodal_basis_derivatives(4, 0.5)
-    with pytest.raises(UnsupportedDegree):
-        NodalBasis(0)
+    polys = reconstruct_track(random_track(np.random.default_rng(1), 5), 3)
+    for geom_degree in (0, -1):
+        with pytest.raises(UnsupportedDegree):
+            cell_lengths(polys, geom_degree)
 
 
 def test_straight_segment_length_is_five():
@@ -128,17 +128,12 @@ def test_cell_geometry_end_nodes_hit_interface_samples(rng):
     # last curve nodes of every cell are the recorded positions
     track = random_track(rng, 10, dim=2)
     polys = reconstruct_track(track, 3)
-    node_times, nodal = nodal_positions(polys, 3)
+    nodes, _, _ = _reference_cell(3)
+    node_times = track.times[:-1, None] + nodes * np.diff(track.times)[:, None]
+    np.testing.assert_allclose(node_times[:, -1], track.times[1:])
+    nodal = np.array([[c.value(t) for c, t in zip(p.cells, node_times)] for p in polys])
     np.testing.assert_allclose(nodal[:, :, 0].T, track.coords[:-1], atol=1e-10)
     np.testing.assert_allclose(nodal[:, :, -1].T, track.coords[1:], atol=1e-10)
-    np.testing.assert_allclose(node_times[:, 0], track.times[:-1])
-    np.testing.assert_allclose(node_times[:, -1], track.times[1:])
-    # the interior nodes evaluate each cell's own polynomial
-    for cell in range(polys[0].mesh.n_cells):
-        for d, p in enumerate(polys):
-            np.testing.assert_allclose(
-                nodal[d, cell], p.cells[cell].value(node_times[cell]), rtol=1e-14
-            )
 
 
 def test_geometry_degree_above_three_falls_back():
@@ -149,14 +144,11 @@ def test_geometry_degree_above_three_falls_back():
 
 @pytest.mark.parametrize("geom_degree", [1, 2, 3, 5])
 def test_cell_lengths_match_the_nodal_basis(rng, geom_degree):
-    """The per-degree tables give the lengths NodalBasis gives, bit for bit."""
+    """The lengths of the hand-written basis computed one cell at a time,
+    to 1e-14 relative (the order of the sums differs)."""
     polys = reconstruct_track(random_track(rng, 30, 3), 4)
-    degree = min(geom_degree, 3)
-    basis = NodalBasis(degree)
-    xi_q, w_q = gauss_points(0.0, 1.0, max(degree + 1, 3))
-    tangent = nodal_positions(polys, degree)[1] @ basis.derivatives(xi_q)
-    want = np.sqrt(np.sum(tangent**2, axis=0)) @ w_q
-    assert cell_lengths(polys, geom_degree).tobytes() == want.tobytes()
+    want = oracle.cell_lengths(polys, min(geom_degree, 3))
+    np.testing.assert_allclose(cell_lengths(polys, geom_degree), want, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("geom_degree", [1, 2, 3])
@@ -172,5 +164,5 @@ def test_cell_lengths_build_the_basis_tables_once(rng, monkeypatch, geom_degree)
     again = cell_lengths(polys, geom_degree)
     assert calls == []
     assert again.tobytes() == first.tobytes()
-    NodalBasis(geom_degree).derivatives(0.5)
-    assert "polyval" in calls  # the counters see the basis when it is evaluated
+    _reference_cell.__wrapped__(geom_degree)
+    assert "polyval" in calls  # the counters see the tables when they are built

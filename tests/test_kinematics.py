@@ -40,8 +40,9 @@ def test_quadratic_acceleration(rng):
 def test_eval_outside_domain_raises(rng):
     track = random_track(rng, 5)
     polys = reconstruct_track(track, 1)
-    with pytest.raises(OutOfDomain):
-        eval_at(polys, track.times[-1] + 0.1)
+    for t in (track.times[-1] + 0.1, track.times[0] - 0.1, float("nan")):
+        with pytest.raises(OutOfDomain):
+            eval_at(polys, t)
 
 
 def test_dense_sampling_counts_and_ordering():

@@ -9,12 +9,12 @@ from shotr import trajdata
 from shotr.cweno import CwenoConfig
 from shotr.errors import ShotrError
 from shotr.mesh import build_mesh
-from shotr.recon import MAX_DEGREE, reconstruct_axis, reconstruct_track
+from shotr.recon import MAX_DEGREE, reconstruct_track
 from shotr.trajdata import AxisSeries, parse_tracks
 from shotr.validate import backtrace, error_norms
 
 from . import oracle
-from .conftest import random_times, random_track
+from .conftest import fit_axis, random_times, random_track
 
 
 def assert_matches(got, ref):
@@ -32,9 +32,9 @@ def test_array_core_matches_oracle(rng, degree):
         values = rng.normal(size=n).cumsum() * 10.0 ** rng.uniform(-3, 3)
         series = AxisSeries(times, values)
         ref = oracle.reconstruct_axis(series, degree)
-        assert_matches(reconstruct_axis(series, degree).coeffs, ref)
+        assert_matches(fit_axis(series, degree).coeffs, ref)
         assert_matches(
-            reconstruct_axis(series, degree, "cweno", cfg).coeffs, oracle.limit(ref, series, cfg)
+            fit_axis(series, degree, "cweno", cfg).coeffs, oracle.limit(ref, series, cfg)
         )
 
 
@@ -51,8 +51,8 @@ def test_extreme_width_ratios_fit_at_full_degree(caplog, times):
     matches the oracle's on the exact fit."""
     series = AxisSeries(times * 1e100, np.sin(np.arange(len(times), dtype=float)))
     with caplog.at_level(logging.WARNING):
-        poly = reconstruct_axis(series, 3)
-        limited = reconstruct_axis(series, 3, "cweno")
+        poly = fit_axis(series, 3)
+        limited = fit_axis(series, 3, "cweno")
     assert caplog.records == []
     assert poly.degree == 3
     t, s = series.times, series.values

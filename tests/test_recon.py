@@ -9,14 +9,13 @@ from shotr.recon import (
     MAX_DEGREE,
     TaylorBasis,
     effective_degree,
-    reconstruct_axis,
     reconstruct_track,
     reconstruction_operators,
 )
 from shotr.trajdata import AxisSeries, TrackSeries
 
 from . import oracle
-from .conftest import count_calls, random_times, random_track
+from .conftest import count_calls, fit_axis, random_times, random_track
 
 
 def taylor_coeffs(poly: np.polynomial.Polynomial, center: float, width: float, degree: int):
@@ -111,7 +110,7 @@ def test_solve_square_system_interpolates():
 def test_constraints_hold_even_with_noisy_data(rng):
     times = random_times(rng, 16)
     values = rng.normal(0, 10, 16)  # rough data: large LSQ residual
-    poly = reconstruct_axis(AxisSeries(times, values), 3)
+    poly = fit_axis(AxisSeries(times, values), 3)
     cells = poly.cells
     for cell in (0, 7, 14):
         d = values[[cell, cell + 1]]
@@ -122,7 +121,7 @@ def test_constraints_hold_even_with_noisy_data(rng):
 def test_quadratic_data_reconstructed_exactly(rng):
     times = random_times(rng, 10)
     series = AxisSeries(times, times**2)
-    poly = reconstruct_axis(series, 2)
+    poly = fit_axis(series, 2)
     pts = rng.uniform(times[0], times[-1], 20)
     np.testing.assert_allclose(poly.value(pts), pts**2, atol=1e-12)
 
@@ -149,7 +148,7 @@ def test_reconstruction_matrix_matches_direct_solve(rng):
 def test_constant_series_reproduced():
     series = AxisSeries([0.0, 1.0, 2.0, 3.0], [5.0, 5.0, 5.0, 5.0])
     for degree in (1, 2, 3, 5):
-        poly = reconstruct_axis(series, degree)
+        poly = fit_axis(series, degree)
         for cell in poly.cells:
             assert cell.coeffs[0] == pytest.approx(5.0, abs=1e-12)
             np.testing.assert_allclose(cell.coeffs[1:], 0.0, atol=1e-12)
@@ -159,7 +158,7 @@ def test_constant_series_reproduced_nonuniform(rng):
     times = random_times(rng, 9)
     series = AxisSeries(times, np.full(9, 5.0))
     for degree in (1, 3, 5):
-        poly = reconstruct_axis(series, degree)
+        poly = fit_axis(series, degree)
         pts = rng.uniform(times[0], times[-1], 50)
         np.testing.assert_allclose(poly.value(pts), 5.0, atol=1e-11)
         np.testing.assert_allclose(poly.derivative(pts), 0.0, atol=1e-11)
@@ -169,7 +168,7 @@ def test_degree_one_equals_linear_interpolation(rng):
     """Unlimited P1 is exactly the linear linking between samples."""
     times = random_times(rng, 15)
     values = rng.normal(size=15)
-    poly = reconstruct_axis(AxisSeries(times, values), 1)
+    poly = fit_axis(AxisSeries(times, values), 1)
     pts = rng.uniform(times[0], times[-1], 200)
     np.testing.assert_allclose(poly.value(pts), np.interp(pts, times, values), atol=1e-12)
 
@@ -180,7 +179,7 @@ def test_polynomial_exactness(rng, degree):
         n_pts = degree + 2 + int(rng.integers(0, 6))
         times = random_times(rng, n_pts)
         p = np.polynomial.Polynomial(rng.uniform(-2, 2, degree + 1))
-        poly = reconstruct_axis(AxisSeries(times, p(times)), degree)
+        poly = fit_axis(AxisSeries(times, p(times)), degree)
         pts = rng.uniform(times[0], times[-1], 50)
         for got, ref in (
             (poly.value(pts), p(pts)),
@@ -200,7 +199,7 @@ def test_interface_interpolation_and_continuity(rng):
         series = AxisSeries(times, values)
         scale = max(1.0, np.abs(values).max())
         for degree in (2, 3, 4):
-            poly = reconstruct_axis(series, degree)
+            poly = fit_axis(series, degree)
             for i, cell in enumerate(poly.cells):
                 assert abs(cell.value(times[i]) - values[i]) <= 1e-10 * scale
                 assert abs(cell.value(times[i + 1]) - values[i + 1]) <= 1e-10 * scale
@@ -220,8 +219,8 @@ def test_affine_equivariance(seed, degree, a, b):
     rng = np.random.default_rng(seed)
     times = random_times(rng, 12)
     values = rng.normal(size=12)
-    base = reconstruct_axis(AxisSeries(times, values), degree)
-    scaled = reconstruct_axis(AxisSeries(times, a * values + b), degree)
+    base = fit_axis(AxisSeries(times, values), degree)
+    scaled = fit_axis(AxisSeries(times, a * values + b), degree)
     pts = rng.uniform(times[0], times[-1], 30)
     np.testing.assert_allclose(
         scaled.value(pts), a * base.value(pts) + b,
@@ -233,14 +232,14 @@ def test_short_track_degree_reduction_build():
     # 4-point track at requested degree 5 -> cubic interpolation, still exact
     times = np.array([0.0, 1.0, 2.5, 3.0])
     p = np.polynomial.Polynomial([1.0, -2.0, 0.5, 0.25])
-    poly = reconstruct_axis(AxisSeries(times, p(times)), 5)
+    poly = fit_axis(AxisSeries(times, p(times)), 5)
     assert poly.degree == 3
     pts = np.linspace(0, 3, 40)
     np.testing.assert_allclose(poly.value(pts), p(pts), atol=1e-10)
 
 
 def test_two_point_track():
-    poly = reconstruct_axis(AxisSeries([0.0, 2.0], [1.0, 5.0]), 1)
+    poly = fit_axis(AxisSeries([0.0, 2.0], [1.0, 5.0]), 1)
     assert poly.degree == 1
     assert poly.value(1.0) == pytest.approx(3.0)
     assert poly.cells[0].coeffs[0] == pytest.approx(3.0)   # value at barycenter
@@ -249,7 +248,7 @@ def test_two_point_track():
 
 def test_to_dict_shape(rng):
     times = random_times(rng, 6)
-    poly = reconstruct_axis(AxisSeries(times, rng.normal(size=6)), 2)
+    poly = fit_axis(AxisSeries(times, rng.normal(size=6)), 2)
     doc = poly.to_dict()
     assert doc["degree"] == 2
     assert len(doc["cells"]) == 5
