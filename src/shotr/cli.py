@@ -1,12 +1,15 @@
 """Command-line front end for batch track analysis and validation runs.
 
 Subcommands: reconstruct, kinematics, length, summary (file-based track
-processing), convergence, compare, backtrace (validation studies). Data
-goes to stdout or --output; warnings go to stderr. Exit codes: 0 ok,
-1 input or processing error, 2 check failure.
+processing), convergence, compare, backtrace (validation studies). Only
+the file-based ones take --degree, --limiter and --cweno-* (CwenoConfig's
+defaults); backtrace takes --limiter for --input only. Data goes to stdout
+or --output; warnings go to stderr. Exit codes: 0 ok, 1 input or
+processing error, 2 check failure.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import logging
@@ -37,21 +40,17 @@ def _polys(args: argparse.Namespace, track):
     return reconstruct_track(track, args.degree, args.limiter, args.cweno)
 
 
-def _open_output(args: argparse.Namespace):
+def _output(args: argparse.Namespace):
     if args.output:
         return open(args.output, "w", newline="", encoding="utf-8")
-    return sys.stdout
+    return contextlib.nullcontext(sys.stdout)
 
 
 def _write_csv(args: argparse.Namespace, header: list[str], rows) -> None:
-    out = _open_output(args)
-    try:
+    with _output(args) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
 
 
 def _pad3(values) -> list[float]:
@@ -73,13 +72,9 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             "axes": [p.to_dict()["cells"] for p in polys],
         }
     doc = {"degree": args.degree, "limiter": args.limiter, "tracks": tracks}
-    out = _open_output(args)
-    try:
+    with _output(args) as out:
         json.dump(doc, out, indent=2)
         out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -183,19 +178,20 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_backtrace(args: argparse.Namespace) -> int:
     header = ["track", "method", "endpoint_err", "L1", "L2", "Linf"]
-    pairs = (("RK2+P1", 1, "rk2"), ("RK4+P3", 3, "rk4"))
+    pairs = (("RK2+P1", 1), ("RK4+P3", 3))
     if not (math.isfinite(args.dtau) and args.dtau > 0):
         raise ShotrError(f"dtau must be finite and > 0, got {args.dtau!r}")
 
     if args.case:
+        if args.limiter is not None:
+            raise ShotrError("backtrace --limiter applies to --input only")
         case = validate.get_case(args.case)
         n_points = (args.meshes or [41])[0]
         track = case.sample(n_points)
         reference = lambda t: np.column_stack([f(t) for f in case.position_fns])
         results = {
-            method: validate.backtrace(track, degree, args.dtau, order=order,
-                                       reference=reference)
-            for method, degree, order in pairs
+            method: validate.backtrace(track, degree, args.dtau, reference=reference)
+            for method, degree in pairs
         }
         rows = [
             [track.track_id, method, _fmt(res.endpoint_error)]
@@ -213,9 +209,8 @@ def cmd_backtrace(args: argparse.Namespace) -> int:
         raise ShotrError("backtrace --check requires --case (synthetic reference)")
     rows = []
     for track in _tracks(args):
-        for method, degree, order in pairs:
-            res = validate.backtrace(track, degree, args.dtau, order=order,
-                                     limiter=args.limiter)
+        for method, degree in pairs:
+            res = validate.backtrace(track, degree, args.dtau, limiter=args.limiter or "cweno")
             rows.append(
                 [track.track_id, method, _fmt(res.endpoint_error)]
                 + [_fmt(v) for v in res.combined.as_tuple()]
@@ -234,6 +229,9 @@ COMMANDS = {
     "backtrace": cmd_backtrace,
 }
 
+LIMITERS = ("none", "cweno")
+FORMATS = ("generic_csv", "trackmate_csv")
+
 
 def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
@@ -246,38 +244,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", help="output file (default: stdout)")
-    common.add_argument("--degree", type=int, default=3,
-                        help="reconstruction degree (default 3)")
-    common.add_argument("--limiter", choices=("none", "cweno"), default="cweno",
-                        help="limiter applied to the reconstruction (default cweno)")
-    common.add_argument("--cweno-eps", type=float, default=1e-14,
-                        help="limiter division guard (default 1e-14)")
-    common.add_argument("--cweno-r", type=int, default=4,
-                        help="limiter weight exponent (default 4)")
-    common.add_argument("--cweno-lambda0", type=float, default=200.0 / 202.0,
-                        help="limiter central linear weight (default 200/202)")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", help="output file (default: stdout)")
+
+    defaults = CwenoConfig()
+    recon = argparse.ArgumentParser(add_help=False)
+    recon.add_argument("--degree", type=int, default=3,
+                       help="reconstruction degree (default 3)")
+    recon.add_argument("--limiter", choices=LIMITERS, default="cweno",
+                       help="limiter applied to the reconstruction (default cweno)")
+    recon.add_argument("--cweno-eps", type=float, default=defaults.epsilon,
+                       help="limiter division guard (default %(default)g)")
+    recon.add_argument("--cweno-r", type=int, default=defaults.exponent,
+                       help="limiter weight exponent (default %(default)d)")
+    recon.add_argument("--cweno-lambda0", type=float, default=defaults.lambda_central,
+                       help="limiter central linear weight, in (0, 1) (default %(default)r)")
 
     file_in = argparse.ArgumentParser(add_help=False)
     file_in.add_argument("--input", required=True, help="track CSV file")
-    file_in.add_argument("--format", dest="fmt", default="generic_csv",
-                         choices=("generic_csv", "trackmate_csv"))
+    file_in.add_argument("--format", dest="fmt", default="generic_csv", choices=FORMATS)
 
-    sub.add_parser("reconstruct", parents=[common, file_in],
+    file_cmd = [output, recon, file_in]
+    sub.add_parser("reconstruct", parents=file_cmd,
                    help="emit per-cell polynomial coefficients as JSON")
-    sub.add_parser("kinematics", parents=[common, file_in],
+    sub.add_parser("kinematics", parents=file_cmd,
                    help="dense position/velocity/acceleration CSV")
 
-    p_len = sub.add_parser("length", parents=[common, file_in],
+    p_len = sub.add_parser("length", parents=file_cmd,
                            help="curvilinear path length per track")
-    p_sum = sub.add_parser("summary", parents=[common, file_in],
+    p_sum = sub.add_parser("summary", parents=file_cmd,
                            help="summary velocities per track")
     for p in (p_len, p_sum):
         p.add_argument("--geom-degree", type=int, default=None,
                        help="isoparametric degree for lengths (default min(degree, 3))")
 
-    p_conv = sub.add_parser("convergence", parents=[common],
+    p_conv = sub.add_parser("convergence", parents=[output],
                             help="mesh-refinement study on a synthetic case")
     p_conv.add_argument("--case", default="conv3d")
     p_conv.add_argument("--degrees", type=_int_list, default=None,
@@ -287,20 +288,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--check", action="store_true",
                         help="gate against reference errors and orders; exit 2 on failure")
 
-    p_cmp = sub.add_parser("compare", parents=[common],
+    p_cmp = sub.add_parser("compare", parents=[output],
                            help="high-order reconstruction vs linear linking")
     p_cmp.add_argument("--case", default="tanhcos2d")
     p_cmp.add_argument("--meshes", type=_int_list, default=None,
                        help="comma-separated point counts (default 21,41,81)")
     p_cmp.add_argument("--check", action="store_true")
 
-    p_back = sub.add_parser("backtrace", parents=[common],
+    p_back = sub.add_parser("backtrace", parents=[output],
                             help="backward integration of reconstructed velocities")
     src = p_back.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="track CSV file")
     src.add_argument("--case", help="synthetic case name")
-    p_back.add_argument("--format", dest="fmt", default="generic_csv",
-                        choices=("generic_csv", "trackmate_csv"))
+    p_back.add_argument("--format", dest="fmt", default="generic_csv", choices=FORMATS)
+    p_back.add_argument("--limiter", choices=LIMITERS, default=None,
+                        help="limiter applied to --input tracks (default cweno)")
     p_back.add_argument("--meshes", type=_int_list, default=None,
                         help="point count for --case (default 41)")
     p_back.add_argument("--dtau", type=float, default=0.5,
@@ -319,11 +321,10 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; 2 is reserved for check failures
         return 0 if (exc.code or 0) == 0 else 1
     try:
-        if args.degree < 1:
-            raise ShotrError(f"degree must be >= 1, got {args.degree}")
-        args.cweno = CwenoConfig.with_central_weight(
-            args.cweno_lambda0, epsilon=args.cweno_eps, exponent=args.cweno_r
-        )
+        if "degree" in args:  # the file-based commands' reconstruction flags
+            if args.degree < 1:
+                raise ShotrError(f"degree must be >= 1, got {args.degree}")
+            args.cweno = CwenoConfig(args.cweno_lambda0, args.cweno_eps, args.cweno_r)
         return COMMANDS[args.command](args)
     except CheckFailed as exc:
         print(f"check failed:\n{exc}", file=sys.stderr)

@@ -34,32 +34,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CwenoConfig:
+    """Limiter constants; the two side weights split what lambda_central leaves."""
+
     lambda_central: float = 200.0 / 202.0
-    lambda_side: float = 1.0 / 202.0
     epsilon: float = 1e-14
     exponent: int = 4
 
     def __post_init__(self):
-        for name in ("lambda_central", "lambda_side", "epsilon", "exponent"):
+        for name in ("lambda_central", "epsilon", "exponent"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        if not 0 < self.lambda_central < 1:
+            raise ValueError(f"lambda_central must lie in (0, 1), got {self.lambda_central!r}")
         if self.epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
         if self.exponent < 1:
             raise ValueError(f"exponent must be >= 1, got {self.exponent!r}")
-        total = self.lambda_central + 2.0 * self.lambda_side
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"linear weights must sum to 1, got {total!r}")
 
-    @classmethod
-    def with_central_weight(cls, lambda_central: float, **kwargs) -> "CwenoConfig":
-        """Config with a custom central weight; the sides split the rest."""
-        return cls(
-            lambda_central=lambda_central,
-            lambda_side=0.5 * (1.0 - lambda_central),
-            **kwargs,
-        )
+    @property
+    def lambda_side(self) -> float:
+        return 0.5 * (1.0 - self.lambda_central)
 
 
 def side_lines(series: AxisSeries, degree: int) -> tuple[np.ndarray, np.ndarray]:
@@ -146,8 +141,13 @@ def blend(cands: np.ndarray, sigmas: np.ndarray, cfg: CwenoConfig) -> np.ndarray
 def limit_piecewise(
     poly: PiecewisePoly, series: AxisSeries, cfg: CwenoConfig | None = None
 ) -> PiecewisePoly:
-    """Apply the limiter to every cell of an unlimited reconstruction."""
+    """Apply the limiter to every cell of an unlimited reconstruction. Cells
+    whose three sigma + epsilon are equal keep the optimal polynomial, which
+    their linear weights recombine, rather than a sum of candidates that can
+    reach 1e15 times the data scale next to a far narrower cell."""
     cfg = cfg or CwenoConfig()
     cands = candidates(poly, series, cfg)
     sigmas = oscillation_indicators(cands, poly.mesh.widths[:, None])
-    return PiecewisePoly(poly.mesh, blend(cands, sigmas, cfg))
+    s = sigmas + cfg.epsilon
+    linear = (s == s[:, :1]).all(axis=1, keepdims=True)
+    return PiecewisePoly(poly.mesh, np.where(linear, poly.coeffs, blend(cands, sigmas, cfg)))

@@ -68,12 +68,8 @@ def dense_times(axis_polys: list[PiecewisePoly]) -> np.ndarray:
     return gauss_points(mesh.interfaces[:-1], mesh.interfaces[1:], n)[0].ravel()
 
 
-def sample_dense(
-    axis_polys: list[PiecewisePoly], points: str = "gauss"
-) -> list[KinematicSample]:
+def sample_dense(axis_polys: list[PiecewisePoly]) -> list[KinematicSample]:
     """Dense kinematic output at the Gauss points of every cell."""
-    if points != "gauss":
-        raise ValueError(f"unknown sampling rule {points!r}")
     times = dense_times(axis_polys)
     pos = np.array([p.value(times) for p in axis_polys])
     vel = np.array([p.derivative(times) for p in axis_polys])

@@ -321,6 +321,7 @@ def check_convergence(
 
 COMPARISON_MESH_POINTS = (21, 41, 81)
 COMPARISON_DEGREES = (1, 3)
+COMPARISON_QUAD_POINTS = 4  # Gauss points per cell
 
 
 @dataclass
@@ -339,7 +340,6 @@ class ComparisonRow:
 def compare_spt(
     case: SyntheticCase,
     mesh_points: Sequence[int] = COMPARISON_MESH_POINTS,
-    quad_points_per_cell: int = 4,
 ) -> list[ComparisonRow]:
     """Score linear linking (P1) against cubic reconstruction (P3).
 
@@ -363,11 +363,11 @@ def compare_spt(
                         axis=ax,
                         position=error_norms(
                             case.position_fns[d], polys[d].value,
-                            (a, b), quad_points_per_cell, mesh,
+                            (a, b), COMPARISON_QUAD_POINTS, mesh,
                         ),
                         velocity=error_norms(
                             case.velocity_fns[d], polys[d].derivative,
-                            (a, b), quad_points_per_cell, mesh,
+                            (a, b), COMPARISON_QUAD_POINTS, mesh,
                         ),
                     )
                 )
@@ -476,8 +476,8 @@ def backtrace(
 
     The ODE runs over a local time 0 .. duration while physical time runs
     from the last acquisition back to the first; velocity lookups clamp to
-    the track's time span (stages may step slightly outside). RK2 pairs
-    with degree-1 reconstruction, RK4 with higher degrees. The path is
+    the track's time span (stages may step slightly outside). The requested
+    degree sets the order, also on short tracks: RK2 for 1, else RK4. The path is
     scored at the RK step times against ``reference`` (physical time ->
     positions), which defaults to the cubic reconstruction of the track.
     """
@@ -487,7 +487,7 @@ def backtrace(
     t0, t1 = polys[0].mesh.span
     duration = t1 - t0
     if order is None:
-        order = "rk2" if polys[0].degree == 1 else "rk4"
+        order = "rk2" if degree == 1 else "rk4"
 
     n_full = int(math.floor(duration / dtau + 1e-12))
     steps = [dtau] * n_full

@@ -306,7 +306,8 @@ def limit(coeffs: np.ndarray, series: AxisSeries, cfg) -> np.ndarray:
     for i, c in enumerate(coeffs):
         basis = TaylorBasis(len(c) - 1, float(mesh.barycenters[i]), float(mesh.widths[i]))
         cands, sigmas = make_candidates(CellPoly(c, basis), series, i, cfg)
-        out.append(blend(cands, sigmas, cfg))
+        linear = len(set(sigmas + cfg.epsilon)) == 1  # the linear weights give c
+        out.append(c if linear else blend(cands, sigmas, cfg))
     return np.array(out)
 
 
@@ -392,7 +393,7 @@ def backtrace_path(
     t0, t1 = polys[0].mesh.span
     duration = t1 - t0
     if order is None:
-        order = "rk2" if effective_degree(len(track), degree) == 1 else "rk4"
+        order = "rk2" if degree == 1 else "rk4"
 
     def field(x: np.ndarray, tau: float) -> np.ndarray:
         t_phys = min(max(t1 - tau, t0), t1)

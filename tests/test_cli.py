@@ -1,10 +1,12 @@
+import argparse
 import csv
 import json
 
 import numpy as np
 import pytest
 
-from shotr.cli import main
+from shotr import validate
+from shotr.cli import build_parser, main
 from shotr.recon import reconstruct_track
 from shotr.trajdata import parse_tracks, split_axes
 
@@ -280,6 +282,10 @@ def test_non_finite_or_zero_dtau_exits_one(capsys, dtau):
     ("--cweno-eps", "-1e-14", "epsilon"),
     ("--cweno-lambda0", "nan", "lambda_central"),
     ("--cweno-lambda0", "inf", "lambda_central"),
+    ("--cweno-lambda0", "0", "lambda_central"),
+    ("--cweno-lambda0", "1", "lambda_central"),
+    ("--cweno-lambda0", "1.5", "lambda_central"),
+    ("--cweno-lambda0", "-1", "lambda_central"),
     ("--cweno-r", "0", "exponent"),
     ("--cweno-r", "-2", "exponent"),
 ])
@@ -296,3 +302,78 @@ def test_invalid_degree_exits_one(tmp_path, capsys, rng):
     code, _, err = run_cli(capsys, "summary", "--input", path, "--degree", "0")
     assert code == 1
     assert "degree" in err
+
+
+OUTPUT = {"--output"}
+RECONSTRUCTION = {"--degree", "--limiter", "--cweno-eps", "--cweno-r", "--cweno-lambda0"}
+FILE_INPUT = {"--input", "--format"}
+EXPECTED_OPTIONS = {
+    "reconstruct": OUTPUT | RECONSTRUCTION | FILE_INPUT,
+    "kinematics": OUTPUT | RECONSTRUCTION | FILE_INPUT,
+    "length": OUTPUT | RECONSTRUCTION | FILE_INPUT | {"--geom-degree"},
+    "summary": OUTPUT | RECONSTRUCTION | FILE_INPUT | {"--geom-degree"},
+    "convergence": OUTPUT | {"--case", "--degrees", "--meshes", "--check"},
+    "compare": OUTPUT | {"--case", "--meshes", "--check"},
+    "backtrace": OUTPUT | FILE_INPUT | {"--limiter", "--case", "--meshes", "--dtau", "--check"},
+}
+
+
+def test_every_subcommand_accepts_only_the_options_it_reads():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: {s for action in p._actions for s in action.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert options == EXPECTED_OPTIONS
+    assert sum(len(opts) for opts in options.values()) == 51
+
+
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--limiter", "cweno"],
+    ["compare", "--degree", "5"],
+    ["backtrace", "--input", "{path}", "--cweno-r", "9"],
+    ["backtrace", "--case", "tanhcos2d", "--limiter", "none"],
+], ids=["convergence-limiter", "compare-degree", "backtrace-input-cweno-r",
+        "backtrace-case-limiter"])
+def test_flags_a_subcommand_does_not_use_exit_one(tmp_path, capsys, rng, argv):
+    path = write_csv(tmp_path / "a.csv", track_to_rows(random_track(rng, 6, 2, "a")))
+    code, out, err = run_cli(capsys, *(a.format(path=path) for a in argv))
+    assert code == 1
+    assert out == ""
+    assert err
+
+
+def _default_limiter_input(tmp_path, rng):
+    sizes = [40, 7] + [2] * 6  # two samples: degree 1 is used whatever the request
+    tracks = [random_track(rng, n, 3, f"t{i}") for i, n in enumerate(sizes)]
+    rows = [r for t in tracks for r in track_to_rows(t)]
+    path = write_csv(tmp_path / "d.csv", rows, header="track,t,x,y,z")
+    return path, parse_tracks(path).tracks
+
+
+def test_cli_default_limiter_is_the_library_default(tmp_path, capsys, rng):
+    """The CLI's reconstruction and the library's default call run one limiter."""
+    path, tracks = _default_limiter_input(tmp_path, rng)
+    code, out, _ = run_cli(capsys, "reconstruct", "--input", path)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["limiter"] == "cweno"
+    for tid, track in tracks.items():
+        expected = [p.to_dict()["cells"] for p in reconstruct_track(track, 3, "cweno")]
+        assert doc["tracks"][tid]["axes"] == expected
+
+
+def test_backtrace_rows_are_the_library_default(tmp_path, capsys, rng):
+    path, tracks = _default_limiter_input(tmp_path, rng)
+    code, out, _ = run_cli(capsys, "backtrace", "--input", path, "--dtau", "0.05")
+    assert code == 0
+    _, rows = read_csv_text(out)
+    expected = []
+    for tid, track in tracks.items():
+        for method, degree in (("RK2+P1", 1), ("RK4+P3", 3)):
+            res = validate.backtrace(track, degree, 0.05, limiter="cweno")
+            expected.append([tid, method]
+                            + [format(v, ".17g") for v in (res.endpoint_error,
+                                                           *res.combined.as_tuple())])
+    assert rows == expected

@@ -30,22 +30,27 @@ def test_config_defaults_sum_to_one():
     assert cfg.lambda_central == pytest.approx(200.0 / 202.0)
     assert cfg.epsilon == 1e-14
     assert cfg.exponent == 4
-    with pytest.raises(ValueError):
-        CwenoConfig(lambda_central=0.9, lambda_side=0.2)
-    custom = CwenoConfig.with_central_weight(0.9)
-    assert custom.lambda_side == pytest.approx(0.05)
+    assert CwenoConfig(lambda_central=0.9).lambda_side == pytest.approx(0.05)
+
+
+@pytest.mark.parametrize("lambda_central", [0.0, 1.0, 1.5, -1.0])
+def test_config_rejects_central_weight_outside_unit_interval(lambda_central):
+    """Linear weights must be positive: at 0 the central candidate divides by
+    zero, at 1 the side weights vanish and the limiter is off, and outside
+    [0, 1] a weight turns negative."""
+    with pytest.raises(ValueError, match="lambda_central"):
+        CwenoConfig(lambda_central=lambda_central)
 
 
 @pytest.mark.parametrize("field, value", [
     ("lambda_central", float("nan")),
-    ("lambda_side", float("inf")),
     ("epsilon", float("nan")),
     ("epsilon", float("inf")),
     ("epsilon", 0.0),
     ("epsilon", -1e-14),
 ])
 def test_config_rejects_non_finite_fields_and_non_positive_epsilon(field, value):
-    """NaN would also slip through the sum-to-one check: abs(nan - 1) > 1e-12
+    """NaN would also slip through ``epsilon <= 0``: every comparison with it
     is False."""
     with pytest.raises(ValueError, match=field):
         CwenoConfig(**{field: value})
@@ -53,7 +58,7 @@ def test_config_rejects_non_finite_fields_and_non_positive_epsilon(field, value)
 
 def test_config_with_infinite_central_weight_is_rejected():
     with pytest.raises(ValueError, match="lambda_central"):
-        CwenoConfig.with_central_weight(float("inf"))
+        CwenoConfig(lambda_central=float("inf"))
 
 
 def test_large_exponent_gives_finite_output(rng):

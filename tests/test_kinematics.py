@@ -54,8 +54,6 @@ def test_dense_sampling_counts_and_ordering():
     assert np.all(np.diff(ts) > 0)
     # Gauss abscissae exclude the cell endpoints
     assert not np.isin(ts, track.times).any()
-    with pytest.raises(ValueError):
-        sample_dense(polys, points="uniform")
 
 
 def test_dense_speed_integral_consistent_with_length(rng):

@@ -64,6 +64,16 @@ def test_extreme_width_ratios_fit_at_full_degree(caplog, times):
     assert_matches(limited.coeffs, oracle.limit(ref, series, CwenoConfig()))
 
 
+@pytest.mark.parametrize("times", FORMER_SINGULAR_TIMES)
+def test_limiter_keeps_the_fit_where_the_weights_are_linear(times):
+    """At 1e100 every sigma is far below epsilon, so the weights are the
+    linear ones and the limited fit is the unlimited one, samples included.
+    Summing candidates 1e15 times the data scale missed samples by 3e-4."""
+    series = AxisSeries(times * 1e100, np.sin(np.arange(len(times), dtype=float)))
+    np.testing.assert_array_equal(fit_axis(series, 3, "cweno").coeffs,
+                                  fit_axis(series, 3).coeffs)
+
+
 @pytest.mark.parametrize("limiter", ["none", "cweno"])
 @pytest.mark.parametrize("degree", [1, 2, 3, 5])
 def test_backtrace_matches_stepwise_oracle(rng, degree, limiter):
