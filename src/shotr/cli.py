@@ -2,10 +2,11 @@
 
 Subcommands: reconstruct, kinematics, length, summary (file-based track
 processing), convergence, compare, backtrace (validation studies). Only
-the file-based ones take --degree, --limiter and --cweno-* (CwenoConfig's
-defaults); backtrace takes --limiter for --input only. Data goes to stdout
-or --output; warnings go to stderr. Exit codes: 0 ok, 1 input or
-processing error, 2 check failure.
+the file-based ones take --degree and --limiter; the limiter constants and
+the cubic arc-length geometry are the library defaults.
+backtrace takes --limiter and --format for --input only, --meshes and
+--check for --case only. Data goes to stdout or --output; warnings go to
+stderr. Exit codes: 0 ok, 1 input or processing error, 2 check failure.
 """
 
 import argparse
@@ -18,11 +19,10 @@ import sys
 
 import numpy as np
 
-from .cweno import CwenoConfig
-from .errors import CheckFailed, ShotrError
-from .geometry import MAX_GEOMETRY_DEGREE, trajectory_length
+from .errors import CheckFailed, ShotrError, UnsupportedDegree
+from .geometry import trajectory_length
 from .kinematics import sample_dense, summarize
-from .recon import reconstruct_track
+from .recon import LIMITERS, check_degree, reconstruct_track
 from .trajdata import parse_tracks, split_axes
 from . import validate
 
@@ -33,11 +33,11 @@ def _fmt(x: float) -> str:
 
 
 def _tracks(args: argparse.Namespace):
-    return parse_tracks(args.input, args.fmt).tracks.values()
+    return parse_tracks(args.input, args.fmt or FORMATS[0]).tracks.values()
 
 
 def _polys(args: argparse.Namespace, track):
-    return reconstruct_track(track, args.degree, args.limiter, args.cweno)
+    return reconstruct_track(track, args.degree, args.limiter)
 
 
 def _output(args: argparse.Namespace):
@@ -94,16 +94,9 @@ def cmd_kinematics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _geom_degree(args: argparse.Namespace) -> int:
-    if args.geom_degree is not None:
-        return args.geom_degree
-    return min(args.degree, MAX_GEOMETRY_DEGREE)
-
-
 def cmd_length(args: argparse.Namespace) -> int:
-    geom = _geom_degree(args)
     rows = [
-        [track.track_id, _fmt(trajectory_length(_polys(args, track), geom))]
+        [track.track_id, _fmt(trajectory_length(_polys(args, track)))]
         for track in _tracks(args)
     ]
     _write_csv(args, ["track", "length"], rows)
@@ -111,10 +104,9 @@ def cmd_length(args: argparse.Namespace) -> int:
 
 
 def cmd_summary(args: argparse.Namespace) -> int:
-    geom = _geom_degree(args)
     rows = []
     for track in _tracks(args):
-        s = summarize(_polys(args, track), split_axes(track), geom)
+        s = summarize(_polys(args, track), split_axes(track))
         rows.append(
             [track.track_id, _fmt(s.v_l)]
             + [_fmt(v) for v in _pad3(s.v_d)]
@@ -131,7 +123,7 @@ def cmd_summary(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_convergence(args: argparse.Namespace) -> int:
-    case = validate.get_case(args.case or "conv3d")
+    case = validate.get_case(args.case)
     degrees = args.degrees or [1, 2, 3]
     meshes = args.meshes or list(validate.REFERENCE_MESH_CELLS)
     rows = validate.run_convergence(case, degrees, meshes)
@@ -155,7 +147,7 @@ def cmd_convergence(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    case = validate.get_case(args.case or "tanhcos2d")
+    case = validate.get_case(args.case)
     meshes = args.meshes or list(validate.COMPARISON_MESH_POINTS)
     rows = validate.compare_spt(case, meshes)
 
@@ -183,11 +175,10 @@ def cmd_backtrace(args: argparse.Namespace) -> int:
         raise ShotrError(f"dtau must be finite and > 0, got {args.dtau!r}")
 
     if args.case:
-        if args.limiter is not None:
-            raise ShotrError("backtrace --limiter applies to --input only")
+        if args.limiter is not None or args.fmt is not None:
+            raise ShotrError("backtrace --limiter and --format apply to --input only")
         case = validate.get_case(args.case)
-        n_points = (args.meshes or [41])[0]
-        track = case.sample(n_points)
+        track = case.sample(41 if args.meshes is None else args.meshes)
         reference = lambda t: np.column_stack([f(t) for f in case.position_fns])
         results = {
             method: validate.backtrace(track, degree, args.dtau, reference=reference)
@@ -205,8 +196,8 @@ def cmd_backtrace(args: argparse.Namespace) -> int:
                 raise CheckFailed("\n".join(violations))
         return 0
 
-    if args.check:
-        raise ShotrError("backtrace --check requires --case (synthetic reference)")
+    if args.meshes is not None or args.check:
+        raise ShotrError("backtrace --meshes and --check require --case (synthetic reference)")
     rows = []
     for track in _tracks(args):
         for method, degree in pairs:
@@ -229,12 +220,18 @@ COMMANDS = {
     "backtrace": cmd_backtrace,
 }
 
-LIMITERS = ("none", "cweno")
-FORMATS = ("generic_csv", "trackmate_csv")
+FORMATS = ("generic_csv", "trackmate_csv")  # the first is the default
 
 
 def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _degree(text: str) -> int:
+    try:
+        return check_degree(int(text))
+    except UnsupportedDegree as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,36 +244,25 @@ def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--output", help="output file (default: stdout)")
 
-    defaults = CwenoConfig()
     recon = argparse.ArgumentParser(add_help=False)
-    recon.add_argument("--degree", type=int, default=3,
+    recon.add_argument("--degree", type=_degree, default=3,
                        help="reconstruction degree (default 3)")
     recon.add_argument("--limiter", choices=LIMITERS, default="cweno",
                        help="limiter applied to the reconstruction (default cweno)")
-    recon.add_argument("--cweno-eps", type=float, default=defaults.epsilon,
-                       help="limiter division guard (default %(default)g)")
-    recon.add_argument("--cweno-r", type=int, default=defaults.exponent,
-                       help="limiter weight exponent (default %(default)d)")
-    recon.add_argument("--cweno-lambda0", type=float, default=defaults.lambda_central,
-                       help="limiter central linear weight, in (0, 1) (default %(default)r)")
 
     file_in = argparse.ArgumentParser(add_help=False)
     file_in.add_argument("--input", required=True, help="track CSV file")
-    file_in.add_argument("--format", dest="fmt", default="generic_csv", choices=FORMATS)
+    file_in.add_argument("--format", dest="fmt", default=FORMATS[0], choices=FORMATS)
 
     file_cmd = [output, recon, file_in]
     sub.add_parser("reconstruct", parents=file_cmd,
                    help="emit per-cell polynomial coefficients as JSON")
     sub.add_parser("kinematics", parents=file_cmd,
                    help="dense position/velocity/acceleration CSV")
-
-    p_len = sub.add_parser("length", parents=file_cmd,
-                           help="curvilinear path length per track")
-    p_sum = sub.add_parser("summary", parents=file_cmd,
-                           help="summary velocities per track")
-    for p in (p_len, p_sum):
-        p.add_argument("--geom-degree", type=int, default=None,
-                       help="isoparametric degree for lengths (default min(degree, 3))")
+    sub.add_parser("length", parents=file_cmd,
+                   help="curvilinear path length per track")
+    sub.add_parser("summary", parents=file_cmd,
+                   help="summary velocities per track")
 
     p_conv = sub.add_parser("convergence", parents=[output],
                             help="mesh-refinement study on a synthetic case")
@@ -300,10 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
     src = p_back.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="track CSV file")
     src.add_argument("--case", help="synthetic case name")
-    p_back.add_argument("--format", dest="fmt", default="generic_csv", choices=FORMATS)
+    p_back.add_argument("--format", dest="fmt", default=None, choices=FORMATS,
+                        help="format of --input (default generic_csv)")
     p_back.add_argument("--limiter", choices=LIMITERS, default=None,
                         help="limiter applied to --input tracks (default cweno)")
-    p_back.add_argument("--meshes", type=_int_list, default=None,
+    p_back.add_argument("--meshes", type=int, default=None,
                         help="point count for --case (default 41)")
     p_back.add_argument("--dtau", type=float, default=0.5,
                         help="integration step (default 0.5)")
@@ -321,10 +308,6 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; 2 is reserved for check failures
         return 0 if (exc.code or 0) == 0 else 1
     try:
-        if "degree" in args:  # the file-based commands' reconstruction flags
-            if args.degree < 1:
-                raise ShotrError(f"degree must be >= 1, got {args.degree}")
-            args.cweno = CwenoConfig(args.cweno_lambda0, args.cweno_eps, args.cweno_r)
         return COMMANDS[args.command](args)
     except CheckFailed as exc:
         print(f"check failed:\n{exc}", file=sys.stderr)

@@ -53,7 +53,9 @@ def _reference_cell(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def cell_lengths(axis_polys: list[PiecewisePoly], geom_degree: int = 3) -> np.ndarray:
+def cell_lengths(
+    axis_polys: list[PiecewisePoly], geom_degree: int = MAX_GEOMETRY_DEGREE
+) -> np.ndarray:
     """Arc length of every cell of the reconstructed curve.
 
     The curve positions at each cell's equispaced node times, taken from the
@@ -70,6 +72,8 @@ def cell_lengths(axis_polys: list[PiecewisePoly], geom_degree: int = 3) -> np.nd
     return np.sqrt(np.sum(tangent**2, axis=0)) @ w_q
 
 
-def trajectory_length(axis_polys: list[PiecewisePoly], geom_degree: int = 3) -> float:
+def trajectory_length(
+    axis_polys: list[PiecewisePoly], geom_degree: int = MAX_GEOMETRY_DEGREE
+) -> float:
     """Total curve length: the sum of the cells' lengths."""
     return float(np.sum(cell_lengths(axis_polys, geom_degree)))

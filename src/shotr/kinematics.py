@@ -83,13 +83,11 @@ def sample_dense(axis_polys: list[PiecewisePoly]) -> list[KinematicSample]:
 def summarize(
     axis_polys: list[PiecewisePoly],
     series: list[AxisSeries],
-    geom_degree: int | None = None,
+    geom_degree: int = MAX_GEOMETRY_DEGREE,
 ) -> VelocitySummary:
     """Summary velocities of one track."""
     times = series[0].times
     duration = float(times[-1] - times[0])
-    if geom_degree is None:
-        geom_degree = min(axis_polys[0].degree, MAX_GEOMETRY_DEGREE)
     length = trajectory_length(axis_polys, geom_degree)
     v_d = np.array([(s.values[-1] - s.values[0]) / duration for s in series])
     v_m = np.array([np.mean(np.diff(s.values) / np.diff(s.times)) for s in series])

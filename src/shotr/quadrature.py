@@ -4,21 +4,20 @@ An n-point rule integrates polynomials up to degree 2n-1 exactly. Rules
 come from ``numpy.polynomial.legendre.leggauss`` and are cached read-only.
 """
 
+import functools
+
 import numpy as np
 
-_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
+@functools.cache
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point rule on [-1, 1]."""
     if n < 1:
         raise ValueError(f"quadrature order must be >= 1, got {n}")
-    if n not in _CACHE:
-        pair = np.polynomial.legendre.leggauss(n)
-        pair[0].setflags(write=False)
-        pair[1].setflags(write=False)
-        _CACHE[n] = pair
-    return _CACHE[n]
+    pair = np.polynomial.legendre.leggauss(n)
+    for table in pair:
+        table.setflags(write=False)
+    return pair
 
 
 def gauss_points(

@@ -42,6 +42,7 @@ from .trajdata import TrackSeries, split_axes
 logger = logging.getLogger(__name__)
 
 MAX_DEGREE = 9  # the highest degree tested: exact for degree-9 data at tenfold width spread
+LIMITERS = ("none", "cweno")
 
 _FACT = np.array([math.factorial(k) for k in range(MAX_DEGREE + 2)], dtype=float)
 _PAIR = np.arange(2)
@@ -142,6 +143,13 @@ class PiecewisePoly:
         }
 
 
+def check_degree(degree: int) -> int:
+    """The requested degree, if it lies in [1, MAX_DEGREE]."""
+    if not 1 <= degree <= MAX_DEGREE:
+        raise UnsupportedDegree(f"degree must be in [1, {MAX_DEGREE}], got {degree}")
+    return degree
+
+
 def effective_degree(n_points: int, degree: int) -> int:
     """Degree actually used for a track of n_points samples.
 
@@ -149,9 +157,7 @@ def effective_degree(n_points: int, degree: int) -> int:
     n_points - 1 (pure interpolation when the system turns square), with
     floor 1.
     """
-    if not 1 <= degree <= MAX_DEGREE:
-        raise UnsupportedDegree(f"degree must be in [1, {MAX_DEGREE}], got {degree}")
-    return max(1, min(degree, n_points - 1))
+    return max(1, min(check_degree(degree), n_points - 1))
 
 
 def _stencils(n_cells: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
@@ -235,7 +241,7 @@ def reconstruct_track(
     candidates; "none" keeps the unlimited constrained least-squares
     polynomials. A single axis is a track of dim 1.
     """
-    if limiter not in ("none", "cweno"):
+    if limiter not in LIMITERS:
         raise ValueError(f"unknown limiter {limiter!r}")
     n_eff = effective_degree(len(track), degree)
     if n_eff < degree:

@@ -1,13 +1,17 @@
 import argparse
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from shotr import validate
 from shotr.cli import build_parser, main
-from shotr.recon import reconstruct_track
+from shotr.geometry import trajectory_length
+from shotr.kinematics import summarize
+from shotr.recon import LIMITERS, MAX_DEGREE, reconstruct_track
 from shotr.trajdata import parse_tracks, split_axes
 
 from .conftest import random_track, write_csv
@@ -122,7 +126,7 @@ def test_length_and_summary_roundtrip(tmp_path, capsys):
     )
     code, out, _ = run_cli(
         capsys, "length", "--input", path,
-        "--degree", "1", "--limiter", "none", "--geom-degree", "1",
+        "--degree", "1", "--limiter", "none",
     )
     assert code == 0
     _, rows = read_csv_text(out)
@@ -130,7 +134,7 @@ def test_length_and_summary_roundtrip(tmp_path, capsys):
 
     code, out, _ = run_cli(
         capsys, "summary", "--input", path,
-        "--degree", "1", "--limiter", "none", "--geom-degree", "1",
+        "--degree", "1", "--limiter", "none",
     )
     header, rows = read_csv_text(out)
     assert header[:2] == ["track", "vL"]
@@ -252,16 +256,6 @@ def test_backtrace_file_mode_rejects_check(tmp_path, capsys, rng):
     assert "--case" in err
 
 
-def test_cweno_flag_overrides(tmp_path, capsys):
-    path = write_csv(tmp_path / "a.csv", [("a", 0, 0, 0), ("a", 1, 1, 0), ("a", 2, 0, 0)])
-    code, out, _ = run_cli(
-        capsys, "reconstruct", "--input", path,
-        "--cweno-lambda0", "0.5", "--cweno-eps", "1e-10", "--cweno-r", "2",
-    )
-    assert code == 0
-    assert json.loads(out)["limiter"] == "cweno"
-
-
 def test_invalid_dtau_exits_one(tmp_path, capsys, rng):
     path = write_csv(tmp_path / "a.csv", track_to_rows(random_track(rng, 6, 2, "a")))
     code, _, err = run_cli(capsys, "backtrace", "--input", path, "--dtau", "-1")
@@ -276,27 +270,6 @@ def test_non_finite_or_zero_dtau_exits_one(capsys, dtau):
     assert "dtau must be finite and > 0" in err
 
 
-@pytest.mark.parametrize("flag, value, field", [
-    ("--cweno-eps", "nan", "epsilon"),
-    ("--cweno-eps", "0", "epsilon"),
-    ("--cweno-eps", "-1e-14", "epsilon"),
-    ("--cweno-lambda0", "nan", "lambda_central"),
-    ("--cweno-lambda0", "inf", "lambda_central"),
-    ("--cweno-lambda0", "0", "lambda_central"),
-    ("--cweno-lambda0", "1", "lambda_central"),
-    ("--cweno-lambda0", "1.5", "lambda_central"),
-    ("--cweno-lambda0", "-1", "lambda_central"),
-    ("--cweno-r", "0", "exponent"),
-    ("--cweno-r", "-2", "exponent"),
-])
-def test_invalid_cweno_parameters_exit_one(tmp_path, capsys, flag, value, field):
-    path = write_csv(tmp_path / "c.csv", [("a", t, 1.0, 2.0) for t in range(6)])
-    code, out, err = run_cli(capsys, "length", "--input", path, f"{flag}={value}")
-    assert code == 1
-    assert out == ""
-    assert field in err
-
-
 def test_invalid_degree_exits_one(tmp_path, capsys, rng):
     path = write_csv(tmp_path / "a.csv", track_to_rows(random_track(rng, 6, 2, "a")))
     code, _, err = run_cli(capsys, "summary", "--input", path, "--degree", "0")
@@ -304,14 +277,66 @@ def test_invalid_degree_exits_one(tmp_path, capsys, rng):
     assert "degree" in err
 
 
+def test_degree_above_the_library_range_exits_before_reading_input(tmp_path, capsys):
+    # every track has one sample and is dropped, so no reconstruction runs
+    path = write_csv(tmp_path / "a.csv", [("a", 0.0, 1.0), ("b", 0.0, 2.0)], header="track,t,x")
+    code, out, err = run_cli(capsys, "length", "--input", path, "--degree", str(MAX_DEGREE + 1))
+    assert code == 1
+    assert out == ""
+    assert f"degree must be in [1, {MAX_DEGREE}], got {MAX_DEGREE + 1}" in err
+    assert "dropped" not in err
+
+
+def _subparsers():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def test_limiter_names_are_the_library_names():
+    for name, p in _subparsers().items():
+        for action in p._actions:
+            if "--limiter" in action.option_strings:
+                assert tuple(action.choices) == LIMITERS, name
+
+
+@pytest.mark.parametrize("command", ["convergence", "compare"])
+def test_empty_case_name_exits_one(capsys, command):
+    code, out, err = run_cli(capsys, command, "--case", "")
+    assert code == 1
+    assert out == ""
+    assert "unknown case" in err
+
+
+def test_cli_lengths_are_the_library_defaults(tmp_path, capsys, rng):
+    """At default flags `length` and `summary` report the library's own
+    lengths, degree-reduced tracks included."""
+    tracks = [random_track(rng, n, 2, f"t{n}") for n in (2, 3, 40)]
+    path = write_csv(tmp_path / "a.csv", [r for t in tracks for r in track_to_rows(t)])
+    code, out, _ = run_cli(capsys, "length", "--input", path)
+    assert code == 0
+    _, length_rows = read_csv_text(out)
+    code, out, _ = run_cli(capsys, "summary", "--input", path)
+    assert code == 0
+    _, summary_rows = read_csv_text(out)
+    want_length, want_summary = [], []
+    for track in tracks:
+        polys = reconstruct_track(track, 3, "cweno")
+        want_length.append([track.track_id, format(trajectory_length(polys), ".17g")])
+        length = summarize(polys, split_axes(track)).length
+        want_summary.append([track.track_id, format(length, ".17g")])
+    assert length_rows == want_length
+    assert [[r[0], r[8]] for r in summary_rows] == want_summary
+
+
 OUTPUT = {"--output"}
-RECONSTRUCTION = {"--degree", "--limiter", "--cweno-eps", "--cweno-r", "--cweno-lambda0"}
+RECONSTRUCTION = {"--degree", "--limiter"}
 FILE_INPUT = {"--input", "--format"}
 EXPECTED_OPTIONS = {
     "reconstruct": OUTPUT | RECONSTRUCTION | FILE_INPUT,
     "kinematics": OUTPUT | RECONSTRUCTION | FILE_INPUT,
-    "length": OUTPUT | RECONSTRUCTION | FILE_INPUT | {"--geom-degree"},
-    "summary": OUTPUT | RECONSTRUCTION | FILE_INPUT | {"--geom-degree"},
+    "length": OUTPUT | RECONSTRUCTION | FILE_INPUT,
+    "summary": OUTPUT | RECONSTRUCTION | FILE_INPUT,
     "convergence": OUTPUT | {"--case", "--degrees", "--meshes", "--check"},
     "compare": OUTPUT | {"--case", "--meshes", "--check"},
     "backtrace": OUTPUT | FILE_INPUT | {"--limiter", "--case", "--meshes", "--dtau", "--check"},
@@ -319,14 +344,24 @@ EXPECTED_OPTIONS = {
 
 
 def test_every_subcommand_accepts_only_the_options_it_reads():
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
     options = {
         name: {s for action in p._actions for s in action.option_strings} - {"-h", "--help"}
-        for name, p in sub.choices.items()
+        for name, p in _subparsers().items()
     }
     assert options == EXPECTED_OPTIONS
-    assert sum(len(opts) for opts in options.values()) == 51
+    assert sum(len(opts) for opts in options.values()) == 37
+    # README's "Command line" section names every option and no other
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"--[a-z][a-z0-9-]*", section)) == set().union(*options.values())
+
+
+# the limiter constants and the geometry degree are the library defaults
+REMOVED_TUNING_FLAGS = {
+    f"{command}{flag}": [command, "--input", "{path}", flag]
+    for command in ("reconstruct", "kinematics", "length", "summary")
+    for flag in ("--cweno-eps=1e-10", "--cweno-r=2", "--cweno-lambda0=0.5", "--geom-degree=1")
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -334,8 +369,13 @@ def test_every_subcommand_accepts_only_the_options_it_reads():
     ["compare", "--degree", "5"],
     ["backtrace", "--input", "{path}", "--cweno-r", "9"],
     ["backtrace", "--case", "tanhcos2d", "--limiter", "none"],
+    ["backtrace", "--case", "tanhcos2d", "--meshes", "21,41"],
+    ["backtrace", "--input", "{path}", "--meshes", "81"],
+    ["backtrace", "--case", "tanhcos2d", "--format", "trackmate_csv"],
+    *REMOVED_TUNING_FLAGS.values(),
 ], ids=["convergence-limiter", "compare-degree", "backtrace-input-cweno-r",
-        "backtrace-case-limiter"])
+        "backtrace-case-limiter", "backtrace-case-two-meshes", "backtrace-input-meshes",
+        "backtrace-case-format", *REMOVED_TUNING_FLAGS])
 def test_flags_a_subcommand_does_not_use_exit_one(tmp_path, capsys, rng, argv):
     path = write_csv(tmp_path / "a.csv", track_to_rows(random_track(rng, 6, 2, "a")))
     code, out, err = run_cli(capsys, *(a.format(path=path) for a in argv))

@@ -61,6 +61,12 @@ def test_config_with_infinite_central_weight_is_rejected():
         CwenoConfig(lambda_central=float("inf"))
 
 
+@pytest.mark.parametrize("exponent", [0, -2])
+def test_config_rejects_exponent_below_one(exponent):
+    with pytest.raises(ValueError, match="exponent"):
+        CwenoConfig(exponent=exponent)
+
+
 def test_large_exponent_gives_finite_output(rng):
     """(sigma + epsilon)^200 underflows or overflows for every candidate;
     the weights must not (numpy RuntimeWarnings fail the suite)."""
