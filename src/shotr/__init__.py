@@ -27,6 +27,7 @@ from .recon import (
     TaylorBasis,
     effective_degree,
     reconstruct_track,
+    reconstruct_tracks,
     reconstruction_operators,
 )
 from .cweno import (

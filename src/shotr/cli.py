@@ -12,6 +12,7 @@ stderr. Exit codes: 0 ok, 1 input or processing error, 2 check failure.
 import argparse
 import contextlib
 import csv
+import io
 import json
 import logging
 import math
@@ -21,8 +22,8 @@ import numpy as np
 
 from .errors import CheckFailed, ShotrError, UnsupportedDegree
 from .geometry import trajectory_length
-from .kinematics import sample_dense, summarize
-from .recon import LIMITERS, check_degree, reconstruct_track
+from .kinematics import dense_kinematics, summarize
+from .recon import LIMITERS, check_degree, reconstruct_tracks
 from .trajdata import parse_tracks, split_axes
 from . import validate
 
@@ -36,8 +37,10 @@ def _tracks(args: argparse.Namespace):
     return parse_tracks(args.input, args.fmt or FORMATS[0]).tracks.values()
 
 
-def _polys(args: argparse.Namespace, track):
-    return reconstruct_track(track, args.degree, args.limiter)
+def _reconstructed(args: argparse.Namespace):
+    """(track, polys) of every track of the input; the file is parsed here,
+    the tracks are reconstructed as the result is iterated."""
+    return reconstruct_tracks(_tracks(args), args.degree, args.limiter)
 
 
 def _output(args: argparse.Namespace):
@@ -58,46 +61,76 @@ def _pad3(values) -> list[float]:
     return vals + [0.0] * (3 - len(vals))
 
 
+def _json_cell(n_coeffs: int) -> str:
+    """%-template of one cell of reconstruct's JSON, at its nesting depth."""
+    coeffs = ",\n".join(["              %s"] * n_coeffs)
+    return ('          {\n            "center": %s,\n            "width": %s,\n'
+            '            "coeffs": [\n' + coeffs + '\n            ]\n          }')
+
+
+def _json_track(track, polys) -> str:
+    """One member of reconstruct's "tracks" object, laid out as
+    json.dump(..., indent=2) lays it out; json spells every number."""
+    mesh, n_coeffs = polys[0].mesh, polys[0].degree + 1
+    values = np.concatenate(
+        [np.column_stack([mesh.barycenters, mesh.widths, p.coeffs]) for p in polys]
+    )
+    numbers = json.dumps(values.ravel().tolist())[1:-1].split(", ")
+    axis = "        [\n" + ",\n".join([_json_cell(n_coeffs)] * mesh.n_cells) + "\n        ]"
+    axes = ",\n".join([axis] * len(polys)) % tuple(numbers)
+    return ('    %s: {\n      "dim": %d,\n      "degree_used": %d,\n      "axes": [\n%s\n      ]\n    }'
+            % (json.dumps(track.track_id), track.dim, n_coeffs - 1, axes))
+
+
+def _csv_rows(track_id: str, table: np.ndarray) -> str:
+    """One CSV row per row of table: track_id as csv.writer writes it, then
+    each value as _fmt text."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([track_id, ""])
+    line = buf.getvalue()[:-1].replace("%", "%%") + ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return (line * len(table)) % tuple(table.ravel().tolist())
+
+
 # ---------------------------------------------------------------------------
 # file-based commands
 # ---------------------------------------------------------------------------
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    tracks = {}
-    for track in _tracks(args):
-        polys = _polys(args, track)
-        tracks[track.track_id] = {
-            "dim": track.dim,
-            "degree_used": polys[0].degree,
-            "axes": [p.to_dict()["cells"] for p in polys],
-        }
-    doc = {"degree": args.degree, "limiter": args.limiter, "tracks": tracks}
+    pairs = _reconstructed(args)
     with _output(args) as out:
-        json.dump(doc, out, indent=2)
-        out.write("\n")
+        out.write('{\n  "degree": %d,\n  "limiter": %s,\n  "tracks": {'
+                  % (args.degree, json.dumps(args.limiter)))
+        sep = "\n"
+        for track, polys in pairs:
+            out.write(sep + _json_track(track, polys))
+            sep = ",\n"
+        out.write("}\n}\n" if sep == "\n" else "\n  }\n}\n")
     return 0
 
 
 def cmd_kinematics(args: argparse.Namespace) -> int:
-    rows = []
-    for track in _tracks(args):
-        for s in sample_dense(_polys(args, track)):
-            rows.append(
-                [track.track_id, _fmt(s.t)]
-                + [_fmt(v) for v in _pad3(s.position)]
-                + [_fmt(v) for v in _pad3(s.velocity)]
-                + [_fmt(v) for v in _pad3(s.acceleration)]
-                + [_fmt(s.speed)]
-            )
+    pairs = _reconstructed(args)
     header = ["track", "t", "x", "y", "z", "vx", "vy", "vz", "ax", "ay", "az", "speed"]
-    _write_csv(args, header, rows)
+    with _output(args) as out:
+        csv.writer(out, lineterminator="\n").writerow(header)
+        for track, polys in pairs:
+            times, pos, vel, acc = dense_kinematics(polys)
+            dim = track.dim
+            table = np.zeros((len(times), 11))  # t, position, velocity, acceleration, speed
+            table[:, 0] = times
+            table[:, 1:1 + dim] = pos.T
+            table[:, 4:4 + dim] = vel.T
+            table[:, 7:7 + dim] = acc.T
+            velocity = table[:, 4:4 + dim]
+            table[:, 10] = np.sqrt(np.vecdot(velocity, velocity))
+            out.write(_csv_rows(track.track_id, table))
     return 0
 
 
 def cmd_length(args: argparse.Namespace) -> int:
     rows = [
-        [track.track_id, _fmt(trajectory_length(_polys(args, track)))]
-        for track in _tracks(args)
+        [track.track_id, _fmt(trajectory_length(polys))]
+        for track, polys in _reconstructed(args)
     ]
     _write_csv(args, ["track", "length"], rows)
     return 0
@@ -105,8 +138,8 @@ def cmd_length(args: argparse.Namespace) -> int:
 
 def cmd_summary(args: argparse.Namespace) -> int:
     rows = []
-    for track in _tracks(args):
-        s = summarize(_polys(args, track), split_axes(track))
+    for track, polys in _reconstructed(args):
+        s = summarize(polys, split_axes(track))
         rows.append(
             [track.track_id, _fmt(s.v_l)]
             + [_fmt(v) for v in _pad3(s.v_d)]
@@ -124,9 +157,7 @@ def cmd_summary(args: argparse.Namespace) -> int:
 
 def cmd_convergence(args: argparse.Namespace) -> int:
     case = validate.get_case(args.case)
-    degrees = args.degrees or [1, 2, 3]
-    meshes = args.meshes or list(validate.REFERENCE_MESH_CELLS)
-    rows = validate.run_convergence(case, degrees, meshes)
+    rows = validate.run_convergence(case, args.degrees, args.meshes)
 
     out_rows = []
     for row in rows:
@@ -148,8 +179,7 @@ def cmd_convergence(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     case = validate.get_case(args.case)
-    meshes = args.meshes or list(validate.COMPARISON_MESH_POINTS)
-    rows = validate.compare_spt(case, meshes)
+    rows = validate.compare_spt(case, args.meshes)
 
     out_rows = [
         [r.case, r.method, r.n_points, r.axis]
@@ -224,7 +254,10 @@ FORMATS = ("generic_csv", "trackmate_csv")  # the first is the default
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    values = [int(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
 def _degree(text: str) -> int:
@@ -267,9 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv = sub.add_parser("convergence", parents=[output],
                             help="mesh-refinement study on a synthetic case")
     p_conv.add_argument("--case", default="conv3d")
-    p_conv.add_argument("--degrees", type=_int_list, default=None,
+    p_conv.add_argument("--degrees", type=_int_list, default=[1, 2, 3],
                         help="comma-separated degrees (default 1,2,3)")
-    p_conv.add_argument("--meshes", type=_int_list, default=None,
+    p_conv.add_argument("--meshes", type=_int_list, default=list(validate.REFERENCE_MESH_CELLS),
                         help="comma-separated cell counts (default 100,200,400,800)")
     p_conv.add_argument("--check", action="store_true",
                         help="gate against reference errors and orders; exit 2 on failure")
@@ -277,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", parents=[output],
                            help="high-order reconstruction vs linear linking")
     p_cmp.add_argument("--case", default="tanhcos2d")
-    p_cmp.add_argument("--meshes", type=_int_list, default=None,
+    p_cmp.add_argument("--meshes", type=_int_list, default=list(validate.COMPARISON_MESH_POINTS),
                        help="comma-separated point counts (default 21,41,81)")
     p_cmp.add_argument("--check", action="store_true")
 

@@ -68,12 +68,19 @@ def dense_times(axis_polys: list[PiecewisePoly]) -> np.ndarray:
     return gauss_points(mesh.interfaces[:-1], mesh.interfaces[1:], n)[0].ravel()
 
 
-def sample_dense(axis_polys: list[PiecewisePoly]) -> list[KinematicSample]:
-    """Dense kinematic output at the Gauss points of every cell."""
+def dense_kinematics(axis_polys: list[PiecewisePoly]):
+    """Dense output as arrays: the times (m,) of dense_times and the
+    position, velocity and acceleration there, each (dim, m)."""
     times = dense_times(axis_polys)
     pos = np.array([p.value(times) for p in axis_polys])
     vel = np.array([p.derivative(times) for p in axis_polys])
     acc = np.array([p.second_derivative(times) for p in axis_polys])
+    return times, pos, vel, acc
+
+
+def sample_dense(axis_polys: list[PiecewisePoly]) -> list[KinematicSample]:
+    """Dense kinematic output at the Gauss points of every cell."""
+    times, pos, vel, acc = dense_kinematics(axis_polys)
     return [
         KinematicSample(float(times[j]), pos[:, j], vel[:, j], acc[:, j])
         for j in range(len(times))

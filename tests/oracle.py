@@ -1,6 +1,6 @@
 """Row-by-row and per-cell reference implementations of the CSV parse,
-the reconstruction, the limiter, the arc length and the validation norms
-and backtrace.
+the reconstruction, the limiter, the arc length, the validation norms
+and backtrace, and the text of the CLI's reconstruct and kinematics output.
 
 The file is read one row at a time, each token converted as it is met;
 one exact rational solve of the constrained least-squares (KKT) system per
@@ -10,9 +10,13 @@ table, cell by cell; error norms summed cell by cell and backtrace stepped
 one RK step at a time. Slow, but written independently of the array code in
 ``shotr.trajdata``, ``shotr.recon``, ``shotr.cweno``, ``shotr.geometry``
 and ``shotr.validate``, which the differential tests check against it.
+The CLI's output is built as a document for ``json.dump`` and as one
+``KinematicSample`` per CSV row.
 """
 
 import csv
+import io
+import json
 import logging
 import math
 from dataclasses import dataclass
@@ -21,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from shotr.errors import DuplicateTimestamp, MalformedRow
+from shotr.kinematics import sample_dense
 from shotr.mesh import StaggeredMesh, build_mesh
 from shotr.quadrature import gauss_points
 from shotr.recon import _FACT, CellPoly, TaylorBasis, effective_degree, reconstruct_track
@@ -411,3 +416,66 @@ def backtrace_path(
         path.append(rk_step(path[-1], taus[-1], h, field, order))
         taus.append(taus[-1] + h)
     return np.array(taus), np.array(path)
+
+
+# ---------------------------------------------------------------------------
+# CLI output
+# ---------------------------------------------------------------------------
+
+def poly_to_dict(poly) -> dict:
+    """One axis of a reconstruction; its "cells" are an axis of reconstruct's
+    JSON."""
+    return {
+        "degree": poly.degree,
+        "cells": [
+            {"center": float(center), "width": float(width), "coeffs": c.tolist()}
+            for c, center, width in zip(poly.coeffs, poly.mesh.barycenters, poly.mesh.widths)
+        ],
+    }
+
+
+def reconstruct_doc(pairs, degree: int, limiter: str) -> dict:
+    """The document ``shotr reconstruct`` writes, from (track, polys) pairs."""
+    return {
+        "degree": degree,
+        "limiter": limiter,
+        "tracks": {
+            track.track_id: {
+                "dim": track.dim,
+                "degree_used": polys[0].degree,
+                "axes": [poly_to_dict(p)["cells"] for p in polys],
+            }
+            for track, polys in pairs
+        },
+    }
+
+
+def reconstruct_json(pairs, degree: int, limiter: str) -> str:
+    return json.dumps(reconstruct_doc(pairs, degree, limiter), indent=2) + "\n"
+
+
+def _fmt(x) -> str:
+    return format(float(x), ".17g")
+
+
+def _pad3(values) -> list[float]:
+    vals = [float(v) for v in values]
+    return vals + [0.0] * (3 - len(vals))
+
+
+def kinematics_csv(pairs) -> str:
+    """``shotr kinematics`` output from (track, polys) pairs: one row per
+    KinematicSample, each value formatted on its own."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["track", "t", "x", "y", "z", "vx", "vy", "vz", "ax", "ay", "az", "speed"])
+    for track, polys in pairs:
+        for s in sample_dense(polys):
+            writer.writerow(
+                [track.track_id, _fmt(s.t)]
+                + [_fmt(v) for v in _pad3(s.position)]
+                + [_fmt(v) for v in _pad3(s.velocity)]
+                + [_fmt(v) for v in _pad3(s.acceleration)]
+                + [_fmt(s.speed)]
+            )
+    return buf.getvalue()

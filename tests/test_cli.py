@@ -14,6 +14,7 @@ from shotr.kinematics import summarize
 from shotr.recon import LIMITERS, MAX_DEGREE, reconstruct_track
 from shotr.trajdata import parse_tracks, split_axes
 
+from . import oracle
 from .conftest import random_track, write_csv
 
 
@@ -197,6 +198,19 @@ def test_convergence_custom_meshes(capsys):
     _, rows = read_csv_text(out)
     orders = [float(r[6]) for r in rows if r[6] and r[4] == "L1"]
     assert orders and all(abs(o - 3.0) < 0.25 for o in orders)
+
+
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--degrees", ""],
+    ["convergence", "--meshes", ","],
+    ["compare", "--meshes", ","],
+], ids=["convergence-degrees", "convergence-meshes", "compare-meshes"])
+def test_empty_integer_list_exits_one(capsys, argv):
+    """An empty list is an error, not a request for the default list."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "comma-separated integers" in err
 
 
 def test_convergence_repeated_mesh_exits_one(capsys):
@@ -400,7 +414,7 @@ def test_cli_default_limiter_is_the_library_default(tmp_path, capsys, rng):
     doc = json.loads(out)
     assert doc["limiter"] == "cweno"
     for tid, track in tracks.items():
-        expected = [p.to_dict()["cells"] for p in reconstruct_track(track, 3, "cweno")]
+        expected = [oracle.poly_to_dict(p)["cells"] for p in reconstruct_track(track, 3, "cweno")]
         assert doc["tracks"][tid]["axes"] == expected
 
 

@@ -1,15 +1,20 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shotr import recon
 from shotr.errors import UnsupportedDegree
 from shotr.mesh import build_mesh
 from shotr.recon import (
+    LIMITERS,
     MAX_DEGREE,
     TaylorBasis,
     effective_degree,
     reconstruct_track,
+    reconstruct_tracks,
     reconstruction_operators,
 )
 from shotr.trajdata import AxisSeries, TrackSeries
@@ -249,7 +254,7 @@ def test_two_point_track():
 def test_to_dict_shape(rng):
     times = random_times(rng, 6)
     poly = fit_axis(AxisSeries(times, rng.normal(size=6)), 2)
-    doc = poly.to_dict()
+    doc = oracle.poly_to_dict(poly)
     assert doc["degree"] == 2
     assert len(doc["cells"]) == 5
     assert set(doc["cells"][0]) == {"center", "width", "coeffs"}
@@ -268,6 +273,48 @@ def test_track_without_singular_cells_takes_one_solve(rng, monkeypatch, limiter)
         calls.clear()
         reconstruct_track(random_track(rng, n, 3), degree, limiter)
         assert calls == ([] if n == 2 else ["qr", "inv"])
+
+
+@pytest.mark.parametrize("budget", [None, 40], ids=["default chunks", "40-cell chunks"])
+def test_reconstruct_tracks_equals_reconstruct_track(rng, monkeypatch, caplog, budget):
+    """The batched pass gives each track the arrays of its own call, bit for
+    bit, in input order, with the degree-reduction warnings in input order.
+    The tracks have every length from 2 (one cell) to 2N + 4 at the highest
+    degree, and 60, shuffled; with 40-cell chunks a chunk boundary falls
+    inside a group of tracks sharing their degree and stencil size, and the
+    60-sample track is a chunk of its own."""
+    lengths = rng.permutation(np.r_[2 : 2 * MAX_DEGREE + 5, 60])
+    tracks = [random_track(rng, int(n), 3, f"n{n}") for n in lengths]
+    if budget is not None:
+        monkeypatch.setattr(recon, "_CHUNK_CELLS", budget)
+        chunks = list(recon._chunks(tracks))
+        assert [t for chunk in chunks for t in chunk] == tracks
+        groups = [{(effective_degree(len(t), 3), min(2 * 3 + 3, len(t))) for t in chunk}
+                  for chunk in chunks]
+        assert sum((3, 9) in g for g in groups) > 1
+    for degree in range(1, MAX_DEGREE + 1):
+        for limiter in LIMITERS:
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="shotr.recon"):
+                pairs = list(reconstruct_tracks(tracks, degree, limiter))
+                batched_log = caplog.messages
+                caplog.clear()
+                expected = [reconstruct_track(t, degree, limiter) for t in tracks]
+                assert caplog.messages == batched_log
+            assert [t for t, _ in pairs] == tracks
+            for (_, polys), want in zip(pairs, expected):
+                assert len(polys) == len(want)
+                for p, w in zip(polys, want):
+                    assert p.mesh.n_cells == w.mesh.n_cells
+                    assert np.array_equal(p.coeffs, w.coeffs)
+
+
+def test_reconstruct_tracks_checks_arguments_before_iteration(rng):
+    tracks = [random_track(rng, 5)]
+    with pytest.raises(ValueError, match="unknown limiter"):
+        reconstruct_tracks(tracks, 3, "minmod")
+    with pytest.raises(UnsupportedDegree):
+        reconstruct_tracks(tracks, MAX_DEGREE + 1)
 
 
 # ---------------------------------------------------------------------------
