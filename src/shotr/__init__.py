@@ -18,7 +18,7 @@ from .errors import (
     ShotrError,
     UnsupportedDegree,
 )
-from .trajdata import AxisSeries, TrackSeries, TrackSet, parse_tracks, split_axes
+from .trajdata import TrackSeries, TrackSet, parse_tracks, split_axes
 from .mesh import StaggeredMesh, build_mesh
 from .quadrature import gauss_legendre, gauss_points
 from .recon import (

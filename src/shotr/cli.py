@@ -56,11 +56,6 @@ def _write_csv(args: argparse.Namespace, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _pad3(values) -> list[float]:
-    vals = [float(v) for v in values]
-    return vals + [0.0] * (3 - len(vals))
-
-
 def _json_cell(n_coeffs: int) -> str:
     """%-template of one cell of reconstruct's JSON, at its nesting depth."""
     coeffs = ",\n".join(["              %s"] * n_coeffs)
@@ -108,47 +103,52 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_kinematics(args: argparse.Namespace) -> int:
+def _write_track_tables(args: argparse.Namespace, header: list[str], table) -> int:
+    """CSV of every track of the input: the header, then for each track
+    the rows of table(track, polys), a 2-D float array."""
     pairs = _reconstructed(args)
-    header = ["track", "t", "x", "y", "z", "vx", "vy", "vz", "ax", "ay", "az", "speed"]
     with _output(args) as out:
         csv.writer(out, lineterminator="\n").writerow(header)
         for track, polys in pairs:
-            times, pos, vel, acc = dense_kinematics(polys)
-            dim = track.dim
-            table = np.zeros((len(times), 11))  # t, position, velocity, acceleration, speed
-            table[:, 0] = times
-            table[:, 1:1 + dim] = pos.T
-            table[:, 4:4 + dim] = vel.T
-            table[:, 7:7 + dim] = acc.T
-            velocity = table[:, 4:4 + dim]
-            table[:, 10] = np.sqrt(np.vecdot(velocity, velocity))
-            out.write(_csv_rows(track.track_id, table))
+            out.write(_csv_rows(track.track_id, table(track, polys)))
     return 0
+
+
+def _kinematics_table(track, polys) -> np.ndarray:
+    times, pos, vel, acc = dense_kinematics(polys)
+    dim = track.dim
+    table = np.zeros((len(times), 11))  # t, position, velocity, acceleration, speed
+    table[:, 0] = times
+    table[:, 1:1 + dim] = pos.T
+    table[:, 4:4 + dim] = vel.T
+    table[:, 7:7 + dim] = acc.T
+    velocity = table[:, 4:4 + dim]
+    table[:, 10] = np.sqrt(np.vecdot(velocity, velocity))
+    return table
+
+
+def _summary_table(track, polys) -> np.ndarray:
+    s = summarize(polys, split_axes(track))
+    table = np.zeros((1, 9))  # vL, vD per axis, vM per axis, L, duration
+    table[0, [0, 7, 8]] = s.v_l, s.length, s.duration
+    table[0, 1:1 + track.dim] = s.v_d
+    table[0, 4:4 + track.dim] = s.v_m
+    return table
+
+
+def cmd_kinematics(args: argparse.Namespace) -> int:
+    header = ["track", "t", "x", "y", "z", "vx", "vy", "vz", "ax", "ay", "az", "speed"]
+    return _write_track_tables(args, header, _kinematics_table)
 
 
 def cmd_length(args: argparse.Namespace) -> int:
-    rows = [
-        [track.track_id, _fmt(trajectory_length(polys))]
-        for track, polys in _reconstructed(args)
-    ]
-    _write_csv(args, ["track", "length"], rows)
-    return 0
+    return _write_track_tables(args, ["track", "length"],
+                               lambda track, polys: np.array([[trajectory_length(polys)]]))
 
 
 def cmd_summary(args: argparse.Namespace) -> int:
-    rows = []
-    for track, polys in _reconstructed(args):
-        s = summarize(polys, split_axes(track))
-        rows.append(
-            [track.track_id, _fmt(s.v_l)]
-            + [_fmt(v) for v in _pad3(s.v_d)]
-            + [_fmt(v) for v in _pad3(s.v_m)]
-            + [_fmt(s.length), _fmt(s.duration)]
-        )
     header = ["track", "vL", "vD_x", "vD_y", "vD_z", "vM_x", "vM_y", "vM_z", "L", "duration"]
-    _write_csv(args, header, rows)
-    return 0
+    return _write_track_tables(args, header, _summary_table)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .recon import _FACT, PiecewisePoly
-from .trajdata import AxisSeries
+from .trajdata import TrackSeries
 
 __all__ = [
     "CwenoConfig",
@@ -57,9 +57,10 @@ class CwenoConfig:
         return 0.5 * (1.0 - self.lambda_central)
 
 
-def side_lines(series: AxisSeries, degree: int) -> tuple[np.ndarray, np.ndarray]:
+def side_lines(series: TrackSeries, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Left and right linear candidates of every cell, anchored at its left
-    interface, as (n_cells, degree + 1) coefficients in the cells' bases.
+    interface, as (n_cells, degree + 1) coefficients in the cells' bases;
+    series is the one-axis track that was reconstructed.
 
     The left line joins the left interface sample to its predecessor; the
     right line joins the cell's own interface pair (the linear-linking
@@ -79,7 +80,7 @@ def side_lines(series: AxisSeries, degree: int) -> tuple[np.ndarray, np.ndarray]
     return left, right
 
 
-def candidates(poly: PiecewisePoly, series: AxisSeries, cfg: CwenoConfig) -> np.ndarray:
+def candidates(poly: PiecewisePoly, series: TrackSeries, cfg: CwenoConfig) -> np.ndarray:
     """Central, left and right candidates of every cell, (n_cells, 3, N + 1).
 
     The central candidate removes the side candidates' linear-weight share
@@ -139,7 +140,7 @@ def blend(cands: np.ndarray, sigmas: np.ndarray, cfg: CwenoConfig) -> np.ndarray
 
 
 def limit_piecewise(
-    poly: PiecewisePoly, series: AxisSeries, cfg: CwenoConfig | None = None
+    poly: PiecewisePoly, series: TrackSeries, cfg: CwenoConfig | None = None
 ) -> PiecewisePoly:
     """Apply the limiter to every cell of an unlimited reconstruction. Cells
     whose three sigma + epsilon are equal keep the optimal polynomial, which

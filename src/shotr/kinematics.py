@@ -16,7 +16,7 @@ from .errors import OutOfDomain
 from .geometry import MAX_GEOMETRY_DEGREE, trajectory_length
 from .quadrature import gauss_points
 from .recon import PiecewisePoly
-from .trajdata import AxisSeries
+from .trajdata import TrackSeries
 
 
 @dataclass
@@ -89,10 +89,11 @@ def sample_dense(axis_polys: list[PiecewisePoly]) -> list[KinematicSample]:
 
 def summarize(
     axis_polys: list[PiecewisePoly],
-    series: list[AxisSeries],
+    series: list[TrackSeries],
     geom_degree: int = MAX_GEOMETRY_DEGREE,
 ) -> VelocitySummary:
-    """Summary velocities of one track."""
+    """Summary velocities of one track, from its axes' reconstructions and
+    its one-axis tracks (``split_axes``)."""
     times = series[0].times
     duration = float(times[-1] - times[0])
     length = trajectory_length(axis_polys, geom_degree)

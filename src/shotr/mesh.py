@@ -38,6 +38,8 @@ def build_mesh(times: np.ndarray) -> StaggeredMesh:
     times = np.ascontiguousarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 2:
         raise NonMonotoneTimes("need at least 2 strictly increasing times")
+    if not np.isfinite(times).all():
+        raise ValueError("times include non-finite values")
     widths = times[1:] - times[:-1]
     if (widths <= 0).any():
         raise NonMonotoneTimes("times must be strictly increasing")

@@ -22,7 +22,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import DuplicateTimestamp, MalformedRow
+from .errors import DuplicateTimestamp, MalformedRow, NonMonotoneTimes
 
 logger = logging.getLogger(__name__)
 
@@ -60,37 +60,21 @@ class TrackSeries:
         if not (np.isfinite(self.times).all() and np.isfinite(self.coords).all()):
             raise ValueError(f"track {self.track_id!r} has non-finite times or coordinates")
         if not (self.times[1:] > self.times[:-1]).all():
-            raise DuplicateTimestamp(
-                f"track {self.track_id!r} has non-increasing timestamps"
-            )
+            if (self.times[1:] < self.times[:-1]).any():
+                raise NonMonotoneTimes(f"track {self.track_id!r} has decreasing timestamps")
+            raise DuplicateTimestamp(f"track {self.track_id!r} has duplicate timestamps")
         self.times.setflags(write=False)
         self.coords.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.times)
 
-
-@dataclass
-class AxisSeries:
-    """Samples of one spatial direction against shared times."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.times = np.ascontiguousarray(self.times, dtype=float)
-        self.values = np.ascontiguousarray(self.values, dtype=float)
-        if self.times.shape != self.values.shape:
-            raise ValueError("times and values must have the same length")
-        if not (np.isfinite(self.times).all() and np.isfinite(self.values).all()):
-            raise ValueError("axis series has non-finite times or values")
-        if not (self.times[1:] > self.times[:-1]).all():
-            raise DuplicateTimestamp("axis series times are not strictly increasing")
-        self.times.setflags(write=False)
-        self.values.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.times)
+    @property
+    def values(self) -> np.ndarray:
+        """The samples of a one-axis track, shape (len(times),)."""
+        if self.dim != 1:
+            raise ValueError(f"track {self.track_id!r} has {self.dim} axes, values needs 1")
+        return self.coords[:, 0]
 
 
 @dataclass
@@ -255,6 +239,8 @@ def parse_tracks(path: str, fmt: str = "generic_csv") -> TrackSet:
     return TrackSet(tracks=tracks, source=str(path))
 
 
-def split_axes(track: TrackSeries) -> list[AxisSeries]:
-    """Split a D-dimensional track into D per-axis series sharing its times."""
-    return [AxisSeries(track.times, track.coords[:, d]) for d in range(track.dim)]
+def split_axes(track: TrackSeries) -> list[TrackSeries]:
+    """Split a D-dimensional track into D one-axis tracks that share its id
+    and times."""
+    return [TrackSeries(track.track_id, track.times, track.coords[:, d], 1)
+            for d in range(track.dim)]

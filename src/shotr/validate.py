@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ShotrError
 from .mesh import StaggeredMesh
 from .quadrature import gauss_points
-from .recon import reconstruct_track
+from .recon import effective_degree, reconstruct_track
 from .trajdata import TrackSeries
 
 AXES = "xyz"
@@ -46,9 +46,12 @@ def error_norms(
 
     Integrals use per-cell Gauss quadrature on the mesh cells clipped to
     the window; the max is taken over all quadrature nodes and the clipped
-    cell interfaces. A window that overlaps no cell gives zero norms.
+    cell interfaces. A window that overlaps no cell gives zero norms; a
+    non-finite window bound is an error.
     """
     a, b = window
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"window must be finite, got {window!r}")
     lo = np.maximum(mesh.interfaces[:-1], a)
     hi = np.minimum(mesh.interfaces[1:], b)
     kept = hi > lo
@@ -512,7 +515,9 @@ def backtrace(
     )
 
     if reference is None:
-        ref_polys = polys if degree == 3 and limiter == "none" else reconstruct_track(track, 3)
+        # at the degree a short track allows, so its reduction is logged once
+        ref_polys = (polys if degree == 3 and limiter == "none"
+                     else reconstruct_track(track, effective_degree(len(track), 3)))
         reference = lambda t: np.column_stack([p.value(t) for p in ref_polys])
     t_phys = np.clip(t1 - taus_arr, t0, t1)
     deviation = path_arr - np.asarray(reference(t_phys), dtype=float)

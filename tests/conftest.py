@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from shotr.recon import PiecewisePoly, reconstruct_track
-from shotr.trajdata import AxisSeries, TrackSeries
+from shotr.trajdata import TrackSeries
 
 
 @pytest.fixture
@@ -20,12 +19,6 @@ def random_track(rng, n_pts: int, dim: int = 2, track_id: str = "t") -> TrackSer
     times = random_times(rng, n_pts)
     coords = rng.normal(0.0, 1.0, (n_pts, dim)).cumsum(axis=0)
     return TrackSeries(track_id, times, coords, dim)
-
-
-def fit_axis(series: AxisSeries, degree: int, limiter: str = "none", cfg=None) -> PiecewisePoly:
-    """Reconstruction of one axis: a track of dim 1."""
-    track = TrackSeries("axis", series.times, series.values, 1)
-    return reconstruct_track(track, degree, limiter, cfg)[0]
 
 
 def write_csv(path, rows, header="track,t,x,y"):

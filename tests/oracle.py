@@ -1,6 +1,6 @@
 """Row-by-row and per-cell reference implementations of the CSV parse,
 the reconstruction, the limiter, the arc length, the validation norms
-and backtrace, and the text of the CLI's reconstruct and kinematics output.
+and backtrace, and the text of the CLI's file commands' output.
 
 The file is read one row at a time, each token converted as it is met;
 one exact rational solve of the constrained least-squares (KKT) system per
@@ -10,8 +10,9 @@ table, cell by cell; error norms summed cell by cell and backtrace stepped
 one RK step at a time. Slow, but written independently of the array code in
 ``shotr.trajdata``, ``shotr.recon``, ``shotr.cweno``, ``shotr.geometry``
 and ``shotr.validate``, which the differential tests check against it.
-The CLI's output is built as a document for ``json.dump`` and as one
-``KinematicSample`` per CSV row.
+The CLI's output is built as a document for ``json.dump`` and as one CSV
+row per ``KinematicSample`` or ``VelocitySummary``, each value formatted on
+its own.
 """
 
 import csv
@@ -25,11 +26,12 @@ from fractions import Fraction
 import numpy as np
 
 from shotr.errors import DuplicateTimestamp, MalformedRow
-from shotr.kinematics import sample_dense
+from shotr.geometry import trajectory_length
+from shotr.kinematics import sample_dense, summarize
 from shotr.mesh import StaggeredMesh, build_mesh
 from shotr.quadrature import gauss_points
 from shotr.recon import _FACT, CellPoly, TaylorBasis, effective_degree, reconstruct_track
-from shotr.trajdata import AxisSeries, TrackSeries, TrackSet, _column_map
+from shotr.trajdata import TrackSeries, TrackSet, _column_map, split_axes
 from shotr.validate import ErrorNorms, rk_step
 
 
@@ -140,7 +142,7 @@ def build_stencil(mesh: StaggeredMesh, cell: int, degree: int) -> Stencil:
     return Stencil(cell, np.arange(lo, lo + size))
 
 
-def assemble_clsq(series: AxisSeries, stencil: Stencil, basis: TaylorBasis):
+def assemble_clsq(series: TrackSeries, stencil: Stencil, basis: TaylorBasis):
     """Least-squares system (M, B) and interpolation constraints (C, d)."""
     times = series.times[stencil.interface_indices]
     M = np.array([design_row(basis, t) for t in times])
@@ -225,7 +227,7 @@ def cell_coeffs(mesh: StaggeredMesh, values: np.ndarray, cell: int, degree: int)
     return clsq_exact(M, B, [M[r0], M[r1]], [B[r0], B[r1]])
 
 
-def reconstruct_axis(series: AxisSeries, degree: int) -> np.ndarray:
+def reconstruct_axis(series: TrackSeries, degree: int) -> np.ndarray:
     """Unlimited coefficients, (n_cells, N_eff + 1), one exact solve per cell."""
     n_eff = effective_degree(len(series), degree)
     mesh = build_mesh(series.times)
@@ -244,7 +246,7 @@ def _line(ta, sa, tb, sb, basis: TaylorBasis) -> CellPoly:
     return CellPoly(coeffs, basis)
 
 
-def one_sided_p1(series: AxisSeries, cell: int, side: str, basis: TaylorBasis) -> CellPoly:
+def one_sided_p1(series: TrackSeries, cell: int, side: str, basis: TaylorBasis) -> CellPoly:
     """Linear candidate anchored at the cell's left interface."""
     t, s = series.times, series.values
     if side == "left":
@@ -283,7 +285,7 @@ def oscillation_indicator(poly: CellPoly, interval: tuple[float, float]) -> floa
     return sigma
 
 
-def make_candidates(optimal: CellPoly, series: AxisSeries, cell: int, cfg):
+def make_candidates(optimal: CellPoly, series: TrackSeries, cell: int, cfg):
     """(central, left, right) and their sigmas; a missing left line is
     replaced by the cell's own interpolating line."""
     right = one_sided_p1(series, cell, "right", optimal.basis)
@@ -304,7 +306,7 @@ def blend(cands, sigmas: np.ndarray, cfg) -> np.ndarray:
     return sum(w * c.coeffs for w, c in zip(omega, cands))
 
 
-def limit(coeffs: np.ndarray, series: AxisSeries, cfg) -> np.ndarray:
+def limit(coeffs: np.ndarray, series: TrackSeries, cfg) -> np.ndarray:
     """Limited coefficients, one candidate set per cell."""
     mesh = build_mesh(series.times)
     out = []
@@ -463,19 +465,43 @@ def _pad3(values) -> list[float]:
     return vals + [0.0] * (3 - len(vals))
 
 
+def _csv_text(header: list[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def kinematics_csv(pairs) -> str:
     """``shotr kinematics`` output from (track, polys) pairs: one row per
     KinematicSample, each value formatted on its own."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["track", "t", "x", "y", "z", "vx", "vy", "vz", "ax", "ay", "az", "speed"])
+    header = ["track", "t", "x", "y", "z", "vx", "vy", "vz", "ax", "ay", "az", "speed"]
+    return _csv_text(header, (
+        [track.track_id, _fmt(s.t)]
+        + [_fmt(v) for v in _pad3(s.position)]
+        + [_fmt(v) for v in _pad3(s.velocity)]
+        + [_fmt(v) for v in _pad3(s.acceleration)]
+        + [_fmt(s.speed)]
+        for track, polys in pairs for s in sample_dense(polys)
+    ))
+
+
+def length_csv(pairs) -> str:
+    """``shotr length`` output from (track, polys) pairs: one row per track."""
+    return _csv_text(["track", "length"],
+                     ([track.track_id, _fmt(trajectory_length(polys))] for track, polys in pairs))
+
+
+def summary_csv(pairs) -> str:
+    """``shotr summary`` output from (track, polys) pairs: one row per
+    VelocitySummary, each value formatted on its own."""
+    rows = []
     for track, polys in pairs:
-        for s in sample_dense(polys):
-            writer.writerow(
-                [track.track_id, _fmt(s.t)]
-                + [_fmt(v) for v in _pad3(s.position)]
-                + [_fmt(v) for v in _pad3(s.velocity)]
-                + [_fmt(v) for v in _pad3(s.acceleration)]
-                + [_fmt(s.speed)]
-            )
-    return buf.getvalue()
+        s = summarize(polys, split_axes(track))
+        rows.append([track.track_id, _fmt(s.v_l)]
+                    + [_fmt(v) for v in _pad3(s.v_d)]
+                    + [_fmt(v) for v in _pad3(s.v_m)]
+                    + [_fmt(s.length), _fmt(s.duration)])
+    header = ["track", "vL", "vD_x", "vD_y", "vD_z", "vM_x", "vM_y", "vM_z", "L", "duration"]
+    return _csv_text(header, rows)

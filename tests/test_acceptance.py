@@ -12,7 +12,7 @@ from shotr.cli import main as cli_main
 from shotr.cweno import CwenoConfig, nonlinear_weights
 from shotr.geometry import trajectory_length
 from shotr.recon import reconstruct_track
-from shotr.trajdata import AxisSeries, TrackSeries
+from shotr.trajdata import TrackSeries
 from shotr.validate import (
     REFERENCE_MESH_CELLS,
     backtrace,
@@ -24,7 +24,7 @@ from shotr.validate import (
     run_convergence,
 )
 
-from .conftest import fit_axis, random_track, random_times
+from .conftest import random_track, random_times
 
 
 def _report(num, name, ok, detail=""):
@@ -99,7 +99,7 @@ def test_criterion_4_polynomial_exactness():
             times = random_times(rng, n_pts)
             poly_deg = int(rng.integers(0, degree + 1)) if rng.random() < 0.3 else degree
             p = np.polynomial.Polynomial(rng.uniform(-2, 2, poly_deg + 1))
-            recon = fit_axis(AxisSeries(times, p(times)), degree)
+            recon = reconstruct_track(TrackSeries("axis", times, p(times), 1), degree)[0]
             pts = rng.uniform(times[0], times[-1], 50)
             for got, ref in (
                 (recon.value(pts), p(pts)),
@@ -125,9 +125,9 @@ def test_criterion_5_limiter_properties():
 
     ts = np.linspace(0.0, 1.0, 401)
     f = lambda t: t**3 + 30.0 * t
-    series = AxisSeries(ts, f(ts))
-    unlimited = fit_axis(series, 3)
-    limited = fit_axis(series, 3, limiter="cweno")
+    series = TrackSeries("axis", ts, f(ts), 1)
+    unlimited = reconstruct_track(series, 3)[0]
+    limited = reconstruct_track(series, 3, limiter="cweno")[0]
     pts = np.linspace(0, 1, 3000)
     smooth_dev = np.max(np.abs(limited.value(pts) - unlimited.value(pts)))
     smooth_dev /= np.max(np.abs(f(pts)))
@@ -136,8 +136,8 @@ def test_criterion_5_limiter_properties():
 
     step_times = np.arange(8.0)
     step_vals = np.where(step_times < 3.5, 0.0, 1.0)
-    step = AxisSeries(step_times, step_vals)
-    lim = fit_axis(step, 3, limiter="cweno")
+    step = TrackSeries("axis", step_times, step_vals, 1)
+    lim = reconstruct_track(step, 3, limiter="cweno")[0]
     jump_cell = 3
     cell_pts = np.linspace(3.0, 4.0, 60)
     # the flat backward line through samples 2 and 3 must win in the jump cell

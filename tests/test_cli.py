@@ -263,6 +263,18 @@ def test_backtrace_file_mode(tmp_path, capsys, rng):
     assert {r[1] for r in rows} == {"RK2+P1", "RK4+P3"}
 
 
+@pytest.mark.parametrize("limiter", ["none", "cweno"])
+def test_backtrace_logs_a_short_tracks_degree_reduction_once(tmp_path, capsys, caplog, limiter):
+    """RK2+P1's cubic reference is fitted at the degree the track allows, so
+    only RK4+P3's own fit logs the reduction."""
+    path = write_csv(tmp_path / "a.csv", [("a", 0, 0, 0), ("a", 1, 1, 0), ("a", 2, 1, 1)])
+    code, _, _ = run_cli(capsys, "backtrace", "--input", path, "--limiter", limiter)
+    assert code == 0
+    assert [r.message for r in caplog.records if "degree reduced" in r.message] == [
+        "track 'a': degree reduced from 3 to 2 (3 samples)"
+    ]
+
+
 def test_backtrace_file_mode_rejects_check(tmp_path, capsys, rng):
     path = write_csv(tmp_path / "a.csv", track_to_rows(random_track(rng, 6, 2, "a")))
     code, _, err = run_cli(capsys, "backtrace", "--input", path, "--check")

@@ -1,7 +1,8 @@
 """The text the file commands write, against the reference layouts in
 ``tests/oracle.py``: reconstruct's stdout is ``json.dump(doc, indent=2)``
-of the per-track document, and kinematics' stdout is one row per
-``KinematicSample``, every value formatted on its own."""
+of the per-track document, and the CSV commands' stdout is one row per
+``KinematicSample`` (kinematics) or per track (length, summary), every
+value formatted on its own."""
 
 import csv
 import io
@@ -69,15 +70,28 @@ def test_kinematics_stdout_is_one_row_per_sample(track_file, capsys, degree, lim
     assert out == oracle.kinematics_csv(pairs)
 
 
+@pytest.mark.parametrize("limiter", LIMITERS)
+@pytest.mark.parametrize("degree", [1, 2, 3, 9])
+@pytest.mark.parametrize("command", ["length", "summary"])
+def test_length_and_summary_stdout_is_one_row_per_track(track_file, capsys, command, degree,
+                                                        limiter):
+    path, tracks = track_file
+    out = run(capsys, command, "--input", path, "--degree", str(degree), "--limiter", limiter)
+    pairs = [(t, reconstruct_track(t, degree, limiter)) for t in tracks]
+    assert out == {"length": oracle.length_csv, "summary": oracle.summary_csv}[command](pairs)
+
+
 def test_file_of_dropped_tracks(tmp_path, capsys):
-    """Every track has one usable sample: an empty "tracks" object and a
-    kinematics header with no rows."""
+    """Every track has one usable sample: an empty "tracks" object and CSV
+    headers with no rows."""
     path = tmp_path / "short.csv"
     path.write_text("track,t,x\na,0.0,1.0\nb,1.0,2.0\nb,2.0,nan\n", encoding="utf-8")
     out = run(capsys, "reconstruct", "--input", str(path))
     assert out == json.dumps({"degree": 3, "limiter": "cweno", "tracks": {}}, indent=2) + "\n"
     out = run(capsys, "kinematics", "--input", str(path))
     assert out == oracle.kinematics_csv([])
+    assert run(capsys, "length", "--input", str(path)) == oracle.length_csv([])
+    assert run(capsys, "summary", "--input", str(path)) == oracle.summary_csv([])
 
 
 def test_non_finite_coefficients_are_spelled_as_json_dump_spells_them(

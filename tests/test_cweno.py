@@ -11,17 +11,17 @@ from shotr.cweno import (
     side_lines,
 )
 from shotr.mesh import build_mesh
-from shotr.recon import CellPoly, PiecewisePoly, TaylorBasis
-from shotr.trajdata import AxisSeries
+from shotr.recon import CellPoly, PiecewisePoly, TaylorBasis, reconstruct_track
+from shotr.trajdata import TrackSeries
 
-from .conftest import fit_axis, random_times
+from .conftest import random_times
 
 
 def step_series(n_left=3, n_right=3, lo=0.0, hi=1.0):
     n = n_left + n_right
     times = np.arange(float(n))
     values = np.concatenate([np.full(n_left, lo), np.full(n_right, hi)])
-    return AxisSeries(times, values)
+    return TrackSeries("axis", times, values, 1)
 
 
 def test_config_defaults_sum_to_one():
@@ -71,8 +71,8 @@ def test_large_exponent_gives_finite_output(rng):
     """(sigma + epsilon)^200 underflows or overflows for every candidate;
     the weights must not (numpy RuntimeWarnings fail the suite)."""
     times = random_times(rng, 60)
-    series = AxisSeries(times, rng.normal(size=60).cumsum())
-    limited = fit_axis(series, 3, "cweno", CwenoConfig(exponent=200))
+    series = TrackSeries("axis", times, rng.normal(size=60).cumsum(), 1)
+    limited = reconstruct_track(series, 3, "cweno", CwenoConfig(exponent=200))[0]
     assert np.isfinite(limited.coeffs).all()
     omega = nonlinear_weights(np.array([[1e-3, 1e-2, 1e-1], [1e3, 1e2, 1e1]]),
                               CwenoConfig(exponent=200))
@@ -80,7 +80,7 @@ def test_large_exponent_gives_finite_output(rng):
 
 
 def test_left_line_has_unit_slope():
-    series = AxisSeries([0.0, 1.0, 2.0], [0.0, 1.0, 1.5])
+    series = TrackSeries("axis", [0.0, 1.0, 2.0], [0.0, 1.0, 1.5], 1)
     left, _ = side_lines(series, 3)
     line = CellPoly(left[1], TaylorBasis(3, 1.5, 1.0))  # cell 1
     pts = np.linspace(0.8, 2.3, 7)
@@ -89,7 +89,7 @@ def test_left_line_has_unit_slope():
 
 
 def test_first_cell_has_no_left_line():
-    series = AxisSeries([0.0, 1.0, 2.0], [0.0, 1.0, 1.5])
+    series = TrackSeries("axis", [0.0, 1.0, 2.0], [0.0, 1.0, 1.5], 1)
     left, right = side_lines(series, 2)
     # the right line is the cell's own linking segment and always exists;
     # it stands in for the missing left line of the first cell
@@ -99,8 +99,8 @@ def test_first_cell_has_no_left_line():
 
 def test_constant_data_lines_equal_central(rng):
     times = random_times(rng, 8)
-    series = AxisSeries(times, np.full(8, 2.5))
-    poly = fit_axis(series, 3)
+    series = TrackSeries("axis", times, np.full(8, 2.5), 1)
+    poly = reconstruct_track(series, 3)[0]
     cands = candidates(poly, series, CwenoConfig())
     for i, cell in enumerate(poly.cells):
         pts = np.linspace(times[i], times[i + 1], 5)
@@ -114,8 +114,8 @@ def test_line_reexpansion_reproduces_defining_samples(rng):
     """Change of basis must not move the line through its two points."""
     times = random_times(rng, 10)
     values = rng.normal(0, 2, 10)
-    series = AxisSeries(times, values)
-    poly = fit_axis(series, 3)
+    series = TrackSeries("axis", times, values, 1)
+    poly = reconstruct_track(series, 3)[0]
     left, right = side_lines(series, 3)
     for cell in range(1, 9):
         basis = poly.cells[cell].basis
@@ -131,7 +131,7 @@ def test_central_recombination_identity(rng):
     cfg = CwenoConfig()
     for _ in range(20):
         times = random_times(rng, 9)
-        series = AxisSeries(times, rng.normal(size=9))
+        series = TrackSeries("axis", times, rng.normal(size=9), 1)
         optimal = PiecewisePoly(build_mesh(times), rng.normal(size=(8, 4)))
         p0, left, right = candidates(optimal, series, cfg).transpose(1, 0, 2)
         recombined = (
@@ -141,8 +141,8 @@ def test_central_recombination_identity(rng):
 
 
 def test_central_of_constant_is_constant():
-    series = AxisSeries([0.0, 1.0, 2.0, 3.0], [4.0, 4.0, 4.0, 4.0])
-    poly = fit_axis(series, 2)
+    series = TrackSeries("axis", [0.0, 1.0, 2.0, 3.0], [4.0, 4.0, 4.0, 4.0], 1)
+    poly = reconstruct_track(series, 2)[0]
     p0 = candidates(poly, series, CwenoConfig())[:, 0]
     np.testing.assert_allclose(p0, np.tile([4.0, 0.0, 0.0], (3, 1)), atol=1e-13)
 
@@ -201,7 +201,7 @@ def test_equal_sigmas_recover_linear_weights_and_optimal(rng):
     np.testing.assert_allclose(w, [cfg.lambda_central, cfg.lambda_side, cfg.lambda_side], atol=1e-15)
 
     times = random_times(rng, 9)
-    series = AxisSeries(times, rng.normal(size=9))
+    series = TrackSeries("axis", times, rng.normal(size=9), 1)
     optimal = PiecewisePoly(build_mesh(times), rng.normal(size=(8, 4)))
     blended = blend(candidates(optimal, series, cfg), np.ones((8, 3)), cfg)
     np.testing.assert_allclose(blended, optimal.coeffs, atol=1e-13)
@@ -209,7 +209,7 @@ def test_equal_sigmas_recover_linear_weights_and_optimal(rng):
 
 def test_step_data_collapses_to_flat_side_line():
     series = step_series()
-    poly = fit_axis(series, 3)
+    poly = reconstruct_track(series, 3)[0]
     cfg = CwenoConfig()
     jump_cell = 2  # samples 2 and 3 straddle the jump
     cands = candidates(poly, series, cfg)[jump_cell]
@@ -226,8 +226,8 @@ def test_step_data_collapses_to_flat_side_line():
 def test_smooth_cubic_blend_matches_optimal():
     ts = np.linspace(0.0, 1.0, 201)
     f = lambda t: t**3 + 30.0 * t
-    series = AxisSeries(ts, f(ts))
-    unlimited = fit_axis(series, 3)
+    series = TrackSeries("axis", ts, f(ts), 1)
+    unlimited = reconstruct_track(series, 3)[0]
     limited = limit_piecewise(unlimited, series)
     pts = np.linspace(0, 1, 1500)
     scale = np.max(np.abs(f(pts)))
@@ -238,8 +238,8 @@ def test_blend_is_convex_combination(rng):
     """The limited value never leaves the envelope of the three candidates."""
     times = random_times(rng, 12)
     values = rng.normal(0, 2, 12)
-    series = AxisSeries(times, values)
-    poly = fit_axis(series, 3)
+    series = TrackSeries("axis", times, values, 1)
+    poly = reconstruct_track(series, 3)[0]
     cands = candidates(poly, series, CwenoConfig())
     limited = limit_piecewise(poly, series)
     for i, cell in enumerate(limited.cells):
@@ -252,7 +252,7 @@ def test_blend_is_convex_combination(rng):
 def test_monotone_step_total_variation_bound():
     """Per-cell variation of the limited curve stays at the linking level."""
     series = step_series(4, 4)
-    unlimited = fit_axis(series, 3)
+    unlimited = reconstruct_track(series, 3)[0]
     limited = limit_piecewise(unlimited, series)
     times = series.times
     for i in range(limited.mesh.n_cells):
@@ -267,10 +267,10 @@ def test_monotone_step_total_variation_bound():
 def test_limited_reconstruction_via_reconstruct_track(rng):
     times = random_times(rng, 10)
     values = rng.normal(size=10)
-    series = AxisSeries(times, values)
-    direct = limit_piecewise(fit_axis(series, 3), series)
-    via_flag = fit_axis(series, 3, limiter="cweno")
+    series = TrackSeries("axis", times, values, 1)
+    direct = limit_piecewise(reconstruct_track(series, 3)[0], series)
+    via_flag = reconstruct_track(series, 3, limiter="cweno")[0]
     pts = rng.uniform(times[0], times[-1], 50)
     np.testing.assert_allclose(via_flag.value(pts), direct.value(pts), atol=1e-13)
     with pytest.raises(ValueError, match="unknown limiter"):
-        fit_axis(series, 3, limiter="minmod")
+        reconstruct_track(series, 3, limiter="minmod")

@@ -28,6 +28,12 @@ def test_non_monotone_times_rejected():
         build_mesh(np.array([0.0]))
 
 
+@pytest.mark.parametrize("times", [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [-np.inf, 0.0]])
+def test_non_finite_times_rejected(times):
+    with pytest.raises(ValueError, match="non-finite"):
+        build_mesh(np.array(times))
+
+
 def test_locate_cell_examples():
     """An interior interface belongs to its left cell; times outside the
     span clip to the end cells."""

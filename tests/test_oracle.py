@@ -10,11 +10,11 @@ from shotr.cweno import CwenoConfig
 from shotr.errors import ShotrError
 from shotr.mesh import build_mesh
 from shotr.recon import MAX_DEGREE, reconstruct_track
-from shotr.trajdata import AxisSeries, parse_tracks
+from shotr.trajdata import TrackSeries, parse_tracks
 from shotr.validate import backtrace, error_norms
 
 from . import oracle
-from .conftest import fit_axis, random_times, random_track
+from .conftest import random_times, random_track
 
 
 def assert_matches(got, ref):
@@ -30,12 +30,11 @@ def test_array_core_matches_oracle(rng, degree):
     for n in [*range(2, 2 * degree + 5), 60]:
         times = random_times(rng, n, t0=rng.uniform(-10, 10)) * 10.0 ** rng.uniform(-3, 3)
         values = rng.normal(size=n).cumsum() * 10.0 ** rng.uniform(-3, 3)
-        series = AxisSeries(times, values)
+        series = TrackSeries("axis", times, values, 1)
         ref = oracle.reconstruct_axis(series, degree)
-        assert_matches(fit_axis(series, degree).coeffs, ref)
-        assert_matches(
-            fit_axis(series, degree, "cweno", cfg).coeffs, oracle.limit(ref, series, cfg)
-        )
+        assert_matches(reconstruct_track(series, degree)[0].coeffs, ref)
+        assert_matches(reconstruct_track(series, degree, "cweno", cfg)[0].coeffs,
+                       oracle.limit(ref, series, cfg))
 
 
 # one cell 1e-15 the width of its neighbours (1e85 next to 1e100 once scaled)
@@ -49,10 +48,10 @@ FORMER_SINGULAR_TIMES = [
 def test_extreme_width_ratios_fit_at_full_degree(caplog, times):
     """Both interface samples of every cell are met, and the limiter
     matches the oracle's on the exact fit."""
-    series = AxisSeries(times * 1e100, np.sin(np.arange(len(times), dtype=float)))
+    series = TrackSeries("axis", times * 1e100, np.sin(np.arange(len(times), dtype=float)), 1)
     with caplog.at_level(logging.WARNING):
-        poly = fit_axis(series, 3)
-        limited = fit_axis(series, 3, "cweno")
+        poly = reconstruct_track(series, 3)[0]
+        limited = reconstruct_track(series, 3, "cweno")[0]
     assert caplog.records == []
     assert poly.degree == 3
     t, s = series.times, series.values
@@ -69,9 +68,9 @@ def test_limiter_keeps_the_fit_where_the_weights_are_linear(times):
     """At 1e100 every sigma is far below epsilon, so the weights are the
     linear ones and the limited fit is the unlimited one, samples included.
     Summing candidates 1e15 times the data scale missed samples by 3e-4."""
-    series = AxisSeries(times * 1e100, np.sin(np.arange(len(times), dtype=float)))
-    np.testing.assert_array_equal(fit_axis(series, 3, "cweno").coeffs,
-                                  fit_axis(series, 3).coeffs)
+    series = TrackSeries("axis", times * 1e100, np.sin(np.arange(len(times), dtype=float)), 1)
+    np.testing.assert_array_equal(reconstruct_track(series, 3, "cweno")[0].coeffs,
+                                  reconstruct_track(series, 3)[0].coeffs)
 
 
 @pytest.mark.parametrize("limiter", ["none", "cweno"])

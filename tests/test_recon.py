@@ -17,10 +17,10 @@ from shotr.recon import (
     reconstruct_tracks,
     reconstruction_operators,
 )
-from shotr.trajdata import AxisSeries, TrackSeries
+from shotr.trajdata import TrackSeries, split_axes
 
 from . import oracle
-from .conftest import count_calls, fit_axis, random_times, random_track
+from .conftest import count_calls, random_times, random_track
 
 
 def taylor_coeffs(poly: np.polynomial.Polynomial, center: float, width: float, degree: int):
@@ -76,7 +76,7 @@ def test_effective_degree_reduction():
 # ---------------------------------------------------------------------------
 
 def test_assemble_rows_are_basis_values():
-    series = AxisSeries([0.0, 1.0], [2.0, 5.0])
+    series = TrackSeries("axis", [0.0, 1.0], [2.0, 5.0], 1)
     mesh = build_mesh(series.times)
     basis = TaylorBasis(1, 0.5, 1.0)
     stencil = oracle.build_stencil(mesh, 0, 1)
@@ -91,7 +91,7 @@ def test_assemble_rows_reproduce_polynomial_samples(rng):
     """Row dotted with the exact Taylor coefficients returns the sample."""
     times = random_times(rng, 12)
     p = np.polynomial.Polynomial([0.3, -1.2, 0.7])
-    series = AxisSeries(times, p(times))
+    series = TrackSeries("axis", times, p(times), 1)
     mesh = build_mesh(times)
     cell = 5
     basis = TaylorBasis(2, float(mesh.barycenters[cell]), float(mesh.widths[cell]))
@@ -103,7 +103,7 @@ def test_assemble_rows_reproduce_polynomial_samples(rng):
 
 
 def test_solve_square_system_interpolates():
-    series = AxisSeries([0.0, 1.0], [2.0, 5.0])
+    series = TrackSeries("axis", [0.0, 1.0], [2.0, 5.0], 1)
     mesh = build_mesh(series.times)
     basis = TaylorBasis(1, 0.5, 1.0)
     M, B, C, d = oracle.assemble_clsq(series, oracle.build_stencil(mesh, 0, 1), basis)
@@ -115,7 +115,7 @@ def test_solve_square_system_interpolates():
 def test_constraints_hold_even_with_noisy_data(rng):
     times = random_times(rng, 16)
     values = rng.normal(0, 10, 16)  # rough data: large LSQ residual
-    poly = fit_axis(AxisSeries(times, values), 3)
+    poly = reconstruct_track(TrackSeries("axis", times, values, 1), 3)[0]
     cells = poly.cells
     for cell in (0, 7, 14):
         d = values[[cell, cell + 1]]
@@ -125,8 +125,8 @@ def test_constraints_hold_even_with_noisy_data(rng):
 
 def test_quadratic_data_reconstructed_exactly(rng):
     times = random_times(rng, 10)
-    series = AxisSeries(times, times**2)
-    poly = fit_axis(series, 2)
+    series = TrackSeries("axis", times, times**2, 1)
+    poly = reconstruct_track(series, 2)[0]
     pts = rng.uniform(times[0], times[-1], 20)
     np.testing.assert_allclose(poly.value(pts), pts**2, atol=1e-12)
 
@@ -135,7 +135,7 @@ def test_reconstruction_matrix_matches_direct_solve(rng):
     """The batched operator applied to the samples solves each cell's
     constrained least-squares problem."""
     times = random_times(rng, 14)
-    series = AxisSeries(times, rng.normal(size=14))
+    series = TrackSeries("axis", times, rng.normal(size=14), 1)
     mesh = build_mesh(times)
     windows, R = reconstruction_operators(mesh, 3)
     for cell in (0, 6, 12):
@@ -151,9 +151,9 @@ def test_reconstruction_matrix_matches_direct_solve(rng):
 # ---------------------------------------------------------------------------
 
 def test_constant_series_reproduced():
-    series = AxisSeries([0.0, 1.0, 2.0, 3.0], [5.0, 5.0, 5.0, 5.0])
+    series = TrackSeries("axis", [0.0, 1.0, 2.0, 3.0], [5.0, 5.0, 5.0, 5.0], 1)
     for degree in (1, 2, 3, 5):
-        poly = fit_axis(series, degree)
+        poly = reconstruct_track(series, degree)[0]
         for cell in poly.cells:
             assert cell.coeffs[0] == pytest.approx(5.0, abs=1e-12)
             np.testing.assert_allclose(cell.coeffs[1:], 0.0, atol=1e-12)
@@ -161,9 +161,9 @@ def test_constant_series_reproduced():
 
 def test_constant_series_reproduced_nonuniform(rng):
     times = random_times(rng, 9)
-    series = AxisSeries(times, np.full(9, 5.0))
+    series = TrackSeries("axis", times, np.full(9, 5.0), 1)
     for degree in (1, 3, 5):
-        poly = fit_axis(series, degree)
+        poly = reconstruct_track(series, degree)[0]
         pts = rng.uniform(times[0], times[-1], 50)
         np.testing.assert_allclose(poly.value(pts), 5.0, atol=1e-11)
         np.testing.assert_allclose(poly.derivative(pts), 0.0, atol=1e-11)
@@ -173,7 +173,7 @@ def test_degree_one_equals_linear_interpolation(rng):
     """Unlimited P1 is exactly the linear linking between samples."""
     times = random_times(rng, 15)
     values = rng.normal(size=15)
-    poly = fit_axis(AxisSeries(times, values), 1)
+    poly = reconstruct_track(TrackSeries("axis", times, values, 1), 1)[0]
     pts = rng.uniform(times[0], times[-1], 200)
     np.testing.assert_allclose(poly.value(pts), np.interp(pts, times, values), atol=1e-12)
 
@@ -184,7 +184,7 @@ def test_polynomial_exactness(rng, degree):
         n_pts = degree + 2 + int(rng.integers(0, 6))
         times = random_times(rng, n_pts)
         p = np.polynomial.Polynomial(rng.uniform(-2, 2, degree + 1))
-        poly = fit_axis(AxisSeries(times, p(times)), degree)
+        poly = reconstruct_track(TrackSeries("axis", times, p(times), 1), degree)[0]
         pts = rng.uniform(times[0], times[-1], 50)
         for got, ref in (
             (poly.value(pts), p(pts)),
@@ -201,10 +201,10 @@ def test_interface_interpolation_and_continuity(rng):
     for t0 in (0.0, EPOCH):
         times = random_times(rng, 20, t0)
         values = rng.normal(0, 3, 20)
-        series = AxisSeries(times, values)
+        series = TrackSeries("axis", times, values, 1)
         scale = max(1.0, np.abs(values).max())
         for degree in (2, 3, 4):
-            poly = fit_axis(series, degree)
+            poly = reconstruct_track(series, degree)[0]
             for i, cell in enumerate(poly.cells):
                 assert abs(cell.value(times[i]) - values[i]) <= 1e-10 * scale
                 assert abs(cell.value(times[i + 1]) - values[i + 1]) <= 1e-10 * scale
@@ -224,8 +224,8 @@ def test_affine_equivariance(seed, degree, a, b):
     rng = np.random.default_rng(seed)
     times = random_times(rng, 12)
     values = rng.normal(size=12)
-    base = fit_axis(AxisSeries(times, values), degree)
-    scaled = fit_axis(AxisSeries(times, a * values + b), degree)
+    base = reconstruct_track(TrackSeries("axis", times, values, 1), degree)[0]
+    scaled = reconstruct_track(TrackSeries("axis", times, a * values + b, 1), degree)[0]
     pts = rng.uniform(times[0], times[-1], 30)
     np.testing.assert_allclose(
         scaled.value(pts), a * base.value(pts) + b,
@@ -237,14 +237,14 @@ def test_short_track_degree_reduction_build():
     # 4-point track at requested degree 5 -> cubic interpolation, still exact
     times = np.array([0.0, 1.0, 2.5, 3.0])
     p = np.polynomial.Polynomial([1.0, -2.0, 0.5, 0.25])
-    poly = fit_axis(AxisSeries(times, p(times)), 5)
+    poly = reconstruct_track(TrackSeries("axis", times, p(times), 1), 5)[0]
     assert poly.degree == 3
     pts = np.linspace(0, 3, 40)
     np.testing.assert_allclose(poly.value(pts), p(pts), atol=1e-10)
 
 
 def test_two_point_track():
-    poly = fit_axis(AxisSeries([0.0, 2.0], [1.0, 5.0]), 1)
+    poly = reconstruct_track(TrackSeries("axis", [0.0, 2.0], [1.0, 5.0], 1), 1)[0]
     assert poly.degree == 1
     assert poly.value(1.0) == pytest.approx(3.0)
     assert poly.cells[0].coeffs[0] == pytest.approx(3.0)   # value at barycenter
@@ -253,7 +253,7 @@ def test_two_point_track():
 
 def test_to_dict_shape(rng):
     times = random_times(rng, 6)
-    poly = fit_axis(AxisSeries(times, rng.normal(size=6)), 2)
+    poly = reconstruct_track(TrackSeries("axis", times, rng.normal(size=6), 1), 2)[0]
     doc = oracle.poly_to_dict(poly)
     assert doc["degree"] == 2
     assert len(doc["cells"]) == 5
@@ -307,6 +307,19 @@ def test_reconstruct_tracks_equals_reconstruct_track(rng, monkeypatch, caplog, b
                 for p, w in zip(polys, want):
                     assert p.mesh.n_cells == w.mesh.n_cells
                     assert np.array_equal(p.coeffs, w.coeffs)
+
+
+@pytest.mark.parametrize("limiter", LIMITERS)
+def test_split_axis_reconstructs_as_its_axis_of_the_track(rng, limiter):
+    """A one-axis track from split_axes is reconstructed, and limited, bit
+    for bit as the same axis of the whole track."""
+    for n in (2, 3, 5, 12, 40):
+        track = random_track(rng, n, 3, "p")
+        for degree in (1, 2, 3, 5, MAX_DEGREE):
+            whole = reconstruct_track(track, degree, limiter)
+            for d, axis in enumerate(split_axes(track)):
+                (poly,) = reconstruct_track(axis, degree, limiter)
+                assert np.array_equal(poly.coeffs, whole[d].coeffs)
 
 
 def test_reconstruct_tracks_checks_arguments_before_iteration(rng):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shotr.errors import DuplicateTimestamp, MalformedRow
-from shotr.trajdata import AxisSeries, TrackSeries, parse_tracks, split_axes
+from shotr.errors import DuplicateTimestamp, MalformedRow, NonMonotoneTimes
+from shotr.trajdata import TrackSeries, parse_tracks, split_axes
 
 from .conftest import write_csv
 
@@ -129,6 +129,9 @@ def test_split_axes_projects_components():
     np.testing.assert_array_equal(xs.values, [1, 3])
     np.testing.assert_array_equal(ys.values, [2, 4])
     np.testing.assert_array_equal(xs.times, track.times)
+    for axis in (xs, ys):
+        assert isinstance(axis, TrackSeries)
+        assert (axis.track_id, axis.dim, axis.coords.shape) == ("a", 1, (2, 1))
 
 
 def test_split_axes_1d_identity():
@@ -152,11 +155,23 @@ def test_split_then_reassemble_is_identity(n, dim, seed):
     np.testing.assert_array_equal(back, track.coords)
 
 
+def test_values_are_the_samples_of_a_one_axis_track():
+    track = TrackSeries("a", [0.0, 1.0, 2.0], [5.0, 6.0, 7.0], 1)
+    np.testing.assert_array_equal(track.values, [5, 6, 7])
+    assert track.values.shape == (3,)
+    with pytest.raises(ValueError):
+        track.values[0] = 1.0  # read-only, as the coordinates are
+    with pytest.raises(ValueError, match="track 'b' has 2 axes"):
+        TrackSeries("b", [0.0, 1.0], [[1.0, 2.0], [3.0, 4.0]], 2).values
+
+
 def test_track_series_invariants():
     with pytest.raises(ValueError):
         TrackSeries("a", [0.0], [[1.0]], 1)  # too short
-    with pytest.raises(DuplicateTimestamp):
+    with pytest.raises(DuplicateTimestamp, match="track 'a' has duplicate"):
         TrackSeries("a", [0.0, 0.0], [[1.0], [2.0]], 1)
+    with pytest.raises(NonMonotoneTimes, match="track 'a' has decreasing"):
+        TrackSeries("a", [0.0, 2.0, 1.0], [[1.0], [2.0], [3.0]], 1)
     with pytest.raises(ValueError):
         TrackSeries("a", [0.0, 1.0], [[1.0], [2.0]], 2)  # dim mismatch
     track = TrackSeries("a", [0.0, 1.0], [[1.0], [2.0]], 1)
@@ -175,8 +190,8 @@ def test_nan_coordinate_rejected_as_non_finite():
         TrackSeries("p7", [0.0, 1.0, 2.0], [[1.0, 0.0], [np.nan, 0.0], [3.0, 0.0]], 2)
 
 
-def test_axis_series_rejects_infinite_time():
-    with pytest.raises(ValueError, match="non-finite"):
-        AxisSeries([0.0, 1.0, np.inf], [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError, match="non-finite"):
-        AxisSeries([0.0, 1.0, 2.0], [1.0, -np.inf, 3.0])
+def test_track_series_rejects_infinite_time():
+    with pytest.raises(ValueError, match="track 'p7' has non-finite"):
+        TrackSeries("p7", [0.0, 1.0, np.inf], [1.0, 2.0, 3.0], 1)
+    with pytest.raises(ValueError, match="track 'p7' has non-finite"):
+        TrackSeries("p7", [0.0, 1.0, 2.0], [1.0, -np.inf, 3.0], 1)

@@ -76,6 +76,15 @@ def test_window_outside_the_mesh_gives_zero_norms():
         assert en.as_tuple() == (0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("window", [(np.nan, 1.0), (0.0, np.nan), (0.0, np.inf), (-np.inf, 1.0)])
+def test_non_finite_window_rejected(window):
+    """A NaN bound would otherwise overlap no cell and give zero norms."""
+    mesh = build_mesh(np.linspace(0, 2, 21))
+    one = lambda t: np.ones_like(t)
+    with pytest.raises(ValueError, match="window must be finite"):
+        error_norms(one, lambda t: np.zeros_like(t), window, 4, mesh)
+
+
 # ---------------------------------------------------------------------------
 # synthetic cases
 # ---------------------------------------------------------------------------
