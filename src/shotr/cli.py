@@ -16,16 +16,28 @@ import io
 import json
 import logging
 import math
+import os
 import sys
 
-import numpy as np
+# Run BLAS on one thread, unless numpy is loaded already or the user chose.
+# OpenBLAS starts a worker thread when numpy loads; every BLAS call shotr
+# makes is a small batched solve or product that leaves it idle, yet it
+# spins: `import numpy` took 0.34 s CPU with it and 0.23 s without (medians
+# of 15 starts; 2-vCPU VM, numpy 2.4, OpenBLAS 0.3.31). Library callers
+# keep their own settings.
+if "numpy" not in sys.modules and not any(
+    var in os.environ for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .errors import CheckFailed, ShotrError, UnsupportedDegree
-from .geometry import trajectory_length
-from .kinematics import dense_kinematics, summarize
-from .recon import LIMITERS, check_degree, reconstruct_tracks
-from .trajdata import parse_tracks, split_axes
-from . import validate
+import numpy as np  # noqa: E402
+
+from .errors import CheckFailed, ShotrError, UnsupportedDegree  # noqa: E402
+from .geometry import trajectory_length  # noqa: E402
+from .kinematics import dense_kinematics, summarize  # noqa: E402
+from .recon import LIMITERS, check_degree, reconstruct_tracks  # noqa: E402
+from .trajdata import parse_tracks, split_axes  # noqa: E402
+from . import validate  # noqa: E402
 
 
 def _fmt(x: float) -> str:
@@ -230,8 +242,10 @@ def cmd_backtrace(args: argparse.Namespace) -> int:
         raise ShotrError("backtrace --meshes and --check require --case (synthetic reference)")
     rows = []
     for track in _tracks(args):
+        reference = validate.cubic_reference(track)  # fitted once for both methods
         for method, degree in pairs:
-            res = validate.backtrace(track, degree, args.dtau, limiter=args.limiter or "cweno")
+            res = validate.backtrace(track, degree, args.dtau, limiter=args.limiter or "cweno",
+                                     reference=reference)
             rows.append(
                 [track.track_id, method, _fmt(res.endpoint_error)]
                 + [_fmt(v) for v in res.combined.as_tuple()]

@@ -11,6 +11,7 @@ to the recorded trajectory, the more accurate the velocity.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import ShotrError
 from .mesh import StaggeredMesh
 from .quadrature import gauss_points
-from .recon import effective_degree, reconstruct_track
+from .recon import PiecewisePoly, effective_degree, reconstruct_track
 from .trajdata import TrackSeries
 
 AXES = "xyz"
@@ -467,6 +468,18 @@ def _path_norms(taus: np.ndarray, deviation: np.ndarray) -> ErrorNorms:
     )
 
 
+def _positions(polys: list[PiecewisePoly]) -> Callable[[np.ndarray], np.ndarray]:
+    """Physical time -> positions, one column per axis, of a reconstruction."""
+    return lambda t: np.column_stack([p.value(t) for p in polys])
+
+
+def cubic_reference(track: TrackSeries) -> Callable[[np.ndarray], np.ndarray]:
+    """``backtrace``'s default reference: the unlimited cubic reconstruction
+    of track, fitted at the degree a short track allows, so that its degree
+    reduction is logged once, by the fit being scored."""
+    return _positions(reconstruct_track(track, effective_degree(len(track), 3)))
+
+
 def backtrace(
     track: TrackSeries,
     degree: int,
@@ -482,13 +495,16 @@ def backtrace(
     the track's time span (stages may step slightly outside). The requested
     degree sets the order, also on short tracks: RK2 for 1, else RK4. The path is
     scored at the RK step times against ``reference`` (physical time ->
-    positions), which defaults to the cubic reconstruction of the track.
+    positions), which defaults to ``cubic_reference(track)``.
     """
     if not (math.isfinite(dtau) and dtau > 0):
         raise ValueError(f"dtau must be finite and positive, got {dtau!r}")
-    polys = reconstruct_track(track, degree, limiter)
-    t0, t1 = polys[0].mesh.span
+    t0, t1 = float(track.times[0]), float(track.times[-1])
     duration = t1 - t0
+    if not duration / dtau < sys.maxsize:
+        raise ValueError(f"dtau {dtau!r} gives too many steps to count over "
+                         f"the duration {duration!r}")
+    polys = reconstruct_track(track, degree, limiter)
     if order is None:
         order = "rk2" if degree == 1 else "rk4"
 
@@ -515,10 +531,8 @@ def backtrace(
     )
 
     if reference is None:
-        # at the degree a short track allows, so its reduction is logged once
-        ref_polys = (polys if degree == 3 and limiter == "none"
-                     else reconstruct_track(track, effective_degree(len(track), 3)))
-        reference = lambda t: np.column_stack([p.value(t) for p in ref_polys])
+        reference = (_positions(polys) if degree == 3 and limiter == "none"
+                     else cubic_reference(track))
     t_phys = np.clip(t1 - taus_arr, t0, t1)
     deviation = path_arr - np.asarray(reference(t_phys), dtype=float)
 

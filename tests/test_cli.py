@@ -15,7 +15,7 @@ from shotr.recon import LIMITERS, MAX_DEGREE, reconstruct_track
 from shotr.trajdata import parse_tracks, split_axes
 
 from . import oracle
-from .conftest import random_track, write_csv
+from .conftest import count_calls, random_track, write_csv
 
 
 def run_cli(capsys, *argv):
@@ -275,6 +275,18 @@ def test_backtrace_logs_a_short_tracks_degree_reduction_once(tmp_path, capsys, c
     ]
 
 
+@pytest.mark.parametrize("limiter", ["none", "cweno"])
+def test_backtrace_fits_each_tracks_reference_once(tmp_path, capsys, monkeypatch, rng, limiter):
+    """One fit per method and one cubic reference, shared by both methods."""
+    rows_in = [row for tid in "ab" for row in track_to_rows(random_track(rng, 9, 2, tid))]
+    path = write_csv(tmp_path / "a.csv", rows_in)
+    calls = []
+    count_calls(monkeypatch, validate, "reconstruct_track", calls)
+    code, _, _ = run_cli(capsys, "backtrace", "--input", path, "--limiter", limiter)
+    assert code == 0
+    assert len(calls) == 2 * 3
+
+
 def test_backtrace_file_mode_rejects_check(tmp_path, capsys, rng):
     path = write_csv(tmp_path / "a.csv", track_to_rows(random_track(rng, 6, 2, "a")))
     code, _, err = run_cli(capsys, "backtrace", "--input", path, "--check")
@@ -294,6 +306,16 @@ def test_non_finite_or_zero_dtau_exits_one(capsys, dtau):
     assert code == 1
     assert out == ""
     assert "dtau must be finite and > 0" in err
+
+
+@pytest.mark.parametrize("source", ["--case", "--input"])
+def test_dtau_with_too_many_steps_exits_one(tmp_path, capsys, rng, source):
+    path = write_csv(tmp_path / "a.csv", track_to_rows(random_track(rng, 6, 2, "a")))
+    code, out, err = run_cli(capsys, "backtrace", source, "conv3d" if source == "--case" else path,
+                             "--dtau", "1e-300")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: dtau 1e-300 ") and "duration" in err
 
 
 def test_invalid_degree_exits_one(tmp_path, capsys, rng):

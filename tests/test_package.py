@@ -1,0 +1,100 @@
+"""The package's import contract: `import shotr` loads its submodules, and
+numpy, only on first use, and the command line starts numpy with one BLAS
+thread unless the user chose a thread count or numpy was loaded first."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import shotr
+
+from .conftest import random_track
+
+ROOT = Path(__file__).resolve().parents[1]
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def run_python(*args: str, **preset: str) -> str:
+    """stdout of a fresh interpreter on the package in this checkout, with
+    no BLAS thread variable set but those in preset."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(preset)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
+BLAS_ENV = "print(json.dumps({v: os.environ.get(v) for v in %r}))" % (BLAS_VARS,)
+
+
+def test_import_loads_no_submodule_and_leaves_the_environment():
+    out = run_python("-c", "import os, sys; before = dict(os.environ); import shotr; "
+                           "print('numpy' in sys.modules, dict(os.environ) == before)")
+    assert out.split() == ["False", "True"]
+
+
+def test_every_export_is_its_submodules_object():
+    for name in shotr.__all__:
+        module = importlib.import_module(f"shotr.{shotr._EXPORTS[name]}")
+        assert getattr(shotr, name) is getattr(module, name), name
+
+
+def test_dir_and_star_import_cover_every_export():
+    assert set(shotr.__all__) <= set(dir(shotr))
+    namespace = {}
+    exec("from shotr import *", namespace)
+    assert set(shotr.__all__) <= namespace.keys()
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        shotr.no_such_name
+
+
+def test_cli_starts_numpy_with_one_blas_thread():
+    out = run_python("-c", "import json, os, shotr.cli, numpy; " + BLAS_ENV)
+    assert json.loads(out) == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None,
+                               "OMP_NUM_THREADS": None}
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc")
+def test_cli_process_runs_without_a_blas_worker_thread():
+    out = run_python("-c", "import os, shotr.cli, numpy; "
+                           "print(len(os.listdir('/proc/self/task')), "
+                           "numpy.__config__.CONFIG['Build Dependencies']['blas']['name'])")
+    threads, blas = out.split()
+    if "openblas" not in blas:
+        pytest.skip(f"numpy is built on {blas}")
+    assert threads == "1"
+
+
+@pytest.mark.parametrize("var", BLAS_VARS)
+def test_cli_keeps_a_thread_count_the_user_set(var):
+    out = run_python("-c", "import json, os, shotr.cli; " + BLAS_ENV, **{var: "3"})
+    assert json.loads(out) == {v: "3" if v == var else None for v in BLAS_VARS}
+
+
+def test_cli_leaves_the_environment_when_numpy_is_loaded():
+    out = run_python("-c", "import os; before = dict(os.environ); import numpy, shotr.cli; "
+                           "print(dict(os.environ) == before)")
+    assert out.split() == ["True"]
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "kinematics", "length", "summary"])
+def test_cli_output_does_not_depend_on_the_blas_thread_count(tmp_path, rng, command):
+    path = tmp_path / "tracks.csv"
+    lines = ["track,t,x,y,z"]
+    for k, n in enumerate([2, 3, 7, 40, 600]):
+        track = random_track(rng, n, dim=3, track_id=f"t{k}")
+        lines += [",".join([track.track_id, repr(t), *map(repr, c)])
+                  for t, c in zip(track.times.tolist(), track.coords.tolist())]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["-m", "shotr.cli", command, "--input", str(path)]
+    assert run_python(*argv) == run_python(*argv, OPENBLAS_NUM_THREADS="2")

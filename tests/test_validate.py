@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shotr import validate
 from shotr.errors import ShotrError
 from shotr.mesh import build_mesh
 from shotr.recon import reconstruct_track
@@ -18,7 +19,7 @@ from shotr.validate import (
     run_convergence,
 )
 
-from .conftest import random_track
+from .conftest import count_calls, random_track
 
 
 # ---------------------------------------------------------------------------
@@ -319,3 +320,14 @@ def test_backtrace_rejects_step_that_is_not_finite_and_positive(dtau):
     track = TrackSeries("p", times, np.column_stack([times, times**2]), 2)
     with pytest.raises(ValueError, match="dtau"):
         backtrace(track, 3, dtau)
+
+
+def test_backtrace_rejects_a_step_count_that_overflows_before_fitting(monkeypatch):
+    times = np.linspace(0, 1.3, 14)
+    track = TrackSeries("p", times, np.column_stack([times, times**2]), 2)
+    calls = []
+    count_calls(monkeypatch, validate, "reconstruct_track", calls)
+    for dtau in (1e-300, 5e-324):
+        with pytest.raises(ValueError, match=r"dtau .*duration 1\.3"):
+            backtrace(track, 3, dtau)
+    assert calls == []
