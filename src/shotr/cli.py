@@ -2,11 +2,13 @@
 
 Subcommands: reconstruct, kinematics, length, summary (file-based track
 processing), convergence, compare, backtrace (validation studies). Only
-the file-based ones take --degree and --limiter; the limiter constants and
-the cubic arc-length geometry are the library defaults.
+the file-based ones take --degree and --limiter; the limiter's constants
+are fixed (cweno.CwenoConfig, which takes no arguments) and the arc-length
+geometry is the library's cubic default.
 backtrace takes --limiter and --format for --input only, --meshes and
 --check for --case only. Data goes to stdout or --output; warnings go to
-stderr. Exit codes: 0 ok, 1 input or processing error, 2 check failure.
+stderr. Exit codes: 0 ok, 1 input or processing error (also a backtrace
+step count too large to allocate), 2 check failure.
 """
 
 import argparse
@@ -359,7 +361,7 @@ def main(argv=None) -> int:
     except CheckFailed as exc:
         print(f"check failed:\n{exc}", file=sys.stderr)
         return 2
-    except (ShotrError, OSError, ValueError) as exc:
+    except (ShotrError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,13 +8,15 @@ cell's own linear-linking segment). Data-dependent weights built from
 oscillation indicators pick the smooth candidates, recovering the optimal
 polynomial on smooth data and collapsing to the flatter line across a jump.
 
+The limiter has one set of constants, defined once in ``CwenoConfig``:
+linear weights 200/202 (central) and 1/202 (each side), epsilon 1e-14 and
+exponent 4. They are not settable.
+
 All cells are limited at once: candidates are ``(n_cells, 3, N + 1)``
 coefficient arrays in the cells' Taylor bases, stacked central, left, right.
 """
 
 import functools
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,29 +34,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class CwenoConfig:
-    """Limiter constants; the two side weights split what lambda_central leaves."""
+    """The limiter's constants, part of the method's definition: the central
+    linear weight, the two side weights that split what it leaves, the
+    epsilon added to each oscillation indicator and the weights' exponent.
+    ``CwenoConfig()`` takes no arguments; every function here reads the
+    class."""
 
-    lambda_central: float = 200.0 / 202.0
-    epsilon: float = 1e-14
-    exponent: int = 4
-
-    def __post_init__(self):
-        for name in ("lambda_central", "epsilon", "exponent"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if not 0 < self.lambda_central < 1:
-            raise ValueError(f"lambda_central must lie in (0, 1), got {self.lambda_central!r}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
-        if self.exponent < 1:
-            raise ValueError(f"exponent must be >= 1, got {self.exponent!r}")
-
-    @property
-    def lambda_side(self) -> float:
-        return 0.5 * (1.0 - self.lambda_central)
+    __slots__ = ()  # no instance attributes, so none can shadow a constant
+    lambda_central = 200.0 / 202.0
+    lambda_side = 0.5 * (1.0 - lambda_central)
+    epsilon = 1e-14
+    exponent = 4
 
 
 def side_lines(series: TrackSeries, degree: int) -> tuple[np.ndarray, np.ndarray]:
@@ -80,16 +71,15 @@ def side_lines(series: TrackSeries, degree: int) -> tuple[np.ndarray, np.ndarray
     return left, right
 
 
-def candidates(poly: PiecewisePoly, series: TrackSeries, cfg: CwenoConfig) -> np.ndarray:
+def candidates(poly: PiecewisePoly, series: TrackSeries) -> np.ndarray:
     """Central, left and right candidates of every cell, (n_cells, 3, N + 1).
 
     The central candidate removes the side candidates' linear-weight share
     from the optimal polynomial, so the linear weights recombine it exactly.
     """
     left, right = side_lines(series, poly.degree)
-    central = (
-        poly.coeffs - cfg.lambda_side * left - cfg.lambda_side * right
-    ) / cfg.lambda_central
+    cfg = CwenoConfig
+    central = (poly.coeffs - cfg.lambda_side * left - cfg.lambda_side * right) / cfg.lambda_central
     return np.stack([central, left, right], axis=1)
 
 
@@ -121,34 +111,32 @@ def oscillation_indicators(coeffs: np.ndarray, widths) -> np.ndarray:
     return (forms * scale).sum(axis=-1)
 
 
-def nonlinear_weights(sigmas: np.ndarray, cfg: CwenoConfig) -> np.ndarray:
+def nonlinear_weights(sigmas: np.ndarray) -> np.ndarray:
     """Data-dependent weights (central, left, right) along the last axis;
     they sum to one.
 
     lambda / (sigma + epsilon)^r, scaled by the smallest (sigma + epsilon)^r
     of each set so that a large exponent cannot underflow every weight."""
+    cfg = CwenoConfig
     lam = np.array([cfg.lambda_central, cfg.lambda_side, cfg.lambda_side])
     s = np.asarray(sigmas, dtype=float) + cfg.epsilon
     raw = lam * (s.min(axis=-1, keepdims=True) / s) ** cfg.exponent
     return raw / raw.sum(axis=-1, keepdims=True)
 
 
-def blend(cands: np.ndarray, sigmas: np.ndarray, cfg: CwenoConfig) -> np.ndarray:
+def blend(cands: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """Weighted combination of each cell's candidates (..., 3, N + 1)."""
-    omega = nonlinear_weights(sigmas, cfg)
+    omega = nonlinear_weights(sigmas)
     return (omega[..., None] * cands).sum(axis=-2)
 
 
-def limit_piecewise(
-    poly: PiecewisePoly, series: TrackSeries, cfg: CwenoConfig | None = None
-) -> PiecewisePoly:
+def limit_piecewise(poly: PiecewisePoly, series: TrackSeries) -> PiecewisePoly:
     """Apply the limiter to every cell of an unlimited reconstruction. Cells
     whose three sigma + epsilon are equal keep the optimal polynomial, which
     their linear weights recombine, rather than a sum of candidates that can
     reach 1e15 times the data scale next to a far narrower cell."""
-    cfg = cfg or CwenoConfig()
-    cands = candidates(poly, series, cfg)
+    cands = candidates(poly, series)
     sigmas = oscillation_indicators(cands, poly.mesh.widths[:, None])
-    s = sigmas + cfg.epsilon
+    s = sigmas + CwenoConfig.epsilon
     linear = (s == s[:, :1]).all(axis=1, keepdims=True)
-    return PiecewisePoly(poly.mesh, np.where(linear, poly.coeffs, blend(cands, sigmas, cfg)))
+    return PiecewisePoly(poly.mesh, np.where(linear, poly.coeffs, blend(cands, sigmas)))

@@ -252,7 +252,7 @@ def _degree_used(track: TrackSeries, degree: int) -> int:
 
 
 def _apply(track: TrackSeries, mesh: StaggeredMesh, windows: np.ndarray, R: np.ndarray,
-           limiter: str, cweno_config=None) -> list[PiecewisePoly]:
+           limiter: str) -> list[PiecewisePoly]:
     """Every axis of a track from its cells' operators, limited if asked."""
     polys = [
         PiecewisePoly(mesh, np.matmul(R, track.coords[:, d][windows][..., None])[..., 0])
@@ -262,7 +262,7 @@ def _apply(track: TrackSeries, mesh: StaggeredMesh, windows: np.ndarray, R: np.n
         return polys
     from .cweno import limit_piecewise
 
-    return [limit_piecewise(p, s, cweno_config) for p, s in zip(polys, split_axes(track))]
+    return [limit_piecewise(p, s) for p, s in zip(polys, split_axes(track))]
 
 
 def _check_limiter(limiter: str) -> None:
@@ -282,13 +282,14 @@ def reconstruct_track(
     all axes sample the same times. limiter="cweno" replaces each cell's
     coefficients with the nonlinear blend against the one-sided linear
     candidates; "none" keeps the unlimited constrained least-squares
-    polynomials. A single axis is a track of dim 1.
+    polynomials. A single axis is a track of dim 1. cweno_config is
+    accepted and ignored: the limiter's constants are fixed (CwenoConfig).
     """
     _check_limiter(limiter)
     n_eff = _degree_used(track, degree)
     mesh = build_mesh(track.times)
     windows, R = reconstruction_operators(mesh, n_eff)
-    return _apply(track, mesh, windows, R, limiter, cweno_config)
+    return _apply(track, mesh, windows, R, limiter)
 
 
 def reconstruct_tracks(

@@ -82,16 +82,11 @@ class TrackSet:
     """All tracks parsed from one file; every track shares the same dim."""
 
     tracks: dict[str, TrackSeries]
-    source: str = ""
 
     def __post_init__(self):
         dims = {t.dim for t in self.tracks.values()}
         if len(dims) > 1:
             raise ValueError(f"tracks mix dimensionalities: {sorted(dims)}")
-
-    @property
-    def dim(self) -> int:
-        return next(iter(self.tracks.values())).dim if self.tracks else 0
 
     def __len__(self) -> int:
         return len(self.tracks)
@@ -236,7 +231,7 @@ def parse_tracks(path: str, fmt: str = "generic_csv") -> TrackSet:
             continue
         tracks[track_id] = TrackSeries(track_id, times[lo:hi], coords[lo:hi], dim)
 
-    return TrackSet(tracks=tracks, source=str(path))
+    return TrackSet(tracks)
 
 
 def split_axes(track: TrackSeries) -> list[TrackSeries]:

@@ -87,11 +87,12 @@ class SyntheticCase:
     def dim(self) -> int:
         return len(self.position_fns)
 
-    def sample(self, n_points: int, track_id: str | None = None) -> TrackSeries:
-        """Equidistant samples over the domain, endpoints included."""
+    def sample(self, n_points: int) -> TrackSeries:
+        """Equidistant samples over the domain, endpoints included, as a
+        track named after the case."""
         t = np.linspace(self.domain[0], self.domain[1], n_points)
         coords = np.column_stack([f(t) for f in self.position_fns])
-        return TrackSeries(track_id or self.name, t, coords, self.dim)
+        return TrackSeries(self.name, t, coords, self.dim)
 
 
 def _conv3d() -> SyntheticCase:
@@ -495,7 +496,9 @@ def backtrace(
     the track's time span (stages may step slightly outside). The requested
     degree sets the order, also on short tracks: RK2 for 1, else RK4. The path is
     scored at the RK step times against ``reference`` (physical time ->
-    positions), which defaults to ``cubic_reference(track)``.
+    positions), which defaults to ``cubic_reference(track)``. A dtau whose
+    step count overflows raises ValueError, and one whose steps cannot be
+    allocated MemoryError, both before the fit.
     """
     if not (math.isfinite(dtau) and dtau > 0):
         raise ValueError(f"dtau must be finite and positive, got {dtau!r}")
@@ -504,17 +507,20 @@ def backtrace(
     if not duration / dtau < sys.maxsize:
         raise ValueError(f"dtau {dtau!r} gives too many steps to count over "
                          f"the duration {duration!r}")
+    n_full = int(math.floor(duration / dtau + 1e-12))
+    rest = duration - n_full * dtau
+    n_steps = n_full + int(rest > 1e-12 * max(duration, 1.0))
+    try:
+        h = np.full(n_steps, dtau)
+    except (MemoryError, ValueError):  # numpy refuses a size past its index range
+        raise MemoryError(f"dtau {dtau!r} gives {n_steps} steps over the duration "
+                          f"{duration!r}, too many to allocate") from None
+    h[n_full:] = rest
+    taus_arr = np.add.accumulate(np.concatenate([[0.0], h]))
+
     polys = reconstruct_track(track, degree, limiter)
     if order is None:
         order = "rk2" if degree == 1 else "rk4"
-
-    n_full = int(math.floor(duration / dtau + 1e-12))
-    steps = [dtau] * n_full
-    rest = duration - n_full * dtau
-    if rest > 1e-12 * max(duration, 1.0):
-        steps.append(rest)
-    h = np.array(steps, dtype=float)
-    taus_arr = np.add.accumulate(np.concatenate([[0.0], h]))
 
     # The field depends on time only, so every step's increment is one RK
     # step from a zero state, all steps at once; summing the increments in

@@ -25,6 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from shotr.cweno import CwenoConfig
 from shotr.errors import DuplicateTimestamp, MalformedRow
 from shotr.geometry import trajectory_length
 from shotr.kinematics import sample_dense, summarize
@@ -96,7 +97,7 @@ def parse_tracks(path: str, fmt: str = "generic_csv") -> TrackSet:
         coords = np.array([s[1] for s in samples])
         tracks[track_id] = TrackSeries(track_id, times, coords, dim)
 
-    return TrackSet(tracks=tracks, source=str(path))
+    return TrackSet(tracks)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +257,8 @@ def one_sided_p1(series: TrackSeries, cell: int, side: str, basis: TaylorBasis) 
     return _line(t[cell], s[cell], t[cell + 1], s[cell + 1], basis)
 
 
-def central_poly(optimal: CellPoly, left: CellPoly, right: CellPoly, cfg) -> CellPoly:
+def central_poly(optimal: CellPoly, left: CellPoly, right: CellPoly) -> CellPoly:
+    cfg = CwenoConfig
     coeffs = (
         optimal.coeffs - cfg.lambda_side * left.coeffs - cfg.lambda_side * right.coeffs
     ) / cfg.lambda_central
@@ -285,7 +287,7 @@ def oscillation_indicator(poly: CellPoly, interval: tuple[float, float]) -> floa
     return sigma
 
 
-def make_candidates(optimal: CellPoly, series: TrackSeries, cell: int, cfg):
+def make_candidates(optimal: CellPoly, series: TrackSeries, cell: int):
     """(central, left, right) and their sigmas; a missing left line is
     replaced by the cell's own interpolating line."""
     right = one_sided_p1(series, cell, "right", optimal.basis)
@@ -293,28 +295,29 @@ def make_candidates(optimal: CellPoly, series: TrackSeries, cell: int, cfg):
         left = one_sided_p1(series, cell, "left", optimal.basis)
     except MissingNeighbor:
         left = right
-    p0 = central_poly(optimal, left, right, cfg)
+    p0 = central_poly(optimal, left, right)
     interval = (float(series.times[cell]), float(series.times[cell + 1]))
     sigmas = np.array([oscillation_indicator(p, interval) for p in (p0, left, right)])
     return (p0, left, right), sigmas
 
 
-def blend(cands, sigmas: np.ndarray, cfg) -> np.ndarray:
+def blend(cands, sigmas: np.ndarray) -> np.ndarray:
+    cfg = CwenoConfig
     lam = np.array([cfg.lambda_central, cfg.lambda_side, cfg.lambda_side])
     raw = lam / (sigmas + cfg.epsilon) ** cfg.exponent
     omega = raw / raw.sum()
     return sum(w * c.coeffs for w, c in zip(omega, cands))
 
 
-def limit(coeffs: np.ndarray, series: TrackSeries, cfg) -> np.ndarray:
+def limit(coeffs: np.ndarray, series: TrackSeries) -> np.ndarray:
     """Limited coefficients, one candidate set per cell."""
     mesh = build_mesh(series.times)
     out = []
     for i, c in enumerate(coeffs):
         basis = TaylorBasis(len(c) - 1, float(mesh.barycenters[i]), float(mesh.widths[i]))
-        cands, sigmas = make_candidates(CellPoly(c, basis), series, i, cfg)
-        linear = len(set(sigmas + cfg.epsilon)) == 1  # the linear weights give c
-        out.append(c if linear else blend(cands, sigmas, cfg))
+        cands, sigmas = make_candidates(CellPoly(c, basis), series, i)
+        linear = len(set(sigmas + CwenoConfig.epsilon)) == 1  # the linear weights give c
+        out.append(c if linear else blend(cands, sigmas))
     return np.array(out)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from shotr.cli import main as cli_main
-from shotr.cweno import CwenoConfig, nonlinear_weights
+from shotr.cweno import nonlinear_weights
 from shotr.geometry import trajectory_length
 from shotr.recon import reconstruct_track
 from shotr.trajdata import TrackSeries
@@ -114,10 +114,9 @@ def test_criterion_4_polynomial_exactness():
 def test_criterion_5_limiter_properties():
     problems = []
     rng = np.random.default_rng(11)
-    cfg = CwenoConfig()
 
     worst_sum = max(
-        abs(nonlinear_weights(rng.uniform(0, 100, 3) ** 2, cfg).sum() - 1.0)
+        abs(nonlinear_weights(rng.uniform(0, 100, 3) ** 2).sum() - 1.0)
         for _ in range(1000)
     )
     if worst_sum > 1e-14:

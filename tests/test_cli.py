@@ -2,6 +2,8 @@ import argparse
 import csv
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -310,12 +312,43 @@ def test_non_finite_or_zero_dtau_exits_one(capsys, dtau):
 
 @pytest.mark.parametrize("source", ["--case", "--input"])
 def test_dtau_with_too_many_steps_exits_one(tmp_path, capsys, rng, source):
+    """1e-300 overflows the step count; 1e-18 gives 2e18 steps, which numpy
+    refuses by size before it allocates anything."""
     path = write_csv(tmp_path / "a.csv", track_to_rows(random_track(rng, 6, 2, "a")))
-    code, out, err = run_cli(capsys, "backtrace", source, "conv3d" if source == "--case" else path,
-                             "--dtau", "1e-300")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: dtau 1e-300 ") and "duration" in err
+    for dtau in ("1e-300", "1e-18"):
+        code, out, err = run_cli(capsys, "backtrace", source,
+                                 "conv3d" if source == "--case" else path, "--dtau", dtau)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: dtau {dtau} ") and "duration" in err
+        assert len(err.splitlines()) == 1
+
+
+# 2e15 steps (16 PB) under a 4 GiB address-space cap: the allocator refuses
+# them whatever the host's overcommit policy.
+_CAPPED_BACKTRACE = """
+import resource, sys
+cap = 4 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+sys.path.insert(0, %r)
+from shotr.cli import main
+sys.exit(main(sys.argv[1:]))
+""" % str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.mark.parametrize("source", ["--case", "--input"])
+def test_dtau_whose_steps_cannot_be_allocated_exits_one(tmp_path, rng, source):
+    pytest.importorskip("resource")
+    path = write_csv(tmp_path / "a.csv", track_to_rows(random_track(rng, 6, 2, "a")))
+    done = subprocess.run(
+        [sys.executable, "-c", _CAPPED_BACKTRACE, "backtrace", source,
+         "conv3d" if source == "--case" else str(path), "--dtau", "1e-15"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: dtau 1e-15 gives ") and "allocate" in done.stderr
+    assert len(done.stderr.splitlines()) == 1
 
 
 def test_invalid_degree_exits_one(tmp_path, capsys, rng):

@@ -27,56 +27,34 @@ def step_series(n_left=3, n_right=3, lo=0.0, hi=1.0):
 def test_config_defaults_sum_to_one():
     cfg = CwenoConfig()
     assert cfg.lambda_central + 2 * cfg.lambda_side == pytest.approx(1.0, abs=1e-15)
-    assert cfg.lambda_central == pytest.approx(200.0 / 202.0)
+
+
+def test_config_has_the_documented_constants_and_takes_no_arguments():
+    cfg = CwenoConfig()
+    assert cfg.lambda_central == 200.0 / 202.0
+    assert cfg.lambda_side == 0.5 * (1.0 - 200.0 / 202.0)
     assert cfg.epsilon == 1e-14
     assert cfg.exponent == 4
-    assert CwenoConfig(lambda_central=0.9).lambda_side == pytest.approx(0.05)
-
-
-@pytest.mark.parametrize("lambda_central", [0.0, 1.0, 1.5, -1.0])
-def test_config_rejects_central_weight_outside_unit_interval(lambda_central):
-    """Linear weights must be positive: at 0 the central candidate divides by
-    zero, at 1 the side weights vanish and the limiter is off, and outside
-    [0, 1] a weight turns negative."""
-    with pytest.raises(ValueError, match="lambda_central"):
-        CwenoConfig(lambda_central=lambda_central)
-
-
-@pytest.mark.parametrize("field, value", [
-    ("lambda_central", float("nan")),
-    ("epsilon", float("nan")),
-    ("epsilon", float("inf")),
-    ("epsilon", 0.0),
-    ("epsilon", -1e-14),
-])
-def test_config_rejects_non_finite_fields_and_non_positive_epsilon(field, value):
-    """NaN would also slip through ``epsilon <= 0``: every comparison with it
-    is False."""
-    with pytest.raises(ValueError, match=field):
-        CwenoConfig(**{field: value})
-
-
-def test_config_with_infinite_central_weight_is_rejected():
-    with pytest.raises(ValueError, match="lambda_central"):
-        CwenoConfig(lambda_central=float("inf"))
-
-
-@pytest.mark.parametrize("exponent", [0, -2])
-def test_config_rejects_exponent_below_one(exponent):
-    with pytest.raises(ValueError, match="exponent"):
-        CwenoConfig(exponent=exponent)
+    with pytest.raises(TypeError):
+        CwenoConfig(exponent=200)
 
 
 def test_large_exponent_gives_finite_output(rng):
-    """(sigma + epsilon)^200 underflows or overflows for every candidate;
-    the weights must not (numpy RuntimeWarnings fail the suite)."""
+    """At the fixed exponent 4, (sigma + epsilon)^4 overflows from sigma =
+    1e78, and lambda over it would give 0 / 0; scaling by the smallest of
+    each set keeps the weights finite (numpy RuntimeWarnings fail the
+    suite). Values of order 1e100 give indicators of order 1e200."""
+    sigmas = np.array([[1e100, 1e200, 1e300], [1e300, 1e100, 1e200],
+                       [1e200, 1e300, 1e100], [1e300, 1e300, 1e300]])
+    omega = nonlinear_weights(sigmas)
+    assert np.isfinite(omega).all()
+    np.testing.assert_allclose(omega.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(omega[:3].argmax(axis=1), [0, 1, 2])
+
     times = random_times(rng, 60)
-    series = TrackSeries("axis", times, rng.normal(size=60).cumsum(), 1)
-    limited = reconstruct_track(series, 3, "cweno", CwenoConfig(exponent=200))[0]
+    series = TrackSeries("axis", times, rng.normal(size=60).cumsum() * 1e100, 1)
+    limited = reconstruct_track(series, 3, "cweno")[0]
     assert np.isfinite(limited.coeffs).all()
-    omega = nonlinear_weights(np.array([[1e-3, 1e-2, 1e-1], [1e3, 1e2, 1e1]]),
-                              CwenoConfig(exponent=200))
-    np.testing.assert_allclose(omega, [[1, 0, 0], [0, 0, 1]], rtol=0, atol=1e-150)
 
 
 def test_left_line_has_unit_slope():
@@ -101,7 +79,7 @@ def test_constant_data_lines_equal_central(rng):
     times = random_times(rng, 8)
     series = TrackSeries("axis", times, np.full(8, 2.5), 1)
     poly = reconstruct_track(series, 3)[0]
-    cands = candidates(poly, series, CwenoConfig())
+    cands = candidates(poly, series)
     for i, cell in enumerate(poly.cells):
         pts = np.linspace(times[i], times[i + 1], 5)
         central, left, right = (CellPoly(c, cell.basis) for c in cands[i])
@@ -133,7 +111,7 @@ def test_central_recombination_identity(rng):
         times = random_times(rng, 9)
         series = TrackSeries("axis", times, rng.normal(size=9), 1)
         optimal = PiecewisePoly(build_mesh(times), rng.normal(size=(8, 4)))
-        p0, left, right = candidates(optimal, series, cfg).transpose(1, 0, 2)
+        p0, left, right = candidates(optimal, series).transpose(1, 0, 2)
         recombined = (
             cfg.lambda_central * p0 + cfg.lambda_side * left + cfg.lambda_side * right
         )
@@ -143,7 +121,7 @@ def test_central_recombination_identity(rng):
 def test_central_of_constant_is_constant():
     series = TrackSeries("axis", [0.0, 1.0, 2.0, 3.0], [4.0, 4.0, 4.0, 4.0], 1)
     poly = reconstruct_track(series, 2)[0]
-    p0 = candidates(poly, series, CwenoConfig())[:, 0]
+    p0 = candidates(poly, series)[:, 0]
     np.testing.assert_allclose(p0, np.tile([4.0, 0.0, 0.0], (3, 1)), atol=1e-13)
 
 
@@ -187,38 +165,36 @@ def test_sigma_matches_symbolic_integration(rng):
 # ---------------------------------------------------------------------------
 
 def test_weights_sum_to_one(rng):
-    cfg = CwenoConfig()
     for _ in range(200):
         sig = rng.uniform(0, 10, 3) ** 2
-        w = nonlinear_weights(sig, cfg)
+        w = nonlinear_weights(sig)
         assert abs(w.sum() - 1.0) <= 1e-14
         assert np.all(w >= 0)
 
 
 def test_equal_sigmas_recover_linear_weights_and_optimal(rng):
     cfg = CwenoConfig()
-    w = nonlinear_weights(np.array([3.7, 3.7, 3.7]), cfg)
+    w = nonlinear_weights(np.array([3.7, 3.7, 3.7]))
     np.testing.assert_allclose(w, [cfg.lambda_central, cfg.lambda_side, cfg.lambda_side], atol=1e-15)
 
     times = random_times(rng, 9)
     series = TrackSeries("axis", times, rng.normal(size=9), 1)
     optimal = PiecewisePoly(build_mesh(times), rng.normal(size=(8, 4)))
-    blended = blend(candidates(optimal, series, cfg), np.ones((8, 3)), cfg)
+    blended = blend(candidates(optimal, series), np.ones((8, 3)))
     np.testing.assert_allclose(blended, optimal.coeffs, atol=1e-13)
 
 
 def test_step_data_collapses_to_flat_side_line():
     series = step_series()
     poly = reconstruct_track(series, 3)[0]
-    cfg = CwenoConfig()
     jump_cell = 2  # samples 2 and 3 straddle the jump
-    cands = candidates(poly, series, cfg)[jump_cell]
+    cands = candidates(poly, series)[jump_cell]
     sigmas = oscillation_indicators(cands, poly.mesh.widths[jump_cell])
-    w = nonlinear_weights(sigmas, cfg)
+    w = nonlinear_weights(sigmas)
     assert w[0] < 0.01          # central candidate suppressed
     assert w[1] > 0.98          # flat backward line wins
     basis = poly.cells[jump_cell].basis
-    blended = CellPoly(blend(cands, sigmas, cfg), basis)
+    blended = CellPoly(blend(cands, sigmas), basis)
     pts = np.linspace(series.times[jump_cell], series.times[jump_cell + 1], 30)
     np.testing.assert_allclose(blended.value(pts), CellPoly(cands[1], basis).value(pts), atol=1e-2)
 
@@ -240,7 +216,7 @@ def test_blend_is_convex_combination(rng):
     values = rng.normal(0, 2, 12)
     series = TrackSeries("axis", times, values, 1)
     poly = reconstruct_track(series, 3)[0]
-    cands = candidates(poly, series, CwenoConfig())
+    cands = candidates(poly, series)
     limited = limit_piecewise(poly, series)
     for i, cell in enumerate(limited.cells):
         pts = rng.uniform(times[i], times[i + 1], 20)

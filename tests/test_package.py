@@ -1,8 +1,11 @@
 """The package's import contract: `import shotr` loads its submodules, and
 numpy, only on first use, and the command line starts numpy with one BLAS
-thread unless the user chose a thread count or numpy was loaded first."""
+thread unless the user chose a thread count or numpy was loaded first.
+Also the exported names' optional parameters, listed in full."""
 
+import dataclasses
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -51,6 +54,40 @@ def test_dir_and_star_import_cover_every_export():
     namespace = {}
     exec("from shotr import *", namespace)
     assert set(shotr.__all__) <= namespace.keys()
+
+
+# Every parameter with a default of every exported name; for a dataclass,
+# every init field with a default. A new option is an edit to this list.
+OPTIONAL_PARAMETERS = {
+    "reconstruct_track": ["limiter", "cweno_config"],
+    "reconstruct_tracks": ["limiter"],
+    "parse_tracks": ["fmt"],
+    "cell_lengths": ["geom_degree"],
+    "trajectory_length": ["geom_degree"],
+    "summarize": ["geom_degree"],
+    "run_convergence": ["mesh_cells", "limiter"],
+    "compare_spt": ["mesh_points"],
+    "backtrace": ["order", "limiter", "reference"],
+    "rk_step": ["order"],
+}
+
+
+def _optional_parameters(obj) -> list[str]:
+    if dataclasses.is_dataclass(obj):
+        return [f.name for f in dataclasses.fields(obj) if f.init and (
+            f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING)]
+    if not callable(obj):
+        return []
+    try:
+        params = inspect.signature(obj).parameters.values()
+    except ValueError:  # no signature to read
+        return []
+    return [p.name for p in params if p.default is not inspect.Parameter.empty]
+
+
+def test_optional_parameters_are_the_listed_ones():
+    found = {name: _optional_parameters(getattr(shotr, name)) for name in shotr.__all__}
+    assert {name: params for name, params in found.items() if params} == OPTIONAL_PARAMETERS
 
 
 def test_unknown_name_raises_attribute_error():

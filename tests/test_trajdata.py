@@ -24,11 +24,11 @@ def test_parse_generic_single_track(tmp_path):
 
 def test_parse_infers_dimension_from_header(tmp_path):
     path = write_csv(tmp_path / "a.csv", [("a", 0, 1.0), ("a", 1, 2.0)], header="track,t,x")
-    assert parse_tracks(path).dim == 1
+    assert parse_tracks(path).tracks["a"].dim == 1
     path = write_csv(
         tmp_path / "b.csv", [("a", 0, 1, 2, 3), ("a", 1, 2, 3, 4)], header="track,t,x,y,z"
     )
-    assert parse_tracks(path).dim == 3
+    assert parse_tracks(path).tracks["a"].dim == 3
 
 
 def test_duplicate_timestamp_names_track(tmp_path):
