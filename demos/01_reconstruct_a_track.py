@@ -15,7 +15,7 @@ rng = np.random.default_rng(1)
 # a particle drifting right while wiggling vertically; frames 0.144 s apart
 times = np.arange(0.0, 3.0, 0.144)
 coords = np.column_stack([0.8 * times + 0.1 * np.sin(3 * times), np.cos(2 * times)])
-track = TrackSeries("demo", times, coords, dim=2)
+track = TrackSeries("demo", times, coords)
 
 # unlimited mode: the polynomials interpolate every sample exactly.
 # (limiter="cweno" guards rough data against overshoots instead; see the

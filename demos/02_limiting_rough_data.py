@@ -12,7 +12,7 @@ from shotr import TrackSeries, reconstruct_track
 
 times = np.arange(10.0)
 values = np.where(times < 4.5, 0.0, 1.0)  # jump between samples 4 and 5
-step = TrackSeries("step", times, values, dim=1)  # one axis: a track of dim 1
+step = TrackSeries("step", times, values)  # 1-D values: a one-axis track
 
 [unlimited] = reconstruct_track(step, degree=3, limiter="none")
 [limited] = reconstruct_track(step, degree=3, limiter="cweno")
@@ -34,7 +34,7 @@ print(f"\nworst overshoot beyond the data range: unlimited {overshoot_u:.3f}, "
 # between the limited and unlimited fits of a cubic. Under refinement the
 # limited fit converges at about order 2 instead of N + 1 (ROADMAP item 1).
 t = np.linspace(0, 1, 200)
-smooth = TrackSeries("cubic", t, t**3 + 30 * t, dim=1)
+smooth = TrackSeries("cubic", t, t**3 + 30 * t)
 pts = np.linspace(0, 1, 1000)
 dev = np.abs(
     reconstruct_track(smooth, 3, "cweno")[0].value(pts)

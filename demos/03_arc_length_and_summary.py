@@ -17,7 +17,7 @@ print("quarter-circle length error vs number of samples:")
 print(f"{'samples':>8} {'polyline (linear geom)':>24} {'curved geometry':>18}")
 for n in (9, 17, 33, 65):
     th = np.linspace(0, np.pi / 2, n)
-    track = TrackSeries("qc", th, np.column_stack([np.cos(th), np.sin(th)]), 2)
+    track = TrackSeries("qc", th, np.column_stack([np.cos(th), np.sin(th)]))
     polys = reconstruct_track(track, degree=3, limiter="none")
     exact = np.pi / 2
     err_lin = abs(trajectory_length(polys, geom_degree=1) - exact)
@@ -28,7 +28,7 @@ print("the polyline error falls at 2nd order, the curved geometry at 4th\n")
 # a particle going out and back: path length vs net displacement
 times = np.linspace(0.0, 2.0, 21)
 x = np.sin(np.pi * times)  # 0 -> 1 -> 0
-track = TrackSeries("outback", times, x.reshape(-1, 1), 1)
+track = TrackSeries("outback", times, x.reshape(-1, 1))
 polys = reconstruct_track(track, degree=3, limiter="none")
 s = summarize(polys, split_axes(track))
 print("out-and-back particle:")

@@ -1,12 +1,12 @@
 """Staggered computational mesh over a track's sample times.
 
-Sample times become cell interfaces; each of the N_K - 1 cells carries its
-own width and barycenter, so non-equidistant acquisitions need no special
-treatment. Reconstruction unknowns live at cell centers while data sits at
-the interfaces.
+Sample times become cell interfaces, and a mesh is built from them alone:
+each of the N_K - 1 cells derives its width and barycenter, so
+non-equidistant acquisitions need no special treatment. Reconstruction
+unknowns live at cell centers while data sits at the interfaces.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,14 +15,22 @@ from .errors import NonMonotoneTimes
 
 @dataclass
 class StaggeredMesh:
-    interfaces: np.ndarray   # the N_K sample times
-    widths: np.ndarray       # N_K - 1 positive cell widths
-    barycenters: np.ndarray  # cell midpoints
+    interfaces: np.ndarray                         # the N_K sample times
+    widths: np.ndarray = field(init=False)         # N_K - 1 positive cell widths
+    barycenters: np.ndarray = field(init=False)    # cell midpoints
 
     def __post_init__(self):
-        self.interfaces.setflags(write=False)
-        self.widths.setflags(write=False)
-        self.barycenters.setflags(write=False)
+        t = self.interfaces = np.asarray(self.interfaces, dtype=float)
+        if t.ndim != 1 or len(t) < 2:
+            raise NonMonotoneTimes("need at least 2 strictly increasing times")
+        if not np.isfinite(t).all():
+            raise ValueError("times include non-finite values")
+        self.widths = t[1:] - t[:-1]
+        if (self.widths <= 0).any():
+            raise NonMonotoneTimes("times must be strictly increasing")
+        self.barycenters = 0.5 * (t[:-1] + t[1:])
+        for a in (t, self.widths, self.barycenters):
+            a.setflags(write=False)
 
     @property
     def n_cells(self) -> int:
@@ -35,16 +43,7 @@ class StaggeredMesh:
 
 def build_mesh(times: np.ndarray) -> StaggeredMesh:
     """Build the staggered mesh whose interfaces are exactly the sample times."""
-    times = np.ascontiguousarray(times, dtype=float)
-    if times.ndim != 1 or len(times) < 2:
-        raise NonMonotoneTimes("need at least 2 strictly increasing times")
-    if not np.isfinite(times).all():
-        raise ValueError("times include non-finite values")
-    widths = times[1:] - times[:-1]
-    if (widths <= 0).any():
-        raise NonMonotoneTimes("times must be strictly increasing")
-    barycenters = 0.5 * (times[:-1] + times[1:])
-    return StaggeredMesh(times.copy(), widths, barycenters)
+    return StaggeredMesh(np.array(times, dtype=float))
 
 
 def locate_cells(mesh: StaggeredMesh, t: np.ndarray) -> np.ndarray:

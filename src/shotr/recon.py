@@ -74,9 +74,8 @@ def _taylor_eval(coeffs: np.ndarray, u, order: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TaylorBasis:
-    """Normalized Taylor basis about a cell barycenter."""
+    """Normalized Taylor basis about a cell barycenter, of any degree."""
 
-    degree: int
     center: float
     width: float
 
@@ -120,7 +119,7 @@ class PiecewisePoly:
     def cells(self) -> list[CellPoly]:
         """Read-only per-cell views of the coefficient array."""
         return [
-            CellPoly(c, TaylorBasis(self.degree, float(center), float(width)))
+            CellPoly(c, TaylorBasis(float(center), float(width)))
             for c, center, width in zip(self.coeffs, self.mesh.barycenters, self.mesh.widths)
         ]
 

@@ -9,6 +9,9 @@ supported:
   ``POSITION_T``, ``POSITION_X``/``POSITION_Y``/``POSITION_Z``; all other
   columns are ignored.
 
+The dimension is the number of leading axis columns present, and a header
+may not skip one: ``x,z`` or ``POSITION_X,POSITION_Z`` is an error.
+
 Rows are grouped by track id and sorted by time. Ties in time within a
 track are an error (the mesh needs positive cell widths); tracks with
 fewer than 2 usable rows are dropped with a warning.
@@ -41,19 +44,17 @@ class TrackSeries:
     track_id: str
     times: np.ndarray
     coords: np.ndarray
-    dim: int
 
     def __post_init__(self):
         self.times = np.ascontiguousarray(self.times, dtype=float)
         self.coords = np.ascontiguousarray(self.coords, dtype=float)
         if self.coords.ndim == 1:
             self.coords = self.coords.reshape(-1, 1)
-        if not 1 <= self.dim <= 3:
-            raise ValueError(f"dim must be in [1, 3], got {self.dim}")
-        if self.coords.shape != (len(self.times), self.dim):
+        if self.coords.ndim != 2 or not 1 <= self.coords.shape[1] <= 3:
+            raise ValueError(f"coords must have 1 to 3 columns, got shape {self.coords.shape}")
+        if len(self.coords) != len(self.times):
             raise ValueError(
-                f"coords shape {self.coords.shape} does not match "
-                f"{len(self.times)} times x {self.dim} axes"
+                f"coords shape {self.coords.shape} does not match {len(self.times)} times"
             )
         if len(self.times) < 2:
             raise ValueError(f"track {self.track_id!r} has fewer than 2 samples")
@@ -65,6 +66,10 @@ class TrackSeries:
             raise DuplicateTimestamp(f"track {self.track_id!r} has duplicate timestamps")
         self.times.setflags(write=False)
         self.coords.setflags(write=False)
+
+    @property
+    def dim(self) -> int:
+        return self.coords.shape[1]
 
     def __len__(self) -> int:
         return len(self.times)
@@ -118,6 +123,10 @@ def _column_map(header: list[str], fmt: str, path: str) -> tuple[int, int, list[
             axis_cols.append(names.index(name))
         else:
             break
+    skipped = [name for name in axis_names[len(axis_cols) + 1:] if name in names]
+    if skipped:
+        raise MalformedRow(f"{path}: header {names!r} has column {skipped[0]!r} "
+                           f"but lacks {axis_names[len(axis_cols)]!r}")
     if not axis_cols:
         raise MalformedRow(f"{path}: header {names!r} has no coordinate columns")
     return track_col, time_col, axis_cols
@@ -229,7 +238,7 @@ def parse_tracks(path: str, fmt: str = "generic_csv") -> TrackSet:
                 "%s: track %r dropped (%d sample(s), need >= 2)", path, track_id, hi - lo
             )
             continue
-        tracks[track_id] = TrackSeries(track_id, times[lo:hi], coords[lo:hi], dim)
+        tracks[track_id] = TrackSeries(track_id, times[lo:hi], coords[lo:hi])
 
     return TrackSet(tracks)
 
@@ -237,5 +246,5 @@ def parse_tracks(path: str, fmt: str = "generic_csv") -> TrackSet:
 def split_axes(track: TrackSeries) -> list[TrackSeries]:
     """Split a D-dimensional track into D one-axis tracks that share its id
     and times."""
-    return [TrackSeries(track.track_id, track.times, track.coords[:, d], 1)
+    return [TrackSeries(track.track_id, track.times, track.coords[:, d])
             for d in range(track.dim)]

@@ -92,7 +92,7 @@ class SyntheticCase:
         track named after the case."""
         t = np.linspace(self.domain[0], self.domain[1], n_points)
         coords = np.column_stack([f(t) for f in self.position_fns])
-        return TrackSeries(self.name, t, coords, self.dim)
+        return TrackSeries(self.name, t, coords)
 
 
 def _conv3d() -> SyntheticCase:
@@ -496,7 +496,8 @@ def backtrace(
     the track's time span (stages may step slightly outside). The requested
     degree sets the order, also on short tracks: RK2 for 1, else RK4. The path is
     scored at the RK step times against ``reference`` (physical time ->
-    positions), which defaults to ``cubic_reference(track)``. A dtau whose
+    positions), which defaults to ``cubic_reference(track)`` and must
+    return shape (len(taus), track.dim), else ValueError. A dtau whose
     step count overflows raises ValueError, and one whose steps cannot be
     allocated MemoryError, both before the fit.
     """
@@ -540,7 +541,11 @@ def backtrace(
         reference = (_positions(polys) if degree == 3 and limiter == "none"
                      else cubic_reference(track))
     t_phys = np.clip(t1 - taus_arr, t0, t1)
-    deviation = path_arr - np.asarray(reference(t_phys), dtype=float)
+    expected = np.asarray(reference(t_phys), dtype=float)
+    if expected.shape != path_arr.shape:
+        raise ValueError(f"reference returned shape {expected.shape}, "
+                         f"expected {path_arr.shape} (steps x axes)")
+    deviation = path_arr - expected
 
     per_axis = [_path_norms(taus_arr, deviation[:, d]) for d in range(track.dim)]
     combined = _path_norms(taus_arr, np.linalg.norm(deviation, axis=1))

@@ -18,7 +18,7 @@ def random_times(rng, n_pts: int, t0: float = 0.0) -> np.ndarray:
 def random_track(rng, n_pts: int, dim: int = 2, track_id: str = "t") -> TrackSeries:
     times = random_times(rng, n_pts)
     coords = rng.normal(0.0, 1.0, (n_pts, dim)).cumsum(axis=0)
-    return TrackSeries(track_id, times, coords, dim)
+    return TrackSeries(track_id, times, coords)
 
 
 def write_csv(path, rows, header="track,t,x,y"):

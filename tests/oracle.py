@@ -81,7 +81,6 @@ def parse_tracks(path: str, fmt: str = "generic_csv") -> TrackSet:
                 continue
             rows_by_track.setdefault(track_id, []).append((t, coord))
 
-    dim = len(axis_cols)
     tracks: dict[str, TrackSeries] = {}
     for track_id, samples in rows_by_track.items():
         samples.sort(key=lambda s: s[0])
@@ -95,7 +94,7 @@ def parse_tracks(path: str, fmt: str = "generic_csv") -> TrackSet:
             )
             continue
         coords = np.array([s[1] for s in samples])
-        tracks[track_id] = TrackSeries(track_id, times, coords, dim)
+        tracks[track_id] = TrackSeries(track_id, times, coords)
 
     return TrackSet(tracks)
 
@@ -108,11 +107,11 @@ class MissingNeighbor(Exception):
     """A one-sided candidate polynomial has no neighbor sample on that side."""
 
 
-def design_row(basis: TaylorBasis, t: float) -> np.ndarray:
-    """Values of all basis functions at time t."""
+def design_row(basis: TaylorBasis, degree: int, t: float) -> np.ndarray:
+    """Values of the basis functions of degrees 0..degree at time t."""
     u = (t - basis.center) / basis.width
-    powers = u ** np.arange(basis.degree + 1)
-    return powers / _FACT[: basis.degree + 1]
+    powers = u ** np.arange(degree + 1)
+    return powers / _FACT[: degree + 1]
 
 
 @dataclass
@@ -143,10 +142,10 @@ def build_stencil(mesh: StaggeredMesh, cell: int, degree: int) -> Stencil:
     return Stencil(cell, np.arange(lo, lo + size))
 
 
-def assemble_clsq(series: TrackSeries, stencil: Stencil, basis: TaylorBasis):
+def assemble_clsq(series: TrackSeries, stencil: Stencil, basis: TaylorBasis, degree: int):
     """Least-squares system (M, B) and interpolation constraints (C, d)."""
     times = series.times[stencil.interface_indices]
-    M = np.array([design_row(basis, t) for t in times])
+    M = np.array([design_row(basis, degree, t) for t in times])
     B = series.values[stencil.interface_indices].copy()
     r0, r1 = stencil.constraint_rows()
     return M, B, M[[r0, r1], :].copy(), B[[r0, r1]].copy()
@@ -239,22 +238,25 @@ def reconstruct_axis(series: TrackSeries, degree: int) -> np.ndarray:
 # limiter
 # ---------------------------------------------------------------------------
 
-def _line(ta, sa, tb, sb, basis: TaylorBasis) -> CellPoly:
+def _line(ta, sa, tb, sb, optimal: CellPoly) -> CellPoly:
+    """The line through (ta, sa) and (tb, sb) in optimal's basis, with as
+    many coefficients as optimal."""
+    basis = optimal.basis
     slope = (sb - sa) / (tb - ta)
-    coeffs = np.zeros(basis.degree + 1)
+    coeffs = np.zeros(len(optimal.coeffs))
     coeffs[0] = sa + slope * (basis.center - ta)
     coeffs[1] = slope * basis.width
     return CellPoly(coeffs, basis)
 
 
-def one_sided_p1(series: TrackSeries, cell: int, side: str, basis: TaylorBasis) -> CellPoly:
+def one_sided_p1(series: TrackSeries, cell: int, side: str, optimal: CellPoly) -> CellPoly:
     """Linear candidate anchored at the cell's left interface."""
     t, s = series.times, series.values
     if side == "left":
         if cell == 0:
             raise MissingNeighbor("first cell has no sample left of the cell")
-        return _line(t[cell - 1], s[cell - 1], t[cell], s[cell], basis)
-    return _line(t[cell], s[cell], t[cell + 1], s[cell + 1], basis)
+        return _line(t[cell - 1], s[cell - 1], t[cell], s[cell], optimal)
+    return _line(t[cell], s[cell], t[cell + 1], s[cell + 1], optimal)
 
 
 def central_poly(optimal: CellPoly, left: CellPoly, right: CellPoly) -> CellPoly:
@@ -290,9 +292,9 @@ def oscillation_indicator(poly: CellPoly, interval: tuple[float, float]) -> floa
 def make_candidates(optimal: CellPoly, series: TrackSeries, cell: int):
     """(central, left, right) and their sigmas; a missing left line is
     replaced by the cell's own interpolating line."""
-    right = one_sided_p1(series, cell, "right", optimal.basis)
+    right = one_sided_p1(series, cell, "right", optimal)
     try:
-        left = one_sided_p1(series, cell, "left", optimal.basis)
+        left = one_sided_p1(series, cell, "left", optimal)
     except MissingNeighbor:
         left = right
     p0 = central_poly(optimal, left, right)
@@ -314,7 +316,7 @@ def limit(coeffs: np.ndarray, series: TrackSeries) -> np.ndarray:
     mesh = build_mesh(series.times)
     out = []
     for i, c in enumerate(coeffs):
-        basis = TaylorBasis(len(c) - 1, float(mesh.barycenters[i]), float(mesh.widths[i]))
+        basis = TaylorBasis(float(mesh.barycenters[i]), float(mesh.widths[i]))
         cands, sigmas = make_candidates(CellPoly(c, basis), series, i)
         linear = len(set(sigmas + CwenoConfig.epsilon)) == 1  # the linear weights give c
         out.append(c if linear else blend(cands, sigmas))

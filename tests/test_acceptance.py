@@ -99,7 +99,7 @@ def test_criterion_4_polynomial_exactness():
             times = random_times(rng, n_pts)
             poly_deg = int(rng.integers(0, degree + 1)) if rng.random() < 0.3 else degree
             p = np.polynomial.Polynomial(rng.uniform(-2, 2, poly_deg + 1))
-            recon = reconstruct_track(TrackSeries("axis", times, p(times), 1), degree)[0]
+            recon = reconstruct_track(TrackSeries("axis", times, p(times)), degree)[0]
             pts = rng.uniform(times[0], times[-1], 50)
             for got, ref in (
                 (recon.value(pts), p(pts)),
@@ -124,7 +124,7 @@ def test_criterion_5_limiter_properties():
 
     ts = np.linspace(0.0, 1.0, 401)
     f = lambda t: t**3 + 30.0 * t
-    series = TrackSeries("axis", ts, f(ts), 1)
+    series = TrackSeries("axis", ts, f(ts))
     unlimited = reconstruct_track(series, 3)[0]
     limited = reconstruct_track(series, 3, limiter="cweno")[0]
     pts = np.linspace(0, 1, 3000)
@@ -135,7 +135,7 @@ def test_criterion_5_limiter_properties():
 
     step_times = np.arange(8.0)
     step_vals = np.where(step_times < 3.5, 0.0, 1.0)
-    step = TrackSeries("axis", step_times, step_vals, 1)
+    step = TrackSeries("axis", step_times, step_vals)
     lim = reconstruct_track(step, 3, limiter="cweno")[0]
     jump_cell = 3
     cell_pts = np.linspace(3.0, 4.0, 60)
@@ -164,7 +164,7 @@ def test_criterion_6_arc_length():
     errs = []
     for n in (32, 64, 128):
         th = np.linspace(0, np.pi / 2, n + 1)
-        track = TrackSeries("qc", th, np.column_stack([np.cos(th), np.sin(th)]), 2)
+        track = TrackSeries("qc", th, np.column_stack([np.cos(th), np.sin(th)]))
         errs.append(abs(trajectory_length(reconstruct_track(track, 3), 3) - np.pi / 2))
     order = float(np.log2(errs[-2] / errs[-1]))
     if order < 3.5:

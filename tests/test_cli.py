@@ -181,6 +181,21 @@ def test_malformed_file_exits_one(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("fmt, axes, gap", [
+    ("generic_csv", "x,z", "has column 'z' but lacks 'y'"),
+    ("trackmate_csv", "POSITION_X,POSITION_Z", "has column 'POSITION_Z' but lacks 'POSITION_Y'"),
+])
+def test_header_that_skips_an_axis_exits_one(tmp_path, capsys, fmt, axes, gap):
+    """length does not read such a file as 1-D and exit 0."""
+    header = {"generic_csv": "track,t", "trackmate_csv": "TRACK_ID,POSITION_T"}[fmt]
+    path = tmp_path / "skip.csv"
+    path.write_text(f"{header},{axes}\na,0,0,0\na,1,1,5\na,2,2,9\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "length", "--input", str(path), "--format", fmt)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and gap in err
+
+
 def test_convergence_check_passes_for_linear(capsys):
     code, out, _ = run_cli(
         capsys, "convergence", "--case", "conv3d", "--degrees", "1", "--check"

@@ -125,6 +125,6 @@ def test_csv_rows_format_as_format_17g():
 def test_awkward_track_ids_survive_the_file(tmp_path):
     """The awkward ids survive the file: what the tests above compare is
     the id text itself."""
-    tracks = [TrackSeries(tid, [0.0, 1.0], [0.0, 1.0], 1) for tid in TRACK_IDS]
+    tracks = [TrackSeries(tid, [0.0, 1.0], [0.0, 1.0]) for tid in TRACK_IDS]
     path = write_tracks(tmp_path / "ids.csv", tracks)
     assert list(parse_tracks(path).tracks) == TRACK_IDS

@@ -21,7 +21,7 @@ def step_series(n_left=3, n_right=3, lo=0.0, hi=1.0):
     n = n_left + n_right
     times = np.arange(float(n))
     values = np.concatenate([np.full(n_left, lo), np.full(n_right, hi)])
-    return TrackSeries("axis", times, values, 1)
+    return TrackSeries("axis", times, values)
 
 
 def test_config_defaults_sum_to_one():
@@ -52,22 +52,22 @@ def test_large_exponent_gives_finite_output(rng):
     np.testing.assert_array_equal(omega[:3].argmax(axis=1), [0, 1, 2])
 
     times = random_times(rng, 60)
-    series = TrackSeries("axis", times, rng.normal(size=60).cumsum() * 1e100, 1)
+    series = TrackSeries("axis", times, rng.normal(size=60).cumsum() * 1e100)
     limited = reconstruct_track(series, 3, "cweno")[0]
     assert np.isfinite(limited.coeffs).all()
 
 
 def test_left_line_has_unit_slope():
-    series = TrackSeries("axis", [0.0, 1.0, 2.0], [0.0, 1.0, 1.5], 1)
+    series = TrackSeries("axis", [0.0, 1.0, 2.0], [0.0, 1.0, 1.5])
     left, _ = side_lines(series, 3)
-    line = CellPoly(left[1], TaylorBasis(3, 1.5, 1.0))  # cell 1
+    line = CellPoly(left[1], TaylorBasis(1.5, 1.0))  # cell 1
     pts = np.linspace(0.8, 2.3, 7)
     np.testing.assert_allclose(line.derivative(pts), 1.0, atol=1e-13)
     assert line.value(1.0) == pytest.approx(1.0)
 
 
 def test_first_cell_has_no_left_line():
-    series = TrackSeries("axis", [0.0, 1.0, 2.0], [0.0, 1.0, 1.5], 1)
+    series = TrackSeries("axis", [0.0, 1.0, 2.0], [0.0, 1.0, 1.5])
     left, right = side_lines(series, 2)
     # the right line is the cell's own linking segment and always exists;
     # it stands in for the missing left line of the first cell
@@ -77,7 +77,7 @@ def test_first_cell_has_no_left_line():
 
 def test_constant_data_lines_equal_central(rng):
     times = random_times(rng, 8)
-    series = TrackSeries("axis", times, np.full(8, 2.5), 1)
+    series = TrackSeries("axis", times, np.full(8, 2.5))
     poly = reconstruct_track(series, 3)[0]
     cands = candidates(poly, series)
     for i, cell in enumerate(poly.cells):
@@ -92,7 +92,7 @@ def test_line_reexpansion_reproduces_defining_samples(rng):
     """Change of basis must not move the line through its two points."""
     times = random_times(rng, 10)
     values = rng.normal(0, 2, 10)
-    series = TrackSeries("axis", times, values, 1)
+    series = TrackSeries("axis", times, values)
     poly = reconstruct_track(series, 3)[0]
     left, right = side_lines(series, 3)
     for cell in range(1, 9):
@@ -109,7 +109,7 @@ def test_central_recombination_identity(rng):
     cfg = CwenoConfig()
     for _ in range(20):
         times = random_times(rng, 9)
-        series = TrackSeries("axis", times, rng.normal(size=9), 1)
+        series = TrackSeries("axis", times, rng.normal(size=9))
         optimal = PiecewisePoly(build_mesh(times), rng.normal(size=(8, 4)))
         p0, left, right = candidates(optimal, series).transpose(1, 0, 2)
         recombined = (
@@ -119,7 +119,7 @@ def test_central_recombination_identity(rng):
 
 
 def test_central_of_constant_is_constant():
-    series = TrackSeries("axis", [0.0, 1.0, 2.0, 3.0], [4.0, 4.0, 4.0, 4.0], 1)
+    series = TrackSeries("axis", [0.0, 1.0, 2.0, 3.0], [4.0, 4.0, 4.0, 4.0])
     poly = reconstruct_track(series, 2)[0]
     p0 = candidates(poly, series)[:, 0]
     np.testing.assert_allclose(p0, np.tile([4.0, 0.0, 0.0], (3, 1)), atol=1e-13)
@@ -178,7 +178,7 @@ def test_equal_sigmas_recover_linear_weights_and_optimal(rng):
     np.testing.assert_allclose(w, [cfg.lambda_central, cfg.lambda_side, cfg.lambda_side], atol=1e-15)
 
     times = random_times(rng, 9)
-    series = TrackSeries("axis", times, rng.normal(size=9), 1)
+    series = TrackSeries("axis", times, rng.normal(size=9))
     optimal = PiecewisePoly(build_mesh(times), rng.normal(size=(8, 4)))
     blended = blend(candidates(optimal, series), np.ones((8, 3)))
     np.testing.assert_allclose(blended, optimal.coeffs, atol=1e-13)
@@ -202,7 +202,7 @@ def test_step_data_collapses_to_flat_side_line():
 def test_smooth_cubic_blend_matches_optimal():
     ts = np.linspace(0.0, 1.0, 201)
     f = lambda t: t**3 + 30.0 * t
-    series = TrackSeries("axis", ts, f(ts), 1)
+    series = TrackSeries("axis", ts, f(ts))
     unlimited = reconstruct_track(series, 3)[0]
     limited = limit_piecewise(unlimited, series)
     pts = np.linspace(0, 1, 1500)
@@ -214,7 +214,7 @@ def test_blend_is_convex_combination(rng):
     """The limited value never leaves the envelope of the three candidates."""
     times = random_times(rng, 12)
     values = rng.normal(0, 2, 12)
-    series = TrackSeries("axis", times, values, 1)
+    series = TrackSeries("axis", times, values)
     poly = reconstruct_track(series, 3)[0]
     cands = candidates(poly, series)
     limited = limit_piecewise(poly, series)
@@ -243,7 +243,7 @@ def test_monotone_step_total_variation_bound():
 def test_limited_reconstruction_via_reconstruct_track(rng):
     times = random_times(rng, 10)
     values = rng.normal(size=10)
-    series = TrackSeries("axis", times, values, 1)
+    series = TrackSeries("axis", times, values)
     direct = limit_piecewise(reconstruct_track(series, 3)[0], series)
     via_flag = reconstruct_track(series, 3, limiter="cweno")[0]
     pts = rng.uniform(times[0], times[-1], 50)

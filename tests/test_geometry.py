@@ -13,7 +13,7 @@ from .conftest import count_calls, random_track
 
 def track_from_fn(fns, times, track_id="t"):
     coords = np.column_stack([f(times) for f in fns])
-    return TrackSeries(track_id, times, coords, len(fns))
+    return TrackSeries(track_id, times, coords)
 
 
 def test_linear_basis_derivatives_constant():
@@ -54,20 +54,20 @@ def test_unsupported_degree_raises():
 
 
 def test_straight_segment_length_is_five():
-    track = TrackSeries("seg", [0.0, 1.0], [[0.0, 0.0], [3.0, 4.0]], 2)
+    track = TrackSeries("seg", [0.0, 1.0], [[0.0, 0.0], [3.0, 4.0]])
     polys = reconstruct_track(track, 1)
     for geom_degree in (1, 2, 3):
         assert cell_lengths(polys, geom_degree)[0] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_1d_monotone_cell_collapses_to_displacement():
-    track = TrackSeries("m", [0.0, 1.0, 2.0], [[0.0], [2.0], [3.0]], 1)
+    track = TrackSeries("m", [0.0, 1.0, 2.0], [[0.0], [2.0], [3.0]])
     polys = reconstruct_track(track, 1)
     np.testing.assert_allclose(cell_lengths(polys, 3), [2.0, 1.0], atol=1e-12)
 
 
 def test_polyline_length_linear_geometry():
-    track = TrackSeries("p", [0.0, 1.0, 2.0], [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]], 2)
+    track = TrackSeries("p", [0.0, 1.0, 2.0], [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
     polys = reconstruct_track(track, 1)
     assert trajectory_length(polys, 1) == pytest.approx(2.0, abs=1e-13)
 
@@ -117,7 +117,7 @@ def test_helix_length_matches_analytic():
 def test_rigid_rotation_invariance(rng):
     track = random_track(rng, 12, dim=3)
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    rotated = TrackSeries("r", track.times, track.coords @ q.T, 3)
+    rotated = TrackSeries("r", track.times, track.coords @ q.T)
     base = trajectory_length(reconstruct_track(track, 3), 3)
     rot = trajectory_length(reconstruct_track(rotated, 3), 3)
     assert rot == pytest.approx(base, rel=1e-10)

@@ -13,7 +13,7 @@ from .conftest import random_track
 
 def test_linear_motion_velocity_and_zero_acceleration(rng):
     times = np.sort(rng.uniform(0, 5, 9))
-    track = TrackSeries("lin", times, 2.0 * times.reshape(-1, 1), 1)
+    track = TrackSeries("lin", times, 2.0 * times.reshape(-1, 1))
     for degree in (1, 3):
         polys = reconstruct_track(track, degree)
         for t in rng.uniform(times[0], times[-1], 10):
@@ -31,7 +31,7 @@ def test_degree_one_acceleration_identically_zero(rng):
 
 def test_quadratic_acceleration(rng):
     times = np.linspace(-1, 2, 12)
-    track = TrackSeries("sq", times, (times**2).reshape(-1, 1), 1)
+    track = TrackSeries("sq", times, (times**2).reshape(-1, 1))
     polys = reconstruct_track(track, 2)
     for t in rng.uniform(-1, 2, 10):
         assert eval_at(polys, t).acceleration[0] == pytest.approx(2.0, abs=1e-10)
@@ -46,7 +46,7 @@ def test_eval_outside_domain_raises(rng):
 
 
 def test_dense_sampling_counts_and_ordering():
-    track = TrackSeries("c", [0.0, 1.0, 2.0, 3.0], [[0.0], [1.0], [0.0], [2.0]], 1)
+    track = TrackSeries("c", [0.0, 1.0, 2.0, 3.0], [[0.0], [1.0], [0.0], [2.0]])
     polys = reconstruct_track(track, 3)
     samples = sample_dense(polys)
     assert len(samples) == 3 * 4  # cells x (degree + 1)
@@ -59,7 +59,7 @@ def test_dense_sampling_counts_and_ordering():
 def test_dense_speed_integral_consistent_with_length(rng):
     # integrating |v| with the same Gauss weights reproduces the path length
     ts = np.linspace(0, np.pi, 80)
-    track = TrackSeries("arc", ts, np.column_stack([np.cos(ts), np.sin(ts)]), 2)
+    track = TrackSeries("arc", ts, np.column_stack([np.cos(ts), np.sin(ts)]))
     polys = reconstruct_track(track, 3)
     mesh = polys[0].mesh
     n = polys[0].degree + 1
@@ -73,7 +73,7 @@ def test_dense_speed_integral_consistent_with_length(rng):
 
 
 def test_summary_stationary_track():
-    track = TrackSeries("s", [0.0, 1.0, 2.0], [[4.0, 1.0], [4.0, 1.0], [4.0, 1.0]], 2)
+    track = TrackSeries("s", [0.0, 1.0, 2.0], [[4.0, 1.0], [4.0, 1.0], [4.0, 1.0]])
     polys = reconstruct_track(track, 1)
     s = summarize(polys, split_axes(track))
     assert s.v_l == pytest.approx(0.0, abs=1e-13)
@@ -84,7 +84,7 @@ def test_summary_stationary_track():
 
 def test_summary_uniform_motion():
     times = np.linspace(0, 2, 9)
-    track = TrackSeries("u", times, (3.0 * times).reshape(-1, 1), 1)
+    track = TrackSeries("u", times, (3.0 * times).reshape(-1, 1))
     polys = reconstruct_track(track, 1)
     s = summarize(polys, split_axes(track))
     assert s.v_l == pytest.approx(3.0, abs=1e-12)
@@ -94,7 +94,7 @@ def test_summary_uniform_motion():
 
 
 def test_summary_back_and_forth():
-    track = TrackSeries("bf", [0.0, 1.0, 2.0], [[0.0], [1.0], [0.0]], 1)
+    track = TrackSeries("bf", [0.0, 1.0, 2.0], [[0.0], [1.0], [0.0]])
     polys = reconstruct_track(track, 1)
     s = summarize(polys, split_axes(track), geom_degree=1)
     assert s.v_d[0] == pytest.approx(0.0, abs=1e-14)
@@ -135,7 +135,7 @@ def test_positions_interpolate_samples(rng):
 
 
 def test_speed_is_euclidean_norm():
-    track = TrackSeries("v", [0.0, 1.0], [[0.0, 0.0], [3.0, 4.0]], 2)
+    track = TrackSeries("v", [0.0, 1.0], [[0.0, 0.0], [3.0, 4.0]])
     polys = reconstruct_track(track, 1)
     s = eval_at(polys, 0.5)
     assert s.speed == pytest.approx(5.0, abs=1e-12)

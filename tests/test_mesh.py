@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shotr.errors import NonMonotoneTimes
-from shotr.mesh import build_mesh, locate_cells
+from shotr.mesh import StaggeredMesh, build_mesh, locate_cells
 
 
 def test_uniform_mesh_arithmetic():
@@ -22,16 +22,31 @@ def test_acquisition_frame_widths():
 
 
 def test_non_monotone_times_rejected():
-    with pytest.raises(NonMonotoneTimes):
-        build_mesh(np.array([0.0, 1.0, 1.0]))
-    with pytest.raises(NonMonotoneTimes):
-        build_mesh(np.array([0.0]))
+    for make in (build_mesh, StaggeredMesh):  # the constructor holds the checks
+        for times in ([0.0, 1.0, 1.0], [0.0, 2.0, 1.0]):
+            with pytest.raises(NonMonotoneTimes, match="^times must be strictly increasing$"):
+                make(np.array(times))
+        for times in ([0.0], [[0.0, 1.0]]):
+            with pytest.raises(NonMonotoneTimes, match="^need at least 2 strictly increasing"):
+                make(np.array(times))
 
 
 @pytest.mark.parametrize("times", [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [-np.inf, 0.0]])
 def test_non_finite_times_rejected(times):
-    with pytest.raises(ValueError, match="non-finite"):
-        build_mesh(np.array(times))
+    for make in (build_mesh, StaggeredMesh):
+        with pytest.raises(ValueError, match="^times include non-finite values$"):
+            make(np.array(times))
+
+
+def test_mesh_is_built_from_its_interfaces_alone(rng):
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-3, 2.0, 30))]) - 7.3
+    mesh, built = StaggeredMesh(times.copy()), build_mesh(times)
+    for name in ("interfaces", "widths", "barycenters"):
+        got, want = getattr(mesh, name), getattr(built, name)
+        assert got.tobytes() == want.tobytes(), name
+        assert not got.flags.writeable, name
+    with pytest.raises(TypeError):
+        StaggeredMesh(times, np.full(30, 5.0), np.zeros(30))  # widths are derived
 
 
 def test_locate_cell_examples():

@@ -28,7 +28,7 @@ def test_array_core_matches_oracle(rng, degree):
     for n in [*range(2, 2 * degree + 5), 60]:
         times = random_times(rng, n, t0=rng.uniform(-10, 10)) * 10.0 ** rng.uniform(-3, 3)
         values = rng.normal(size=n).cumsum() * 10.0 ** rng.uniform(-3, 3)
-        series = TrackSeries("axis", times, values, 1)
+        series = TrackSeries("axis", times, values)
         ref = oracle.reconstruct_axis(series, degree)
         assert_matches(reconstruct_track(series, degree)[0].coeffs, ref)
         assert_matches(reconstruct_track(series, degree, "cweno")[0].coeffs,
@@ -46,7 +46,7 @@ FORMER_SINGULAR_TIMES = [
 def test_extreme_width_ratios_fit_at_full_degree(caplog, times):
     """Both interface samples of every cell are met, and the limiter
     matches the oracle's on the exact fit."""
-    series = TrackSeries("axis", times * 1e100, np.sin(np.arange(len(times), dtype=float)), 1)
+    series = TrackSeries("axis", times * 1e100, np.sin(np.arange(len(times), dtype=float)))
     with caplog.at_level(logging.WARNING):
         poly = reconstruct_track(series, 3)[0]
         limited = reconstruct_track(series, 3, "cweno")[0]
@@ -66,7 +66,7 @@ def test_limiter_keeps_the_fit_where_the_weights_are_linear(times):
     """At 1e100 every sigma is far below epsilon, so the weights are the
     linear ones and the limited fit is the unlimited one, samples included.
     Summing candidates 1e15 times the data scale missed samples by 3e-4."""
-    series = TrackSeries("axis", times * 1e100, np.sin(np.arange(len(times), dtype=float)), 1)
+    series = TrackSeries("axis", times * 1e100, np.sin(np.arange(len(times), dtype=float)))
     np.testing.assert_array_equal(reconstruct_track(series, 3, "cweno")[0].coeffs,
                                   reconstruct_track(series, 3)[0].coeffs)
 

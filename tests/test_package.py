@@ -1,8 +1,11 @@
 """The package's import contract: `import shotr` loads its submodules, and
 numpy, only on first use, and the command line starts numpy with one BLAS
 thread unless the user chose a thread count or numpy was loaded first.
-Also the exported names' optional parameters, listed in full."""
+Also the exported names' optional parameters and records' init fields,
+listed in full, and the modules' syntax against the oldest supported
+Python."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -88,6 +91,42 @@ def _optional_parameters(obj) -> list[str]:
 def test_optional_parameters_are_the_listed_ones():
     found = {name: _optional_parameters(getattr(shotr, name)) for name in shotr.__all__}
     assert {name: params for name, params in found.items() if params} == OPTIONAL_PARAMETERS
+
+
+# The init fields of every exported dataclass: each holds what cannot be
+# derived from the others (a track's dimension is its coords' column count,
+# a mesh's widths and barycenters come from its interfaces, a cell's degree
+# from its coefficient count). A new field is an edit to this dict.
+INIT_FIELDS = {
+    "TrackSeries": ["track_id", "times", "coords"],
+    "TrackSet": ["tracks"],
+    "StaggeredMesh": ["interfaces"],
+    "CellPoly": ["coeffs", "basis"],
+    "PiecewisePoly": ["mesh", "coeffs"],
+    "TaylorBasis": ["center", "width"],
+    "KinematicSample": ["t", "position", "velocity", "acceleration"],
+    "VelocitySummary": ["v_l", "v_d", "v_m", "length", "duration"],
+    "BacktraceResult": ["endpoint", "endpoint_error", "taus", "path", "per_axis", "combined"],
+    "ComparisonRow": ["case", "method", "degree", "n_points", "axis", "position", "velocity"],
+    "ConvergenceRow": ["case", "degree", "n_cells", "dt", "errors", "orders"],
+    "ErrorNorms": ["l1", "l2", "linf"],
+    "SyntheticCase": ["name", "position_fns", "velocity_fns", "domain"],
+}
+
+
+def test_records_init_fields_are_the_listed_ones():
+    found = {name: [f.name for f in dataclasses.fields(obj) if f.init]
+             for name in shotr.__all__ if dataclasses.is_dataclass(obj := getattr(shotr, name))}
+    assert found == INIT_FIELDS
+
+
+def test_every_module_parses_as_the_oldest_supported_python():
+    """pyproject.toml declares requires-python >= 3.10; only the syntax can
+    be checked without running an interpreter of that version."""
+    modules = sorted((ROOT / "src" / "shotr").glob("*.py"))
+    assert modules
+    for path in modules:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
 def test_unknown_name_raises_attribute_error():

@@ -76,11 +76,11 @@ def test_effective_degree_reduction():
 # ---------------------------------------------------------------------------
 
 def test_assemble_rows_are_basis_values():
-    series = TrackSeries("axis", [0.0, 1.0], [2.0, 5.0], 1)
+    series = TrackSeries("axis", [0.0, 1.0], [2.0, 5.0])
     mesh = build_mesh(series.times)
-    basis = TaylorBasis(1, 0.5, 1.0)
+    basis = TaylorBasis(0.5, 1.0)
     stencil = oracle.build_stencil(mesh, 0, 1)
-    M, B, C, d = oracle.assemble_clsq(series, stencil, basis)
+    M, B, C, d = oracle.assemble_clsq(series, stencil, basis, 1)
     np.testing.assert_allclose(M, [[1.0, -0.5], [1.0, 0.5]])
     np.testing.assert_array_equal(B, [2.0, 5.0])
     np.testing.assert_array_equal(C, M)
@@ -91,22 +91,22 @@ def test_assemble_rows_reproduce_polynomial_samples(rng):
     """Row dotted with the exact Taylor coefficients returns the sample."""
     times = random_times(rng, 12)
     p = np.polynomial.Polynomial([0.3, -1.2, 0.7])
-    series = TrackSeries("axis", times, p(times), 1)
+    series = TrackSeries("axis", times, p(times))
     mesh = build_mesh(times)
     cell = 5
-    basis = TaylorBasis(2, float(mesh.barycenters[cell]), float(mesh.widths[cell]))
+    basis = TaylorBasis(float(mesh.barycenters[cell]), float(mesh.widths[cell]))
     stencil = oracle.build_stencil(mesh, cell, 2)
-    M, B, C, d = oracle.assemble_clsq(series, stencil, basis)
+    M, B, C, d = oracle.assemble_clsq(series, stencil, basis, 2)
     exact = taylor_coeffs(p, basis.center, basis.width, 2)
     np.testing.assert_allclose(M @ exact, B, rtol=1e-12, atol=1e-12)
     np.testing.assert_array_equal(d, series.values[[cell, cell + 1]])
 
 
 def test_solve_square_system_interpolates():
-    series = TrackSeries("axis", [0.0, 1.0], [2.0, 5.0], 1)
+    series = TrackSeries("axis", [0.0, 1.0], [2.0, 5.0])
     mesh = build_mesh(series.times)
-    basis = TaylorBasis(1, 0.5, 1.0)
-    M, B, C, d = oracle.assemble_clsq(series, oracle.build_stencil(mesh, 0, 1), basis)
+    basis = TaylorBasis(0.5, 1.0)
+    M, B, C, d = oracle.assemble_clsq(series, oracle.build_stencil(mesh, 0, 1), basis, 1)
     coeffs = oracle.solve_clsq(M, B, C, d)
     np.testing.assert_allclose(M @ coeffs, B, atol=1e-13)
     np.testing.assert_allclose(coeffs, [3.5, 3.0])  # midpoint value, slope * width
@@ -115,7 +115,7 @@ def test_solve_square_system_interpolates():
 def test_constraints_hold_even_with_noisy_data(rng):
     times = random_times(rng, 16)
     values = rng.normal(0, 10, 16)  # rough data: large LSQ residual
-    poly = reconstruct_track(TrackSeries("axis", times, values, 1), 3)[0]
+    poly = reconstruct_track(TrackSeries("axis", times, values), 3)[0]
     cells = poly.cells
     for cell in (0, 7, 14):
         d = values[[cell, cell + 1]]
@@ -125,7 +125,7 @@ def test_constraints_hold_even_with_noisy_data(rng):
 
 def test_quadratic_data_reconstructed_exactly(rng):
     times = random_times(rng, 10)
-    series = TrackSeries("axis", times, times**2, 1)
+    series = TrackSeries("axis", times, times**2)
     poly = reconstruct_track(series, 2)[0]
     pts = rng.uniform(times[0], times[-1], 20)
     np.testing.assert_allclose(poly.value(pts), pts**2, atol=1e-12)
@@ -135,14 +135,14 @@ def test_reconstruction_matrix_matches_direct_solve(rng):
     """The batched operator applied to the samples solves each cell's
     constrained least-squares problem."""
     times = random_times(rng, 14)
-    series = TrackSeries("axis", times, rng.normal(size=14), 1)
+    series = TrackSeries("axis", times, rng.normal(size=14))
     mesh = build_mesh(times)
     windows, R = reconstruction_operators(mesh, 3)
     for cell in (0, 6, 12):
-        basis = TaylorBasis(3, float(mesh.barycenters[cell]), float(mesh.widths[cell]))
+        basis = TaylorBasis(float(mesh.barycenters[cell]), float(mesh.widths[cell]))
         stencil = oracle.build_stencil(mesh, cell, 3)
         np.testing.assert_array_equal(windows[cell], stencil.interface_indices)
-        M, B, C, d = oracle.assemble_clsq(series, stencil, basis)
+        M, B, C, d = oracle.assemble_clsq(series, stencil, basis, 3)
         np.testing.assert_allclose(R[cell] @ B, oracle.solve_clsq(M, B, C, d), atol=1e-11)
 
 
@@ -151,7 +151,7 @@ def test_reconstruction_matrix_matches_direct_solve(rng):
 # ---------------------------------------------------------------------------
 
 def test_constant_series_reproduced():
-    series = TrackSeries("axis", [0.0, 1.0, 2.0, 3.0], [5.0, 5.0, 5.0, 5.0], 1)
+    series = TrackSeries("axis", [0.0, 1.0, 2.0, 3.0], [5.0, 5.0, 5.0, 5.0])
     for degree in (1, 2, 3, 5):
         poly = reconstruct_track(series, degree)[0]
         for cell in poly.cells:
@@ -161,7 +161,7 @@ def test_constant_series_reproduced():
 
 def test_constant_series_reproduced_nonuniform(rng):
     times = random_times(rng, 9)
-    series = TrackSeries("axis", times, np.full(9, 5.0), 1)
+    series = TrackSeries("axis", times, np.full(9, 5.0))
     for degree in (1, 3, 5):
         poly = reconstruct_track(series, degree)[0]
         pts = rng.uniform(times[0], times[-1], 50)
@@ -173,7 +173,7 @@ def test_degree_one_equals_linear_interpolation(rng):
     """Unlimited P1 is exactly the linear linking between samples."""
     times = random_times(rng, 15)
     values = rng.normal(size=15)
-    poly = reconstruct_track(TrackSeries("axis", times, values, 1), 1)[0]
+    poly = reconstruct_track(TrackSeries("axis", times, values), 1)[0]
     pts = rng.uniform(times[0], times[-1], 200)
     np.testing.assert_allclose(poly.value(pts), np.interp(pts, times, values), atol=1e-12)
 
@@ -184,7 +184,7 @@ def test_polynomial_exactness(rng, degree):
         n_pts = degree + 2 + int(rng.integers(0, 6))
         times = random_times(rng, n_pts)
         p = np.polynomial.Polynomial(rng.uniform(-2, 2, degree + 1))
-        poly = reconstruct_track(TrackSeries("axis", times, p(times), 1), degree)[0]
+        poly = reconstruct_track(TrackSeries("axis", times, p(times)), degree)[0]
         pts = rng.uniform(times[0], times[-1], 50)
         for got, ref in (
             (poly.value(pts), p(pts)),
@@ -201,7 +201,7 @@ def test_interface_interpolation_and_continuity(rng):
     for t0 in (0.0, EPOCH):
         times = random_times(rng, 20, t0)
         values = rng.normal(0, 3, 20)
-        series = TrackSeries("axis", times, values, 1)
+        series = TrackSeries("axis", times, values)
         scale = max(1.0, np.abs(values).max())
         for degree in (2, 3, 4):
             poly = reconstruct_track(series, degree)[0]
@@ -224,8 +224,8 @@ def test_affine_equivariance(seed, degree, a, b):
     rng = np.random.default_rng(seed)
     times = random_times(rng, 12)
     values = rng.normal(size=12)
-    base = reconstruct_track(TrackSeries("axis", times, values, 1), degree)[0]
-    scaled = reconstruct_track(TrackSeries("axis", times, a * values + b, 1), degree)[0]
+    base = reconstruct_track(TrackSeries("axis", times, values), degree)[0]
+    scaled = reconstruct_track(TrackSeries("axis", times, a * values + b), degree)[0]
     pts = rng.uniform(times[0], times[-1], 30)
     np.testing.assert_allclose(
         scaled.value(pts), a * base.value(pts) + b,
@@ -237,14 +237,14 @@ def test_short_track_degree_reduction_build():
     # 4-point track at requested degree 5 -> cubic interpolation, still exact
     times = np.array([0.0, 1.0, 2.5, 3.0])
     p = np.polynomial.Polynomial([1.0, -2.0, 0.5, 0.25])
-    poly = reconstruct_track(TrackSeries("axis", times, p(times), 1), 5)[0]
+    poly = reconstruct_track(TrackSeries("axis", times, p(times)), 5)[0]
     assert poly.degree == 3
     pts = np.linspace(0, 3, 40)
     np.testing.assert_allclose(poly.value(pts), p(pts), atol=1e-10)
 
 
 def test_two_point_track():
-    poly = reconstruct_track(TrackSeries("axis", [0.0, 2.0], [1.0, 5.0], 1), 1)[0]
+    poly = reconstruct_track(TrackSeries("axis", [0.0, 2.0], [1.0, 5.0]), 1)[0]
     assert poly.degree == 1
     assert poly.value(1.0) == pytest.approx(3.0)
     assert poly.cells[0].coeffs[0] == pytest.approx(3.0)   # value at barycenter
@@ -253,7 +253,7 @@ def test_two_point_track():
 
 def test_to_dict_shape(rng):
     times = random_times(rng, 6)
-    poly = reconstruct_track(TrackSeries("axis", times, rng.normal(size=6), 1), 2)[0]
+    poly = reconstruct_track(TrackSeries("axis", times, rng.normal(size=6)), 2)[0]
     doc = oracle.poly_to_dict(poly)
     assert doc["degree"] == 2
     assert len(doc["cells"]) == 5
@@ -352,7 +352,7 @@ def width_ratio_track(rng, degree: int, n: int, max_ratio: float, t0: float):
         s = (np.asarray(t) - times[0]) / (times[-1] - times[0])
         return np.stack([np.polyval(coef[:, d], s) for d in range(2)], axis=-1)
 
-    return TrackSeries("p", times, exact(times), 2), exact
+    return TrackSeries("p", times, exact(times)), exact
 
 
 def property_errors(track: TrackSeries, degree: int, exact) -> tuple[float, float, float]:
@@ -419,7 +419,7 @@ def test_finite_input_gives_finite_output(seed, degree, extra, epoch, log_ratio,
     n = 2 + extra % (2 * degree + 3)
     track, _ = width_ratio_track(rng, degree, n, 10.0**log_ratio, EPOCH if epoch else 0.0)
     walk = rng.normal(size=(n, 2)).cumsum(axis=0) * 10.0 ** rng.uniform(-6, 6)
-    for t in (track, TrackSeries("w", track.times, walk, 2)):
+    for t in (track, TrackSeries("w", track.times, walk)):
         for poly in reconstruct_track(t, degree, limiter):
             assert np.isfinite(poly.coeffs).all()
 
@@ -473,7 +473,7 @@ def test_unlimited_fit_does_not_depend_on_the_unit_of_time(degree):
         for unit in (1.0, 1e-3, 1e3, 7.3):
             t = track.times * unit
             at = t[:-1, None] + fractions * np.diff(t)[:, None]
-            polys = reconstruct_track(TrackSeries("u", t, track.coords, 2), degree)
+            polys = reconstruct_track(TrackSeries("u", t, track.coords), degree)
             positions.append(np.stack([p.value(at) for p in polys]))
         scale = np.abs(track.coords).max()
         for got in positions[1:]:

@@ -31,6 +31,19 @@ def test_parse_infers_dimension_from_header(tmp_path):
     assert parse_tracks(path).tracks["a"].dim == 3
 
 
+@pytest.mark.parametrize("fmt, header, present, missing", [
+    ("generic_csv", "track,t,x,z", "z", "y"),
+    ("generic_csv", "track,t,y", "y", "x"),
+    ("trackmate_csv", "TRACK_ID,POSITION_T,POSITION_X,POSITION_Z", "POSITION_Z", "POSITION_Y"),
+    ("trackmate_csv", "TRACK_ID,POSITION_T,POSITION_Y,POSITION_Z", "POSITION_Y", "POSITION_X"),
+])
+def test_header_that_skips_an_axis_is_rejected(tmp_path, fmt, header, present, missing):
+    """The axes after a gap are not dropped: x,z is no 1-D file."""
+    path = write_csv(tmp_path / "a.csv", [("a", 0, 1, 2), ("a", 1, 3, 4)], header=header)
+    with pytest.raises(MalformedRow, match=f"has column '{present}' but lacks '{missing}'$"):
+        parse_tracks(path, fmt)
+
+
 def test_duplicate_timestamp_names_track(tmp_path):
     path = write_csv(tmp_path / "a.csv", [("a", 0, 1, 1), ("a", 0, 2, 2), ("a", 1, 3, 3)])
     with pytest.raises(DuplicateTimestamp, match="'a'"):
@@ -124,7 +137,7 @@ def test_empty_file_is_malformed(tmp_path):
 
 
 def test_split_axes_projects_components():
-    track = TrackSeries("a", [0.0, 1.0], [[1.0, 2.0], [3.0, 4.0]], 2)
+    track = TrackSeries("a", [0.0, 1.0], [[1.0, 2.0], [3.0, 4.0]])
     xs, ys = split_axes(track)
     np.testing.assert_array_equal(xs.values, [1, 3])
     np.testing.assert_array_equal(ys.values, [2, 4])
@@ -135,7 +148,7 @@ def test_split_axes_projects_components():
 
 
 def test_split_axes_1d_identity():
-    track = TrackSeries("a", [0.0, 1.0, 2.0], [[5.0], [6.0], [7.0]], 1)
+    track = TrackSeries("a", [0.0, 1.0, 2.0], [[5.0], [6.0], [7.0]])
     (axis,) = split_axes(track)
     np.testing.assert_array_equal(axis.values, [5, 6, 7])
 
@@ -150,48 +163,60 @@ def test_split_then_reassemble_is_identity(n, dim, seed):
     rng = np.random.default_rng(seed)
     times = np.cumsum(rng.uniform(0.01, 1.0, n))
     coords = rng.normal(size=(n, dim))
-    track = TrackSeries("a", times, coords, dim)
+    track = TrackSeries("a", times, coords)
     back = np.column_stack([s.values for s in split_axes(track)])
     np.testing.assert_array_equal(back, track.coords)
 
 
 def test_values_are_the_samples_of_a_one_axis_track():
-    track = TrackSeries("a", [0.0, 1.0, 2.0], [5.0, 6.0, 7.0], 1)
+    track = TrackSeries("a", [0.0, 1.0, 2.0], [5.0, 6.0, 7.0])
     np.testing.assert_array_equal(track.values, [5, 6, 7])
     assert track.values.shape == (3,)
     with pytest.raises(ValueError):
         track.values[0] = 1.0  # read-only, as the coordinates are
     with pytest.raises(ValueError, match="track 'b' has 2 axes"):
-        TrackSeries("b", [0.0, 1.0], [[1.0, 2.0], [3.0, 4.0]], 2).values
+        TrackSeries("b", [0.0, 1.0], [[1.0, 2.0], [3.0, 4.0]]).values
 
 
 def test_track_series_invariants():
     with pytest.raises(ValueError):
-        TrackSeries("a", [0.0], [[1.0]], 1)  # too short
+        TrackSeries("a", [0.0], [[1.0]])  # too short
     with pytest.raises(DuplicateTimestamp, match="track 'a' has duplicate"):
-        TrackSeries("a", [0.0, 0.0], [[1.0], [2.0]], 1)
+        TrackSeries("a", [0.0, 0.0], [[1.0], [2.0]])
     with pytest.raises(NonMonotoneTimes, match="track 'a' has decreasing"):
-        TrackSeries("a", [0.0, 2.0, 1.0], [[1.0], [2.0], [3.0]], 1)
-    with pytest.raises(ValueError):
-        TrackSeries("a", [0.0, 1.0], [[1.0], [2.0]], 2)  # dim mismatch
-    track = TrackSeries("a", [0.0, 1.0], [[1.0], [2.0]], 1)
+        TrackSeries("a", [0.0, 2.0, 1.0], [[1.0], [2.0], [3.0]])
+    with pytest.raises(ValueError, match=r"^coords must have 1 to 3 columns, got shape \(2, 4\)$"):
+        TrackSeries("a", [0.0, 1.0], np.ones((2, 4)))
+    with pytest.raises(ValueError, match=r"^coords shape \(3, 2\) does not match 2 times$"):
+        TrackSeries("a", [0.0, 1.0], np.ones((3, 2)))
+    with pytest.raises(ValueError, match=r"^coords shape \(3, 1\) does not match 2 times$"):
+        TrackSeries("a", [0.0, 1.0], [1.0, 2.0, 3.0])
+    track = TrackSeries("a", [0.0, 1.0], [[1.0], [2.0]])
     with pytest.raises(ValueError):
         track.times[0] = 5.0  # read-only after construction
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_dimension_is_the_number_of_coordinate_columns(dim):
+    track = TrackSeries("a", [0.0, 1.0], np.ones((2, dim)))
+    assert track.dim == dim
+    with pytest.raises(AttributeError):
+        track.dim = 2  # derived from coords, not settable
 
 
 def test_nan_time_rejected_as_non_finite():
     # not reported as a non-increasing (duplicate) timestamp
     with pytest.raises(ValueError, match="track 'p7' has non-finite"):
-        TrackSeries("p7", [0.0, np.nan, 2.0], [[1.0], [2.0], [3.0]], 1)
+        TrackSeries("p7", [0.0, np.nan, 2.0], [[1.0], [2.0], [3.0]])
 
 
 def test_nan_coordinate_rejected_as_non_finite():
     with pytest.raises(ValueError, match="track 'p7' has non-finite"):
-        TrackSeries("p7", [0.0, 1.0, 2.0], [[1.0, 0.0], [np.nan, 0.0], [3.0, 0.0]], 2)
+        TrackSeries("p7", [0.0, 1.0, 2.0], [[1.0, 0.0], [np.nan, 0.0], [3.0, 0.0]])
 
 
 def test_track_series_rejects_infinite_time():
     with pytest.raises(ValueError, match="track 'p7' has non-finite"):
-        TrackSeries("p7", [0.0, 1.0, np.inf], [1.0, 2.0, 3.0], 1)
+        TrackSeries("p7", [0.0, 1.0, np.inf], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="track 'p7' has non-finite"):
-        TrackSeries("p7", [0.0, 1.0, 2.0], [1.0, -np.inf, 3.0], 1)
+        TrackSeries("p7", [0.0, 1.0, 2.0], [1.0, -np.inf, 3.0])

@@ -256,7 +256,7 @@ def test_rk_orders_under_step_halving():
 def test_backtrace_straight_line_returns_to_start():
     times = np.linspace(0, 3, 13)
     coords = np.column_stack([2.0 * times, -1.0 * times])
-    track = TrackSeries("line", times, coords, 2)
+    track = TrackSeries("line", times, coords)
     for degree, order in ((1, "rk2"), (3, "rk4")):
         res = backtrace(track, degree, 0.5, order=order)
         np.testing.assert_allclose(res.endpoint, coords[0], atol=1e-10)
@@ -281,7 +281,7 @@ def test_backtrace_large_step_stays_bounded():
     fx = lambda t: np.sin(t) + 0.5 * t
     fy = lambda t: np.cos(1.3 * t)
     times = np.arange(0.0, 2.0 + 1e-9, 0.144)
-    track = TrackSeries("frames", times, np.column_stack([fx(times), fy(times)]), 2)
+    track = TrackSeries("frames", times, np.column_stack([fx(times), fy(times)]))
     ref = lambda t: np.column_stack([fx(t), fy(t)])
     coarse = backtrace(track, 3, 0.5, order="rk4", reference=ref)
     fine = backtrace(track, 3, 0.144, order="rk4", reference=ref)
@@ -302,14 +302,14 @@ def test_backtrace_default_reference_is_cubic_reconstruction(rng):
 
 def test_backtrace_partial_final_step():
     times = np.linspace(0, 1.3, 14)  # duration not a multiple of dtau
-    track = TrackSeries("p", times, np.column_stack([times, times**2]), 2)
+    track = TrackSeries("p", times, np.column_stack([times, times**2]))
     res = backtrace(track, 3, 0.5)
     assert res.taus[-1] == pytest.approx(1.3, abs=1e-12)
 
 
 def test_backtrace_rejects_unknown_order():
     times = np.linspace(0, 1.3, 14)
-    track = TrackSeries("p", times, np.column_stack([times, times**2]), 2)
+    track = TrackSeries("p", times, np.column_stack([times, times**2]))
     with pytest.raises(ValueError, match="rk2"):
         backtrace(track, 3, 0.5, order="rk3")
 
@@ -317,17 +317,30 @@ def test_backtrace_rejects_unknown_order():
 @pytest.mark.parametrize("dtau", [0.0, -0.5, float("inf"), float("nan")])
 def test_backtrace_rejects_step_that_is_not_finite_and_positive(dtau):
     times = np.linspace(0, 1.3, 14)
-    track = TrackSeries("p", times, np.column_stack([times, times**2]), 2)
+    track = TrackSeries("p", times, np.column_stack([times, times**2]))
     with pytest.raises(ValueError, match="dtau"):
         backtrace(track, 3, dtau)
 
 
 def test_backtrace_rejects_a_step_count_that_overflows_before_fitting(monkeypatch):
     times = np.linspace(0, 1.3, 14)
-    track = TrackSeries("p", times, np.column_stack([times, times**2]), 2)
+    track = TrackSeries("p", times, np.column_stack([times, times**2]))
     calls = []
     count_calls(monkeypatch, validate, "reconstruct_track", calls)
     for dtau in (1e-300, 5e-324):
         with pytest.raises(ValueError, match=r"dtau .*duration 1\.3"):
             backtrace(track, 3, dtau)
     assert calls == []
+
+
+def test_backtrace_checks_the_shape_of_the_reference():
+    """A 1-D reference that returns (n,) would broadcast against the (n, 1)
+    path into (n, n) and give norms of about 2."""
+    times = np.linspace(0.0, 1.0, 21)
+    track = TrackSeries("s", times, np.sin(3 * times))
+    res = backtrace(track, 3, 0.05, reference=lambda t: np.sin(3 * t)[:, None])
+    assert max(res.combined.as_tuple()) < 1e-3
+    with pytest.raises(ValueError, match=r"shape \(21,\), expected \(21, 1\)"):
+        backtrace(track, 3, 0.05, reference=lambda t: np.sin(3 * t))
+    with pytest.raises(ValueError, match=r"shape \(21, 2\), expected \(21, 1\)"):
+        backtrace(track, 3, 0.05, reference=lambda t: np.column_stack([t, t]))
