@@ -9,13 +9,18 @@ backtrace takes --limiter and --format for --input only, --meshes and
 --check for --case only. Data goes to stdout or --output; warnings go to
 stderr. Exit codes: 0 ok, 1 input or processing error (also a backtrace
 step count too large to allocate), 2 check failure.
+
+A command imports only the modules it runs: the file commands never load
+the validation harness, and reconstruct loads neither the geometry nor the
+kinematics module. The process entry point, run(), freezes the objects the
+imports made before main() starts.
 """
 
 import argparse
 import contextlib
 import csv
+import gc
 import io
-import json
 import logging
 import math
 import os
@@ -35,11 +40,8 @@ if "numpy" not in sys.modules and not any(
 import numpy as np  # noqa: E402
 
 from .errors import CheckFailed, ShotrError, UnsupportedDegree  # noqa: E402
-from .geometry import trajectory_length  # noqa: E402
-from .kinematics import dense_kinematics, summarize  # noqa: E402
 from .recon import LIMITERS, check_degree, reconstruct_tracks  # noqa: E402
 from .trajdata import parse_tracks, split_axes  # noqa: E402
-from . import validate  # noqa: E402
 
 
 def _fmt(x: float) -> str:
@@ -80,6 +82,8 @@ def _json_cell(n_coeffs: int) -> str:
 def _json_track(track, polys) -> str:
     """One member of reconstruct's "tracks" object, laid out as
     json.dump(..., indent=2) lays it out; json spells every number."""
+    import json
+
     mesh, n_coeffs = polys[0].mesh, polys[0].degree + 1
     values = np.concatenate(
         [np.column_stack([mesh.barycenters, mesh.widths, p.coeffs]) for p in polys]
@@ -105,6 +109,8 @@ def _csv_rows(track_id: str, table: np.ndarray) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
+    import json
+
     pairs = _reconstructed(args)
     with _output(args) as out:
         out.write('{\n  "degree": %d,\n  "limiter": %s,\n  "tracks": {'
@@ -129,6 +135,8 @@ def _write_track_tables(args: argparse.Namespace, header: list[str], table) -> i
 
 
 def _kinematics_table(track, polys) -> np.ndarray:
+    from .kinematics import dense_kinematics
+
     times, pos, vel, acc = dense_kinematics(polys)
     dim = track.dim
     table = np.zeros((len(times), 11))  # t, position, velocity, acceleration, speed
@@ -142,6 +150,8 @@ def _kinematics_table(track, polys) -> np.ndarray:
 
 
 def _summary_table(track, polys) -> np.ndarray:
+    from .kinematics import summarize
+
     s = summarize(polys, split_axes(track))
     table = np.zeros((1, 9))  # vL, vD per axis, vM per axis, L, duration
     table[0, [0, 7, 8]] = s.v_l, s.length, s.duration
@@ -156,6 +166,8 @@ def cmd_kinematics(args: argparse.Namespace) -> int:
 
 
 def cmd_length(args: argparse.Namespace) -> int:
+    from .geometry import trajectory_length
+
     return _write_track_tables(args, ["track", "length"],
                                lambda track, polys: np.array([[trajectory_length(polys)]]))
 
@@ -170,8 +182,11 @@ def cmd_summary(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_convergence(args: argparse.Namespace) -> int:
+    from . import validate
+
     case = validate.get_case(args.case)
-    rows = validate.run_convergence(case, args.degrees, args.meshes)
+    meshes = list(validate.REFERENCE_MESH_CELLS) if args.meshes is None else args.meshes
+    rows = validate.run_convergence(case, args.degrees, meshes)
 
     out_rows = []
     for row in rows:
@@ -192,8 +207,11 @@ def cmd_convergence(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from . import validate
+
     case = validate.get_case(args.case)
-    rows = validate.compare_spt(case, args.meshes)
+    meshes = list(validate.COMPARISON_MESH_POINTS) if args.meshes is None else args.meshes
+    rows = validate.compare_spt(case, meshes)
 
     out_rows = [
         [r.case, r.method, r.n_points, r.axis]
@@ -213,6 +231,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_backtrace(args: argparse.Namespace) -> int:
+    from . import validate
+
     header = ["track", "method", "endpoint_err", "L1", "L2", "Linf"]
     pairs = (("RK2+P1", 1), ("RK4+P3", 3))
     if not (math.isfinite(args.dtau) and args.dtau > 0):
@@ -318,7 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--case", default="conv3d")
     p_conv.add_argument("--degrees", type=_int_list, default=[1, 2, 3],
                         help="comma-separated degrees (default 1,2,3)")
-    p_conv.add_argument("--meshes", type=_int_list, default=list(validate.REFERENCE_MESH_CELLS),
+    # --meshes defaults are validate's, resolved by the command so that the
+    # file commands need not import validate
+    p_conv.add_argument("--meshes", type=_int_list, default=None,
                         help="comma-separated cell counts (default 100,200,400,800)")
     p_conv.add_argument("--check", action="store_true",
                         help="gate against reference errors and orders; exit 2 on failure")
@@ -326,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", parents=[output],
                            help="high-order reconstruction vs linear linking")
     p_cmp.add_argument("--case", default="tanhcos2d")
-    p_cmp.add_argument("--meshes", type=_int_list, default=list(validate.COMPARISON_MESH_POINTS),
+    p_cmp.add_argument("--meshes", type=_int_list, default=None,
                        help="comma-separated point counts (default 21,41,81)")
     p_cmp.add_argument("--check", action="store_true")
 
@@ -366,5 +388,19 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> int:
+    """Process entry point: `python -m shotr.cli` and the `shotr` script.
+
+    Freezes every object that exists once the imports are done, so neither
+    main's collections nor the full collections at interpreter exit scan
+    numpy's import-time objects, none of which can be freed before the
+    process ends. Objects main creates are collected as before. main()
+    does not freeze, because callers in a long-lived process (tests, the
+    benchmark's in-process pass) would keep their heap forever.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonMonotoneTimes
+from .trajdata import _frozen_floats
 
 
 @dataclass
@@ -20,7 +21,7 @@ class StaggeredMesh:
     barycenters: np.ndarray = field(init=False)    # cell midpoints
 
     def __post_init__(self):
-        t = self.interfaces = np.asarray(self.interfaces, dtype=float)
+        t = self.interfaces = _frozen_floats(self.interfaces)
         if t.ndim != 1 or len(t) < 2:
             raise NonMonotoneTimes("need at least 2 strictly increasing times")
         if not np.isfinite(t).all():
@@ -29,7 +30,7 @@ class StaggeredMesh:
         if (self.widths <= 0).any():
             raise NonMonotoneTimes("times must be strictly increasing")
         self.barycenters = 0.5 * (t[:-1] + t[1:])
-        for a in (t, self.widths, self.barycenters):
+        for a in (self.widths, self.barycenters):
             a.setflags(write=False)
 
     @property
@@ -43,7 +44,7 @@ class StaggeredMesh:
 
 def build_mesh(times: np.ndarray) -> StaggeredMesh:
     """Build the staggered mesh whose interfaces are exactly the sample times."""
-    return StaggeredMesh(np.array(times, dtype=float))
+    return StaggeredMesh(times)
 
 
 def locate_cells(mesh: StaggeredMesh, t: np.ndarray) -> np.ndarray:

@@ -34,11 +34,25 @@ TRACKMATE_AXIS_COLUMNS = ("POSITION_X", "POSITION_Y", "POSITION_Z")
 _BLOCK_ROWS = 256  # rows held as text at once; earlier rows are already floats
 
 
+def _frozen_floats(a) -> np.ndarray:
+    """a as a read-only C-contiguous float array that leaves the caller's
+    arrays writable: an array made here by conversion is frozen in place, a
+    writable array or view the caller holds is copied first, and a read-only
+    one is taken as it is."""
+    arr = np.ascontiguousarray(a, dtype=float)
+    if arr.flags.writeable:
+        if arr is a or arr.base is not None:
+            arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
 @dataclass
 class TrackSeries:
     """One particle's ordered space-time samples.
 
     times are strictly increasing seconds; coords has shape (len(times), dim).
+    Both are held read-only; the caller's own arrays stay writable.
     """
 
     track_id: str
@@ -46,8 +60,10 @@ class TrackSeries:
     coords: np.ndarray
 
     def __post_init__(self):
-        self.times = np.ascontiguousarray(self.times, dtype=float)
-        self.coords = np.ascontiguousarray(self.coords, dtype=float)
+        self.times = _frozen_floats(self.times)
+        self.coords = _frozen_floats(self.coords)
+        if self.times.ndim != 1:
+            raise ValueError(f"times must be one-dimensional, got shape {self.times.shape}")
         if self.coords.ndim == 1:
             self.coords = self.coords.reshape(-1, 1)
         if self.coords.ndim != 2 or not 1 <= self.coords.shape[1] <= 3:
@@ -64,8 +80,6 @@ class TrackSeries:
             if (self.times[1:] < self.times[:-1]).any():
                 raise NonMonotoneTimes(f"track {self.track_id!r} has decreasing timestamps")
             raise DuplicateTimestamp(f"track {self.track_id!r} has duplicate timestamps")
-        self.times.setflags(write=False)
-        self.coords.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -225,6 +239,8 @@ def parse_tracks(path: str, fmt: str = "generic_csv") -> TrackSet:
     codes = codes[order]
     times = values[0, order]
     coords = np.ascontiguousarray(values[1:, order].T)
+    for a in (times, coords):  # each track holds a read-only slice, not a copy
+        a.setflags(write=False)
     repeated = (times[1:] == times[:-1]) & (codes[1:] == codes[:-1])
     first_dup = int(codes[1:][repeated].min()) if repeated.any() else len(first_seen)
     ends = np.cumsum(np.bincount(codes, minlength=len(first_seen))).tolist()

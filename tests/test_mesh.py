@@ -49,6 +49,16 @@ def test_mesh_is_built_from_its_interfaces_alone(rng):
         StaggeredMesh(times, np.full(30, 5.0), np.zeros(30))  # widths are derived
 
 
+def test_mesh_leaves_the_callers_times_writable():
+    for make in (build_mesh, StaggeredMesh):
+        times = np.array([0.0, 1.0, 2.0])
+        mesh = make(times)
+        times[0] = -1.0
+        assert mesh.interfaces.tolist() == [0.0, 1.0, 2.0]
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.interfaces[0] = 7.0
+
+
 def test_locate_cell_examples():
     """An interior interface belongs to its left cell; times outside the
     span clip to the end cells."""

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -202,6 +203,41 @@ def test_dimension_is_the_number_of_coordinate_columns(dim):
     assert track.dim == dim
     with pytest.raises(AttributeError):
         track.dim = 2  # derived from coords, not settable
+
+
+@pytest.mark.parametrize("coords", [np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+                                    np.array([1.0, 3.0, 5.0]),
+                                    np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])[:, :1]],
+                         ids=["2-d", "1-d", "column-view"])
+def test_track_leaves_the_callers_arrays_writable(coords):
+    times = np.array([0.0, 1.0, 2.0])
+    track = TrackSeries("a", times, coords)
+    times[0] = -1.0
+    coords[0] = 9.0
+    assert track.times.tolist() == [0.0, 1.0, 2.0]
+    assert track.coords[:, 0].tolist() == [1.0, 3.0, 5.0]
+    for held in (track.times, track.coords):
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 7.0
+
+
+def test_tracks_of_a_file_are_read_only_views_of_one_array(tmp_path):
+    path = write_csv(tmp_path / "a.csv", [("a", 0, 1, 2), ("a", 1, 2, 3), ("b", 0, 0, 0),
+                                          ("b", 2, 1, 1)])
+    a, b = parse_tracks(path).tracks.values()
+    assert a.times.base is not None and a.times.base is b.times.base  # sliced, not copied
+    assert a.coords.base is not None and a.coords.base is b.coords.base
+    for axis in split_axes(a):
+        for held in (a.times, a.coords, axis.times, axis.values):
+            assert not held.flags.writeable
+
+
+@pytest.mark.parametrize("shape", [(5, 1), (1, 5)])
+def test_times_must_be_one_dimensional(shape):
+    # not reported later, by the mesh, as too few increasing times
+    message = f"times must be one-dimensional, got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TrackSeries("a", np.arange(5.0).reshape(shape), np.arange(5.0))
 
 
 def test_nan_time_rejected_as_non_finite():
