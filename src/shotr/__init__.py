@@ -1,12 +1,15 @@
 """High-order space-time trajectory reconstruction and kinematics.
 
 Particle tracks arrive as discrete (t, x[, y[, z]]) samples; this package
-fits each axis with piecewise degree-N polynomials that interpolate every
-sample and stay continuous across cells, optionally limited against
-spurious oscillations, and extracts instantaneous velocity/acceleration,
-curvilinear path lengths, and summary velocities. A validation harness
-reproduces the method's convergence benchmark and its comparison against
-plain linear linking.
+fits each axis with piecewise degree-N polynomials and extracts
+instantaneous velocity/acceleration, curvilinear path lengths, and summary
+velocities. Unlimited (``limiter="none"``), the pieces pass through every
+sample and are continuous across cells, up to the rounding of their
+coefficients. The CWENO limiter, the CLI default, blends each piece with
+one-sided linear candidates that all pass through the cell's left sample:
+the limited curve keeps that sample but can miss the right one and jump at
+the interface. A validation harness reproduces the method's convergence
+benchmark and its comparison against plain linear linking.
 
 The names below load their submodule, and with it numpy, on first use
 (PEP 562), so that `shotr.cli` can choose numpy's BLAS threads before

@@ -139,4 +139,6 @@ def limit_piecewise(poly: PiecewisePoly, series: TrackSeries) -> PiecewisePoly:
     sigmas = oscillation_indicators(cands, poly.mesh.widths[:, None])
     s = sigmas + CwenoConfig.epsilon
     linear = (s == s[:, :1]).all(axis=1, keepdims=True)
-    return PiecewisePoly(poly.mesh, np.where(linear, poly.coeffs, blend(cands, sigmas)))
+    coeffs = np.where(linear, poly.coeffs, blend(cands, sigmas))
+    coeffs.setflags(write=False)  # the record keeps it without a copy
+    return PiecewisePoly(poly.mesh, coeffs)

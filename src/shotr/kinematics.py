@@ -2,7 +2,8 @@
 
 Position, velocity, and acceleration at any time come straight from the
 piecewise polynomial and its analytic derivatives on the cell containing
-the query time. Dense output samples the N+1 Gauss points of every cell.
+the query time, all three for every axis from one evaluation. Dense output
+samples the N+1 Gauss points of every cell.
 Summary velocities: average speed along the curvilinear path, net
 displacement over duration, and the mean of per-cell finite-difference
 velocities.
@@ -15,7 +16,7 @@ import numpy as np
 from .errors import OutOfDomain
 from .geometry import MAX_GEOMETRY_DEGREE, trajectory_length
 from .quadrature import gauss_points
-from .recon import PiecewisePoly
+from .recon import PiecewisePoly, evaluate
 from .trajdata import TrackSeries
 
 
@@ -53,12 +54,9 @@ def _check_domain(axis_polys: list[PiecewisePoly], t) -> None:
 def eval_at(axis_polys: list[PiecewisePoly], t: float) -> KinematicSample:
     """Kinematic state at time t (t must lie within the track's span)."""
     _check_domain(axis_polys, t)
-    return KinematicSample(
-        t=float(t),
-        position=np.array([float(p.value(t)) for p in axis_polys]),
-        velocity=np.array([float(p.derivative(t)) for p in axis_polys]),
-        acceleration=np.array([float(p.second_derivative(t)) for p in axis_polys]),
-    )
+    t = float(t)
+    position, velocity, acceleration = evaluate(axis_polys, t, (0, 1, 2))
+    return KinematicSample(t, position, velocity, acceleration)
 
 
 def dense_times(axis_polys: list[PiecewisePoly]) -> np.ndarray:
@@ -72,19 +70,13 @@ def dense_kinematics(axis_polys: list[PiecewisePoly]):
     """Dense output as arrays: the times (m,) of dense_times and the
     position, velocity and acceleration there, each (dim, m)."""
     times = dense_times(axis_polys)
-    pos = np.array([p.value(times) for p in axis_polys])
-    vel = np.array([p.derivative(times) for p in axis_polys])
-    acc = np.array([p.second_derivative(times) for p in axis_polys])
-    return times, pos, vel, acc
+    return times, *evaluate(axis_polys, times, (0, 1, 2))
 
 
 def sample_dense(axis_polys: list[PiecewisePoly]) -> list[KinematicSample]:
     """Dense kinematic output at the Gauss points of every cell."""
     times, pos, vel, acc = dense_kinematics(axis_polys)
-    return [
-        KinematicSample(float(times[j]), pos[:, j], vel[:, j], acc[:, j])
-        for j in range(len(times))
-    ]
+    return [KinematicSample(*row) for row in zip(times.tolist(), pos.T, vel.T, acc.T)]
 
 
 def summarize(

@@ -48,7 +48,7 @@ def build_mesh(times: np.ndarray) -> StaggeredMesh:
 
 
 def locate_cells(mesh: StaggeredMesh, t: np.ndarray) -> np.ndarray:
-    """Index of the cell containing each t, by binary search and clipped to
-    the end cells; an interior interface belongs to its left cell."""
-    idx = np.searchsorted(mesh.interfaces, t, side="left") - 1
-    return np.clip(idx, 0, mesh.n_cells - 1)
+    """Index of the cell containing each t, by one binary search over the
+    interior interfaces: an interior interface belongs to its left cell,
+    times outside the span (and NaN, which sorts last) to the end cells."""
+    return np.searchsorted(mesh.interfaces[1:-1], t, side="left")

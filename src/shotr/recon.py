@@ -27,7 +27,8 @@ ill-determined: some fits of degree 3 and up then miss their samples by
 the rounding of large coefficients.
 
 A reconstruction is the mesh plus an ``(n_cells, N + 1)`` array of these
-coefficients.
+coefficients per axis. ``evaluate`` is the one path from them to values and
+derivatives: one cell lookup per set of times serves every axis and order.
 """
 
 import logging
@@ -39,7 +40,7 @@ import numpy as np
 
 from .errors import UnsupportedDegree
 from .mesh import StaggeredMesh, build_mesh, locate_cells
-from .trajdata import TrackSeries, split_axes
+from .trajdata import TrackSeries, _frozen_floats, split_axes
 
 logger = logging.getLogger(__name__)
 
@@ -56,8 +57,17 @@ _PAIR = np.arange(2)
 _SIGNS = np.array([1.0, -1.0])
 
 
+def _horner(scaled: np.ndarray, u) -> np.ndarray:
+    """sum_l scaled[..., l] u^l by Horner; scaled[..., l] must broadcast
+    against u."""
+    acc = scaled[..., -1]
+    for l in range(scaled.shape[-1] - 2, -1, -1):
+        acc = acc * u + scaled[..., l]
+    return acc
+
+
 def _taylor_eval(coeffs: np.ndarray, u, order: int = 0) -> np.ndarray:
-    """order-th derivative in u of sum_l coeffs[..., l] u^l / l!, by Horner.
+    """order-th derivative in u of sum_l coeffs[..., l] u^l / l!.
 
     coeffs[..., l] must broadcast against u. Dividing by width**order turns
     the result into the physical-time derivative.
@@ -65,11 +75,7 @@ def _taylor_eval(coeffs: np.ndarray, u, order: int = 0) -> np.ndarray:
     n = coeffs.shape[-1]
     if order >= n:
         return np.zeros(np.broadcast_shapes(coeffs.shape[:-1], np.shape(u)))
-    scaled = coeffs[..., order:] / _FACT[: n - order]
-    acc = scaled[..., -1]
-    for l in range(n - order - 2, -1, -1):
-        acc = acc * u + scaled[..., l]
-    return acc
+    return _horner(coeffs[..., order:] / _FACT[: n - order], u)
 
 
 @dataclass(frozen=True)
@@ -103,13 +109,18 @@ class CellPoly:
 
 @dataclass(frozen=True)
 class PiecewisePoly:
-    """Reconstruction of one axis: the mesh and each cell's coefficients."""
+    """Reconstruction of one axis: the mesh and each cell's coefficients.
+
+    The coefficients are held read-only; the caller's own array stays
+    writable. value, derivative and second_derivative are one-axis calls
+    to ``evaluate``.
+    """
 
     mesh: StaggeredMesh
     coeffs: np.ndarray  # (n_cells, degree + 1), normalized Taylor basis per cell
 
     def __post_init__(self):
-        self.coeffs.setflags(write=False)
+        object.__setattr__(self, "coeffs", _frozen_floats(self.coeffs))
 
     @property
     def degree(self) -> int:
@@ -123,21 +134,45 @@ class PiecewisePoly:
             for c, center, width in zip(self.coeffs, self.mesh.barycenters, self.mesh.widths)
         ]
 
-    def _eval(self, t, order: int):
-        t = np.asarray(t, dtype=float)
-        idx = locate_cells(self.mesh, t)
-        width = self.mesh.widths[idx]
-        u = (t - self.mesh.barycenters[idx]) / width
-        return _taylor_eval(self.coeffs[idx], u, order) / width**order
-
     def value(self, t):
-        return self._eval(t, 0)
+        return evaluate([self], t, (0,))[0][0]
 
     def derivative(self, t):
-        return self._eval(t, 1)
+        return evaluate([self], t, (1,))[0][0]
 
     def second_derivative(self, t):
-        return self._eval(t, 2)
+        return evaluate([self], t, (2,))[0][0]
+
+
+def evaluate(axis_polys: list[PiecewisePoly], t, orders) -> list[np.ndarray]:
+    """The derivatives of the given orders (0 is the position) of every axis
+    of a track at times t, one array of shape (dim, *t.shape) per order.
+
+    The axes share one mesh, so one cell lookup serves every axis and order.
+    Each order divides the (dim, cells, N + 1) coefficients by the
+    factorials, gathers the cells of t for all axes at once and runs one
+    Horner loop. Times outside the span use the end cells' polynomials.
+    """
+    mesh = axis_polys[0].mesh
+    t = np.asarray(t, dtype=float)
+    idx = locate_cells(mesh, t)
+    width = mesh.widths[idx]
+    u = (t - mesh.barycenters[idx]) / width
+    # With fewer times than cells, the rows of their cells are taken before
+    # the scaling, so that the cost of a query follows t, not the track.
+    per_cell = t.size >= mesh.n_cells
+    coeffs = np.stack([p.coeffs if per_cell else p.coeffs[idx] for p in axis_polys])
+    n = coeffs.shape[-1]
+    out = []
+    for order in orders:
+        if order >= n:
+            out.append(np.zeros((len(axis_polys), *t.shape)))
+            continue
+        scaled = coeffs[..., order:] / _FACT[: n - order]
+        if per_cell:
+            scaled = np.take(scaled, idx, axis=1)
+        out.append(_horner(scaled, u) / width**order)
+    return out
 
 
 def check_degree(degree: int) -> int:
@@ -253,10 +288,11 @@ def _degree_used(track: TrackSeries, degree: int) -> int:
 def _apply(track: TrackSeries, mesh: StaggeredMesh, windows: np.ndarray, R: np.ndarray,
            limiter: str) -> list[PiecewisePoly]:
     """Every axis of a track from its cells' operators, limited if asked."""
-    polys = [
-        PiecewisePoly(mesh, np.matmul(R, track.coords[:, d][windows][..., None])[..., 0])
-        for d in range(track.dim)
-    ]
+    polys = []
+    for d in range(track.dim):
+        coeffs = np.matmul(R, track.coords[:, d][windows][..., None])[..., 0]
+        coeffs.setflags(write=False)  # the record keeps it without a copy
+        polys.append(PiecewisePoly(mesh, coeffs))
     if limiter == "none":
         return polys
     from .cweno import limit_piecewise

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ShotrError
 from .mesh import StaggeredMesh
 from .quadrature import gauss_points
-from .recon import PiecewisePoly, effective_degree, reconstruct_track
+from .recon import PiecewisePoly, effective_degree, evaluate, reconstruct_track
 from .trajdata import TrackSeries
 
 AXES = "xyz"
@@ -42,13 +42,15 @@ def error_norms(
     window: tuple[float, float],
     quad_points_per_cell: int,
     mesh: StaggeredMesh,
-) -> ErrorNorms:
+) -> ErrorNorms | list[ErrorNorms]:
     """Integral L1/L2 and discrete Linf distance between two functions.
 
     Integrals use per-cell Gauss quadrature on the mesh cells clipped to
     the window; the max is taken over all quadrature nodes and the clipped
-    cell interfaces. A window that overlaps no cell gives zero norms; a
-    non-finite window bound is an error.
+    cell interfaces. Functions that return one column per axis, shape
+    (m, dim), give one ErrorNorms per column, each equal to that column's
+    own call, from one evaluation of both. A window that overlaps no cell
+    gives zero norms; a non-finite window bound is an error.
     """
     a, b = window
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -57,12 +59,20 @@ def error_norms(
     hi = np.minimum(mesh.interfaces[1:], b)
     kept = hi > lo
     lo, hi = lo[kept], hi[kept]
-    if lo.size == 0:
-        return ErrorNorms(0.0, 0.0, 0.0)
     nodes, weights = gauss_points(lo, hi, quad_points_per_cell)
     pts = np.concatenate([nodes.ravel(), lo, hi])
     err = np.abs(np.asarray(reference(pts)) - np.asarray(candidate(pts)))
-    quad_err = err[: nodes.size].reshape(nodes.shape)
+    if err.ndim == 1:
+        return _norms(err, weights)
+    return [_norms(column, weights) for column in np.ascontiguousarray(err.T)]
+
+
+def _norms(err: np.ndarray, weights: np.ndarray) -> ErrorNorms:
+    """Norms of one function's errors at the quadrature nodes, then at the
+    clipped interfaces, under the nodes' weights."""
+    if err.size == 0:
+        return ErrorNorms(0.0, 0.0, 0.0)
+    quad_err = err[: weights.size].reshape(weights.shape)
     return ErrorNorms(
         float(np.sum(weights * quad_err)),
         math.sqrt(float(np.sum(weights * quad_err**2))),
@@ -245,15 +255,14 @@ def run_convergence(
     rows: list[ConvergenceRow] = []
     a, b = case.domain
     axes = AXES[: case.dim]
+    tracks = {cells: case.sample(cells + 1) for cells in mesh_cells}
+    exact = _columns(case.position_fns)
     for degree in degrees:
         prev: ConvergenceRow | None = None
         for cells in mesh_cells:
-            polys = reconstruct_track(case.sample(cells + 1), degree, limiter)
+            polys = reconstruct_track(tracks[cells], degree, limiter)
             mesh, quad = polys[0].mesh, polys[0].degree + 1
-            errors = {
-                ax: error_norms(case.position_fns[d], polys[d].value, (a, b), quad, mesh)
-                for d, ax in enumerate(axes)
-            }
+            errors = dict(zip(axes, error_norms(exact, _derivative(polys, 0), (a, b), quad, mesh)))
             dt = (b - a) / cells
             orders = None
             if prev is not None:
@@ -353,29 +362,20 @@ def compare_spt(
     rows: list[ComparisonRow] = []
     a, b = case.domain
     axes = AXES[: case.dim]
+    exact_position, exact_velocity = _columns(case.position_fns), _columns(case.velocity_fns)
     for n_points in mesh_points:
+        track = case.sample(n_points)
         for degree in COMPARISON_DEGREES:
-            polys = reconstruct_track(case.sample(n_points), degree)
+            polys = reconstruct_track(track, degree)
             mesh = polys[0].mesh
-            method = f"P{degree}"
-            for d, ax in enumerate(axes):
-                rows.append(
-                    ComparisonRow(
-                        case=case.name,
-                        method=method,
-                        degree=degree,
-                        n_points=n_points,
-                        axis=ax,
-                        position=error_norms(
-                            case.position_fns[d], polys[d].value,
-                            (a, b), COMPARISON_QUAD_POINTS, mesh,
-                        ),
-                        velocity=error_norms(
-                            case.velocity_fns[d], polys[d].derivative,
-                            (a, b), COMPARISON_QUAD_POINTS, mesh,
-                        ),
-                    )
-                )
+            position = error_norms(exact_position, _derivative(polys, 0),
+                                   (a, b), COMPARISON_QUAD_POINTS, mesh)
+            velocity = error_norms(exact_velocity, _derivative(polys, 1),
+                                   (a, b), COMPARISON_QUAD_POINTS, mesh)
+            rows += [
+                ComparisonRow(case.name, f"P{degree}", degree, n_points, ax, pos, vel)
+                for ax, pos, vel in zip(axes, position, velocity)
+            ]
     return rows
 
 
@@ -469,16 +469,22 @@ def _path_norms(taus: np.ndarray, deviation: np.ndarray) -> ErrorNorms:
     )
 
 
-def _positions(polys: list[PiecewisePoly]) -> Callable[[np.ndarray], np.ndarray]:
-    """Physical time -> positions, one column per axis, of a reconstruction."""
-    return lambda t: np.column_stack([p.value(t) for p in polys])
+def _columns(fns: Sequence[Callable]) -> Callable[[np.ndarray], np.ndarray]:
+    """Times (m,) -> the functions' values, one column per function."""
+    return lambda t: np.column_stack([f(t) for f in fns])
+
+
+def _derivative(polys: list[PiecewisePoly], order: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Times (m,) -> the order-th time derivative (m, dim) of a
+    reconstruction: its positions for order 0, its velocities for 1."""
+    return lambda t: evaluate(polys, t, (order,))[0].T
 
 
 def cubic_reference(track: TrackSeries) -> Callable[[np.ndarray], np.ndarray]:
     """``backtrace``'s default reference: the unlimited cubic reconstruction
     of track, fitted at the degree a short track allows, so that its degree
     reduction is logged once, by the fit being scored."""
-    return _positions(reconstruct_track(track, effective_degree(len(track), 3)))
+    return _derivative(reconstruct_track(track, effective_degree(len(track), 3)), 0)
 
 
 def backtrace(
@@ -526,9 +532,10 @@ def backtrace(
     # The field depends on time only, so every step's increment is one RK
     # step from a zero state, all steps at once; summing the increments in
     # step order gives the same path as stepping one at a time.
+    velocities = _derivative(polys, 1)
+
     def field(x: np.ndarray, tau: np.ndarray) -> np.ndarray:
-        t_phys = np.clip(t1 - tau, t0, t1)
-        return np.concatenate([p.derivative(t_phys) for p in polys], axis=1)
+        return velocities(np.clip(t1 - tau[:, 0], t0, t1))
 
     increments = rk_step(
         np.zeros((len(h), track.dim)), taus_arr[:-1, None], h[:, None], field, order
@@ -538,7 +545,7 @@ def backtrace(
     )
 
     if reference is None:
-        reference = (_positions(polys) if degree == 3 and limiter == "none"
+        reference = (_derivative(polys, 0) if degree == 3 and limiter == "none"
                      else cubic_reference(track))
     t_phys = np.clip(t1 - taus_arr, t0, t1)
     expected = np.asarray(reference(t_phys), dtype=float)

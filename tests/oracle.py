@@ -1,11 +1,13 @@
 """Row-by-row and per-cell reference implementations of the CSV parse,
-the reconstruction, the limiter, the arc length, the validation norms
-and backtrace, and the text of the CLI's file commands' output.
+the reconstruction and its evaluation, the limiter, the arc length, the
+validation norms and backtrace, and the text of the CLI's file commands'
+output.
 
 The file is read one row at a time, each token converted as it is met;
 one exact rational solve of the constrained least-squares (KKT) system per
 cell and one candidate set per cell, with the oscillation indicator
-integrated by Gauss quadrature; arc lengths from a hand-written Lagrange
+integrated by Gauss quadrature; each axis and derivative evaluated on its
+own, with its own cell search; arc lengths from a hand-written Lagrange
 table, cell by cell; error norms summed cell by cell and backtrace stepped
 one RK step at a time. Slow, but written independently of the array code in
 ``shotr.trajdata``, ``shotr.recon``, ``shotr.cweno``, ``shotr.geometry``
@@ -232,6 +234,31 @@ def reconstruct_axis(series: TrackSeries, degree: int) -> np.ndarray:
     n_eff = effective_degree(len(series), degree)
     mesh = build_mesh(series.times)
     return np.array([cell_coeffs(mesh, series.values, i, n_eff) for i in range(mesh.n_cells)])
+
+
+def locate_cells(mesh: StaggeredMesh, t) -> np.ndarray:
+    """The cell of each t by searching all interfaces, minus one, clipped
+    to the end cells."""
+    idx = np.searchsorted(mesh.interfaces, t, side="left") - 1
+    return np.clip(idx, 0, mesh.n_cells - 1)
+
+
+def evaluate_axis(poly, t, order: int):
+    """One axis's order-th derivative at t, with its own cell search and
+    gather and the factorials divided per point, by Horner."""
+    t = np.asarray(t, dtype=float)
+    idx = locate_cells(poly.mesh, t)
+    width = poly.mesh.widths[idx]
+    u = (t - poly.mesh.barycenters[idx]) / width
+    coeffs = poly.coeffs[idx]
+    n = coeffs.shape[-1]
+    if order >= n:
+        return np.zeros(np.shape(u)) / width**order
+    scaled = coeffs[..., order:] / _FACT[: n - order]
+    acc = scaled[..., -1]
+    for l in range(n - order - 2, -1, -1):
+        acc = acc * u + scaled[..., l]
+    return acc / width**order
 
 
 # ---------------------------------------------------------------------------

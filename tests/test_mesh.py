@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from shotr.errors import NonMonotoneTimes
 from shotr.mesh import StaggeredMesh, build_mesh, locate_cells
 
+from . import oracle
+
 
 def test_uniform_mesh_arithmetic():
     mesh = build_mesh(np.array([0.0, 1.0, 2.0]))
@@ -59,12 +61,32 @@ def test_mesh_leaves_the_callers_times_writable():
             mesh.interfaces[0] = 7.0
 
 
+def assert_same_cells(mesh, t):
+    """locate_cells gives the cells, dtype and shape of the search over all
+    interfaces, minus one, clipped to the end cells."""
+    got, want = locate_cells(mesh, t), oracle.locate_cells(mesh, t)
+    assert type(got) is type(want)
+    assert got.dtype == want.dtype and np.shape(got) == np.shape(want)
+    np.testing.assert_array_equal(got, want)
+    return got
+
+
 def test_locate_cell_examples():
     """An interior interface belongs to its left cell; times outside the
-    span clip to the end cells."""
+    span, and NaN, go to the end cells; a 1-cell mesh gives cell 0."""
     mesh = build_mesh(np.array([0.0, 1.0, 2.0]))
-    t = np.array([0.3, 1.0, 0.0, 2.0, 2.5, -0.1])
-    np.testing.assert_array_equal(locate_cells(mesh, t), [0, 0, 0, 1, 1, 0])
+    t = np.array([0.3, 1.0, 0.0, 2.0, 2.5, -0.1, np.nan, np.inf, -np.inf])
+    want = [0, 0, 0, 1, 1, 0, 1, 1, 0]
+    np.testing.assert_array_equal(assert_same_cells(mesh, t), want)
+    for x, cell in zip(t.tolist(), want):
+        assert assert_same_cells(mesh, x) == cell
+    np.testing.assert_array_equal(assert_same_cells(mesh, t.reshape(3, 3)),
+                                  np.reshape(want, (3, 3)))
+    assert assert_same_cells(mesh, np.empty(0)).shape == (0,)
+    single = build_mesh(np.array([-1.0, 4.0]))
+    np.testing.assert_array_equal(assert_same_cells(single, t), np.zeros(len(t)))
+    for x in t.tolist():
+        assert assert_same_cells(single, x) == 0
 
 
 @st.composite
@@ -100,6 +122,13 @@ def _locate_linear(mesh, t):
 def test_locate_cell_matches_linear_scan(times, u):
     mesh = build_mesh(times)
     t = min(times[0] + u * (times[-1] - times[0]), times[-1])
-    assert locate_cells(mesh, t) == _locate_linear(mesh, t)
-    # interface hits must resolve to the left cell
-    np.testing.assert_array_equal(locate_cells(mesh, times[1:-1]), np.arange(len(times) - 2))
+    assert assert_same_cells(mesh, t) == _locate_linear(mesh, t)
+    # interface hits must resolve to the left cell, the span's ends to the end cells
+    np.testing.assert_array_equal(assert_same_cells(mesh, times[1:-1]), np.arange(len(times) - 2))
+    np.testing.assert_array_equal(assert_same_cells(mesh, times[[0, -1]]), [0, mesh.n_cells - 1])
+    # both sides of the span, non-finite times, and times between interfaces
+    span = times[-1] - times[0]
+    outside = [times[0] - span, np.nextafter(times[0], -np.inf), np.nextafter(times[-1], np.inf),
+               times[-1] + span, np.nan, np.inf, -np.inf]
+    inside = 0.5 * (times[:-1] + times[1:])
+    assert_same_cells(mesh, np.concatenate([outside, inside, times]))

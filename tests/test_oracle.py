@@ -1,6 +1,7 @@
 """Differential tests: the batched array core against the per-cell oracle."""
 
 import logging
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,9 +9,16 @@ import pytest
 from shotr import trajdata
 from shotr.errors import ShotrError
 from shotr.mesh import build_mesh
-from shotr.recon import MAX_DEGREE, reconstruct_track
+from shotr.recon import MAX_DEGREE, evaluate, reconstruct_track
 from shotr.trajdata import TrackSeries, parse_tracks
-from shotr.validate import backtrace, error_norms
+from shotr.validate import (
+    COMPARISON_QUAD_POINTS,
+    backtrace,
+    compare_spt,
+    error_norms,
+    get_case,
+    run_convergence,
+)
 
 from . import oracle
 from .conftest import random_times, random_track
@@ -90,15 +98,21 @@ def test_backtrace_matches_stepwise_oracle(rng, degree, limiter):
 
 def test_error_norms_match_per_cell_oracle(rng):
     """Full, clipped and partially overlapping windows, on reconstructions
-    and on closed-form functions, to 1e-13 relative."""
+    and on closed-form functions, to 1e-13 relative. Functions that return
+    one column per axis give one ErrorNorms per column, bit-equal to that
+    column's own call."""
     for _ in range(20):
         n = int(rng.integers(2, 200))
-        track = random_track(rng, n, 1)
-        poly = reconstruct_track(track, int(rng.integers(1, 6)))[0]
+        track = random_track(rng, n, int(rng.integers(1, 4)))
+        polys = reconstruct_track(track, int(rng.integers(1, 6)))
+        poly = polys[0]
         mesh = build_mesh(track.times)
         t0, t1 = mesh.span
         span = t1 - t0
-        g = lambda t: np.sin(3 * t) + 0.1 * t**2
+        fns = [lambda t, k=k: np.sin((3 + k) * t) + 0.1 * t**2 for k in range(track.dim)]
+        g = fns[0]
+        exact = lambda t: np.column_stack([f(t) for f in fns])
+        fitted = lambda t: np.column_stack([p.value(t) for p in polys])
         windows = [
             (t0, t1),
             (t0 + 0.3 * span, t1 - 0.2 * span),
@@ -110,6 +124,63 @@ def test_error_norms_match_per_cell_oracle(rng):
                 got = error_norms(g, poly.value, window, quad, mesh)
                 ref = oracle.error_norms(g, poly.value, window, quad, mesh)
                 np.testing.assert_allclose(got.as_tuple(), ref.as_tuple(), rtol=1e-13, atol=0)
+                columns = error_norms(exact, fitted, window, quad, mesh)
+                per_column = [error_norms(f, p.value, window, quad, mesh)
+                              for f, p in zip(fns, polys)]
+                assert [c.as_tuple() for c in columns] == [c.as_tuple() for c in per_column]
+
+
+@pytest.mark.parametrize("limiter", ["none", "cweno"])
+def test_study_rows_are_the_per_axis_norms(limiter):
+    """run_convergence's and compare_spt's norms, from one evaluation of all
+    axes, bit-equal the 1-D norms of each axis evaluated on its own."""
+    case = get_case("conv3d")
+    axes = "xyz"
+    for row in run_convergence(case, (1, 2, 3), (20, 40, 80), limiter):
+        polys = reconstruct_track(case.sample(row.n_cells + 1), row.degree, limiter)
+        for d, ax in enumerate(axes):
+            fitted = partial(oracle.evaluate_axis, polys[d], order=0)
+            want = error_norms(case.position_fns[d], fitted, case.domain, row.degree + 1,
+                               polys[0].mesh)
+            assert row.errors[ax].as_tuple() == want.as_tuple()
+    if limiter == "cweno":
+        return
+    for row in compare_spt(case, (21, 41)):
+        d = axes.index(row.axis)
+        poly = reconstruct_track(case.sample(row.n_points), row.degree)[d]
+        for fns, order, got in ((case.position_fns, 0, row.position),
+                                (case.velocity_fns, 1, row.velocity)):
+            want = error_norms(fns[d], partial(oracle.evaluate_axis, poly, order=order),
+                               case.domain, COMPARISON_QUAD_POINTS, poly.mesh)
+            assert got.as_tuple() == want.as_tuple()
+
+
+@pytest.mark.parametrize("degree", range(1, MAX_DEGREE + 1))
+def test_evaluate_matches_per_axis_oracle(rng, degree):
+    """One evaluation of every axis and order is bit-equal to each axis and
+    order evaluated on its own, with its own cell search: times inside, on
+    and outside the span, NaN and infinities; scalar t, and arrays of fewer
+    and of more times than cells. An order above the degree gives zeros."""
+    for dim in (1, 2, 3):
+        track = random_track(rng, 2 * degree + 6, dim)
+        for limiter in ("none", "cweno"):
+            polys = reconstruct_track(track, degree, limiter)
+            t0, t1 = polys[0].mesh.span
+            many = np.concatenate([rng.uniform(t0 - 1, t1 + 1, 3 * len(track)), track.times,
+                                   [np.nan, np.inf, -np.inf]])
+            for t in (many, many[:5], many[1:].reshape(2, -1), many[7], float(many[-5]), t1 + 3):
+                orders = [0, 1, 2, 3, degree + 1]
+                for order, got in zip(orders, evaluate(polys, t, orders)):
+                    assert got.shape == (dim, *np.shape(t))
+                    for d, poly in enumerate(polys):
+                        assert got[d].tobytes() == oracle.evaluate_axis(poly, t, order).tobytes()
+                    if order > degree:
+                        assert not got.any()
+                for poly in polys:
+                    for order, method in enumerate((poly.value, poly.derivative,
+                                                    poly.second_derivative)):
+                        got, want = method(t), oracle.evaluate_axis(poly, t, order)
+                        assert type(got) is type(want) and got.tobytes() == want.tobytes()
 
 
 NON_FINITE = ("nan", "NaN", "inf", "-inf", "Infinity")

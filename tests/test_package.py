@@ -129,6 +129,59 @@ def test_every_module_parses_as_the_oldest_supported_python():
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
+class _Scan(ast.NodeVisitor):
+    """The functions of a module that call locate_cells, and those whose for
+    loops take a Horner step, ``acc = acc * u + c`` (in either order)."""
+
+    def __init__(self, module: str):
+        self.scope = [module]
+        self.lookups, self.horner = [], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name == "locate_cells":
+            self.lookups.append(".".join(self.scope))
+        self.generic_visit(node)
+
+    def visit_For(self, node):
+        for stmt in node.body:
+            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 and _is_horner_step(
+                    getattr(stmt.targets[0], "id", None), stmt.value):
+                self.horner.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def _is_horner_step(target, value) -> bool:
+    if target is None or not (isinstance(value, ast.BinOp) and isinstance(value.op, ast.Add)):
+        return False
+    for term in (value.left, value.right):
+        if isinstance(term, ast.BinOp) and isinstance(term.op, ast.Mult):
+            if target in (getattr(term.left, "id", None), getattr(term.right, "id", None)):
+                return True
+    return False
+
+
+def test_one_cell_lookup_and_one_horner_loop():
+    """One Taylor-basis evaluator: the package looks cells up in one place,
+    recon.evaluate, and writes the Horner loop once, in recon._horner, which
+    CellPoly and geometry.cell_lengths also run."""
+    lookups, horner = [], []
+    for path in sorted((ROOT / "src" / "shotr").glob("*.py")):
+        scan = _Scan(path.stem)
+        scan.visit(ast.parse(path.read_text(encoding="utf-8")))
+        lookups += scan.lookups
+        horner += scan.horner
+    assert lookups == ["recon.evaluate"]
+    assert horner == ["recon._horner"]
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         shotr.no_such_name

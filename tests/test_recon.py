@@ -11,6 +11,7 @@ from shotr.mesh import build_mesh
 from shotr.recon import (
     LIMITERS,
     MAX_DEGREE,
+    PiecewisePoly,
     TaylorBasis,
     effective_degree,
     reconstruct_track,
@@ -249,6 +250,34 @@ def test_two_point_track():
     assert poly.value(1.0) == pytest.approx(3.0)
     assert poly.cells[0].coeffs[0] == pytest.approx(3.0)   # value at barycenter
     assert poly.cells[0].coeffs[1] == pytest.approx(4.0)   # slope * width
+
+
+def test_poly_leaves_the_callers_coefficients_writable():
+    mesh = build_mesh(np.array([0.0, 1.0, 2.0]))
+    c = np.zeros((2, 4))
+    poly = PiecewisePoly(mesh, c)
+    c[0, 0] = 1.0
+    assert not poly.coeffs.any()
+    with pytest.raises(ValueError, match="read-only"):
+        poly.coeffs[0, 0] = 1.0
+    frozen = np.ones((2, 4))
+    frozen.setflags(write=False)
+    assert PiecewisePoly(mesh, frozen).coeffs is frozen
+
+
+@pytest.mark.parametrize("limiter", LIMITERS)
+def test_reconstruction_keeps_its_own_coefficients_without_a_copy(rng, monkeypatch, limiter):
+    """The fit and the limiter freeze the arrays they made before building
+    the record, so the record takes them as they are."""
+    kept = []
+    frozen_floats = recon._frozen_floats
+    monkeypatch.setattr(recon, "_frozen_floats",
+                        lambda a: kept.append(frozen_floats(a) is a) or frozen_floats(a))
+    track = random_track(rng, 30, 3)
+    reconstruct_track(track, 3, limiter)
+    list(reconstruct_tracks([track, track], 3, limiter))
+    # 3 fits of 3 axes; with the limiter, each axis is built again limited
+    assert kept == [True] * (9 if limiter == "none" else 18)
 
 
 def test_to_dict_shape(rng):

@@ -72,9 +72,12 @@ def test_window_clips_cells():
 def test_window_outside_the_mesh_gives_zero_norms():
     mesh = build_mesh(np.linspace(0, 2, 21))
     one = lambda t: np.ones_like(t)
+    columns = lambda t: np.column_stack([t, 2 * t])
     for window in ((3.0, 4.0), (-2.0, -1.0), (2.0, 3.0), (1.0, 1.0)):
         en = error_norms(one, lambda t: np.zeros_like(t), window, 4, mesh)
         assert en.as_tuple() == (0.0, 0.0, 0.0)
+        per_column = error_norms(columns, lambda t: 0 * columns(t), window, 4, mesh)
+        assert [n.as_tuple() for n in per_column] == [(0.0, 0.0, 0.0)] * 2
 
 
 @pytest.mark.parametrize("window", [(np.nan, 1.0), (0.0, np.nan), (0.0, np.inf), (-np.inf, 1.0)])
