@@ -149,20 +149,25 @@ def evaluate(axis_polys: list[PiecewisePoly], t, orders) -> list[np.ndarray]:
     of a track at times t, one array of shape (dim, *t.shape) per order.
 
     The axes share one mesh, so one cell lookup serves every axis and order.
-    Each order divides the (dim, cells, N + 1) coefficients by the
-    factorials, gathers the cells of t for all axes at once and runs one
-    Horner loop. Times outside the span use the end cells' polynomials.
+    Each order divides the coefficients of all axes by the factorials, per
+    cell when t has at least as many times as the mesh has cells and per
+    gathered row otherwise, and runs one Horner loop. Times outside the span use the end cells' polynomials.
+    Axes on different meshes or of different degrees are a ValueError.
     """
-    mesh = axis_polys[0].mesh
+    mesh, n = axis_polys[0].mesh, axis_polys[0].coeffs.shape[-1]
+    if not all((p.mesh is mesh or np.array_equal(p.mesh.interfaces, mesh.interfaces))
+               and p.coeffs.shape[-1] == n for p in axis_polys):
+        raise ValueError("the axes of a track must share one mesh and one degree")
     t = np.asarray(t, dtype=float)
     idx = locate_cells(mesh, t)
     width = mesh.widths[idx]
     u = (t - mesh.barycenters[idx]) / width
-    # With fewer times than cells, the rows of their cells are taken before
-    # the scaling, so that the cost of a query follows t, not the track.
+    # Dense queries (dense output, error norms, RK stages) scale per cell
+    # and then gather, which costs less than scaling per point; a query of
+    # fewer times than cells takes its rows first, so that its cost follows
+    # t, not the track. Both do the same divisions, so the bits agree.
     per_cell = t.size >= mesh.n_cells
     coeffs = np.stack([p.coeffs if per_cell else p.coeffs[idx] for p in axis_polys])
-    n = coeffs.shape[-1]
     out = []
     for order in orders:
         if order >= n:

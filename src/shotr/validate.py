@@ -49,8 +49,11 @@ def error_norms(
     the window; the max is taken over all quadrature nodes and the clipped
     cell interfaces. Functions that return one column per axis, shape
     (m, dim), give one ErrorNorms per column, each equal to that column's
-    own call, from one evaluation of both. A window that overlaps no cell
-    gives zero norms; a non-finite window bound is an error.
+    own call, from one evaluation of both. Other shapes, or one function
+    returning (m,) and the other (m, dim), are a ValueError; a scalar
+    broadcasts. A window that overlaps no cell gives zero norms (both
+    functions are still called, at no times, to learn the form); a
+    non-finite window bound is an error.
     """
     a, b = window
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -61,7 +64,11 @@ def error_norms(
     lo, hi = lo[kept], hi[kept]
     nodes, weights = gauss_points(lo, hi, quad_points_per_cell)
     pts = np.concatenate([nodes.ravel(), lo, hi])
-    err = np.abs(np.asarray(reference(pts)) - np.asarray(candidate(pts)))
+    ref, cand = np.asarray(reference(pts)), np.asarray(candidate(pts))
+    err = np.abs(ref - cand)
+    if err.shape[:1] != pts.shape or err.ndim > 2 or (err.ndim == 2 and 1 in (ref.ndim, cand.ndim)):
+        raise ValueError(f"the functions returned shapes {ref.shape} and {cand.shape} at "
+                         f"{pts.size} times; expected ({pts.size},) or ({pts.size}, columns) from both")
     if err.ndim == 1:
         return _norms(err, weights)
     return [_norms(column, weights) for column in np.ascontiguousarray(err.T)]

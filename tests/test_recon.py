@@ -14,6 +14,7 @@ from shotr.recon import (
     PiecewisePoly,
     TaylorBasis,
     effective_degree,
+    evaluate,
     reconstruct_track,
     reconstruct_tracks,
     reconstruction_operators,
@@ -263,6 +264,21 @@ def test_poly_leaves_the_callers_coefficients_writable():
     frozen = np.ones((2, 4))
     frozen.setflags(write=False)
     assert PiecewisePoly(mesh, frozen).coeffs is frozen
+
+
+def test_axes_must_share_one_mesh_and_one_degree(rng):
+    """One cell lookup serves every axis, so the axes must share the mesh
+    (an equal one built on its own will do) and the degree."""
+    track = random_track(rng, 12, 2)
+    x, y = reconstruct_track(track, 3)
+    t = rng.uniform(track.times[0], track.times[-1], 30)
+    same = evaluate([x, PiecewisePoly(build_mesh(track.times), y.coeffs)], t, (0, 1))
+    assert [a.tobytes() for a in same] == [a.tobytes() for a in evaluate([x, y], t, (0, 1))]
+    other_mesh = PiecewisePoly(build_mesh(2 * track.times), y.coeffs)
+    other_degree = reconstruct_track(track, 2)[1]
+    for polys in ([x, other_mesh], [x, other_degree], [other_degree, x]):
+        with pytest.raises(ValueError, match="one mesh and one degree"):
+            evaluate(polys, t, (0,))
 
 
 @pytest.mark.parametrize("limiter", LIMITERS)

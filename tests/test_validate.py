@@ -80,6 +80,23 @@ def test_window_outside_the_mesh_gives_zero_norms():
         assert [n.as_tuple() for n in per_column] == [(0.0, 0.0, 0.0)] * 2
 
 
+def test_functions_of_different_forms_are_rejected():
+    """Both functions give one value per time, (m,), or one column per axis,
+    (m, dim); a 1-D result against a column would broadcast to (m, m)."""
+    mesh = build_mesh(np.linspace(0, 2, 11))
+    axis = lambda t: np.sin(t)
+    column = lambda t: np.sin(t)[:, None]
+    cube = lambda t: np.zeros((len(t), 2, 2))
+    for window in ((0.0, 2.0), (3.0, 4.0)):
+        for f, g in ((axis, column), (column, axis), (cube, cube), (lambda t: 1.0, lambda t: 0.0)):
+            with pytest.raises(ValueError, match="returned shapes"):
+                error_norms(f, g, window, 4, mesh)
+    # a scalar broadcasts against either form
+    zero = lambda t: 0.0
+    assert error_norms(zero, axis, (0, 2), 4, mesh) == error_norms(np.zeros_like, axis, (0, 2), 4, mesh)
+    assert error_norms(column, zero, (0, 2), 4, mesh) == [error_norms(axis, zero, (0, 2), 4, mesh)]
+
+
 @pytest.mark.parametrize("window", [(np.nan, 1.0), (0.0, np.nan), (0.0, np.inf), (-np.inf, 1.0)])
 def test_non_finite_window_rejected(window):
     """A NaN bound would otherwise overlap no cell and give zero norms."""
