@@ -38,7 +38,7 @@ _EXPORTS = {
                        "sample_dense", "summarize"),
         "validate": ("CASES", "BacktraceResult", "ComparisonRow", "ConvergenceRow",
                      "ErrorNorms", "SyntheticCase", "backtrace", "compare_spt",
-                     "error_norms", "get_case", "rk_step", "run_convergence"),
+                     "error_norms", "get_case", "run_convergence"),
     }.items()
     for name in names
 }

@@ -44,6 +44,11 @@ from .recon import LIMITERS, check_degree, reconstruct_tracks  # noqa: E402
 from .trajdata import parse_tracks, split_axes  # noqa: E402
 
 
+# Rows of a track's table formatted at once, so that a long track's CSV
+# text is never built whole.
+_CSV_BLOCK_ROWS = 4096
+
+
 def _fmt(x: float) -> str:
     """Round-trip-safe float formatting (17 significant digits)."""
     return format(float(x), ".17g")
@@ -125,12 +130,15 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 def _write_track_tables(args: argparse.Namespace, header: list[str], table) -> int:
     """CSV of every track of the input: the header, then for each track
-    the rows of table(track, polys), a 2-D float array."""
+    the rows of table(track, polys), a 2-D float array, formatted
+    _CSV_BLOCK_ROWS rows at a time."""
     pairs = _reconstructed(args)
     with _output(args) as out:
         csv.writer(out, lineterminator="\n").writerow(header)
         for track, polys in pairs:
-            out.write(_csv_rows(track.track_id, table(track, polys)))
+            rows = table(track, polys)
+            for lo in range(0, len(rows), _CSV_BLOCK_ROWS):
+                out.write(_csv_rows(track.track_id, rows[lo:lo + _CSV_BLOCK_ROWS]))
     return 0
 
 
@@ -233,46 +241,35 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_backtrace(args: argparse.Namespace) -> int:
     from . import validate
 
-    header = ["track", "method", "endpoint_err", "L1", "L2", "Linf"]
-    pairs = (("RK2+P1", 1), ("RK4+P3", 3))
     if not (math.isfinite(args.dtau) and args.dtau > 0):
         raise ShotrError(f"dtau must be finite and > 0, got {args.dtau!r}")
-
+    # (track, reference, limiter) of every track to backtrace
     if args.case:
         if args.limiter is not None or args.fmt is not None:
             raise ShotrError("backtrace --limiter and --format apply to --input only")
         case = validate.get_case(args.case)
-        track = case.sample(41 if args.meshes is None else args.meshes)
-        reference = lambda t: np.column_stack([f(t) for f in case.position_fns])
-        results = {
-            method: validate.backtrace(track, degree, args.dtau, reference=reference)
-            for method, degree in pairs
-        }
-        rows = [
-            [track.track_id, method, _fmt(res.endpoint_error)]
-            + [_fmt(v) for v in res.combined.as_tuple()]
-            for method, res in results.items()
-        ]
-        _write_csv(args, header, rows)
-        if args.check:
-            violations = validate.check_backtrace(results["RK2+P1"], results["RK4+P3"])
-            if violations:
-                raise CheckFailed("\n".join(violations))
-        return 0
+        sources = [(case.sample(41 if args.meshes is None else args.meshes),
+                    validate._columns(case.position_fns), "none")]
+    else:
+        if args.meshes is not None or args.check:
+            raise ShotrError("backtrace --meshes and --check require --case (synthetic reference)")
+        # each track's reference is fitted once, for both methods
+        sources = ((track, validate.cubic_reference(track), args.limiter or "cweno")
+                   for track in _tracks(args))
 
-    if args.meshes is not None or args.check:
-        raise ShotrError("backtrace --meshes and --check require --case (synthetic reference)")
     rows = []
-    for track in _tracks(args):
-        reference = validate.cubic_reference(track)  # fitted once for both methods
-        for method, degree in pairs:
-            res = validate.backtrace(track, degree, args.dtau, limiter=args.limiter or "cweno",
-                                     reference=reference)
-            rows.append(
-                [track.track_id, method, _fmt(res.endpoint_error)]
-                + [_fmt(v) for v in res.combined.as_tuple()]
-            )
-    _write_csv(args, header, rows)
+    for track, reference, limiter in sources:
+        results = {method: validate.backtrace(track, degree, args.dtau, limiter=limiter,
+                                              reference=reference)
+                   for method, degree in (("RK2+P1", 1), ("RK4+P3", 3))}
+        rows += [[track.track_id, method, _fmt(res.endpoint_error)]
+                 + [_fmt(v) for v in res.combined.as_tuple()]
+                 for method, res in results.items()]
+    _write_csv(args, ["track", "method", "endpoint_err", "L1", "L2", "Linf"], rows)
+    if args.check:  # --case only, so results are its one track's
+        violations = validate.check_backtrace(results["RK2+P1"], results["RK4+P3"])
+        if violations:
+            raise CheckFailed("\n".join(violations))
     return 0
 
 

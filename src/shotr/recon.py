@@ -49,7 +49,8 @@ LIMITERS = ("none", "cweno")
 # Cells reconstruct_tracks fits at once. A chunk shares each solve among
 # many short tracks; at degree 9 its temporaries take about 8 kB a cell,
 # and 512 cells keep a 200k-row file's peak memory at that of fitting
-# track by track (4,096 added 36 MB and ran slower).
+# track by track (4,096 added 36 MB and ran slower). A longer track is
+# solved this many cells at a time.
 _CHUNK_CELLS = 512
 
 _FACT = np.array([math.factorial(k) for k in range(MAX_DEGREE + 2)], dtype=float)
@@ -225,7 +226,19 @@ def _operators(u: np.ndarray, own: np.ndarray, degree: int) -> np.ndarray:
     """Sample-to-coefficients operators (b, degree + 1, size) of b stacked
     cells, from their stencil coordinates u (b, size) and own-sample
     positions (b, 2). Cells are independent, so a cell's operator does not
-    depend on which cells are stacked with it."""
+    depend on which cells are stacked with it, and they are solved
+    _CHUNK_CELLS at a time: a long track's solve temporaries stay those of
+    a chunk."""
+    R = np.zeros((u.shape[0], degree + 1, u.shape[1]))
+    for lo in range(0, len(u), _CHUNK_CELLS):
+        cells = slice(lo, lo + _CHUNK_CELLS)
+        _solve(R[cells], u[cells], own[cells], degree)
+    return R
+
+
+def _solve(R: np.ndarray, u: np.ndarray, own: np.ndarray, degree: int) -> None:
+    """Write the operators of cells u (b, size), own (b, 2) into R, zeros of
+    shape (b, degree + 1, size)."""
     n, k = degree + 1, degree - 1
     b, size = u.shape
     rows = np.arange(b)[:, None]
@@ -236,12 +249,11 @@ def _operators(u: np.ndarray, own: np.ndarray, degree: int) -> np.ndarray:
     ul, ur = u_own[:, :1], u_own[:, 1:]
     # the linear-linking segment: value (u_r s_l - u_l s_r) / (u_r - u_l) and
     # slope (s_r - s_l) / (u_r - u_l) at u = 0
-    R = np.zeros((b, n, size))
     weights = _SIGNS / (ur - ul)
     R[rows, 0, own] = u_own[:, ::-1] * weights
     R[rows, 1, own] = -weights
     if degree == 1:
-        return R
+        return
     # q in powers of v = (u - mid) / half, fitted to the samples' residuals
     # about the segment; the rows of the cell's own samples are zero
     half = 0.5 * (u[:, -1:] - u[:, :1])
@@ -265,7 +277,6 @@ def _operators(u: np.ndarray, own: np.ndarray, degree: int) -> np.ndarray:
         P[:, :, j] -= P[:, :, j - 1] * (mid / half)
     R += P @ X
     R *= _FACT[:n, None]
-    return R
 
 
 def reconstruction_operators(mesh: StaggeredMesh, degree: int) -> tuple[np.ndarray, np.ndarray]:

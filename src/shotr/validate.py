@@ -7,7 +7,9 @@ reproduces the published accuracy benchmark (degree-N reconstruction
 converging at order N+1), ``compare_spt`` scores high-order reconstruction
 against plain linear linking, and ``backtrace`` integrates the recovered
 velocity field backward from the last sample: the closer the returned path
-to the recorded trajectory, the more accurate the velocity.
+to the recorded trajectory, the more accurate the velocity. The field
+depends on time only, so the RK2 or RK4 steps take their velocities from
+one evaluation at the steps' ends and midpoints.
 """
 
 import math
@@ -47,11 +49,11 @@ def error_norms(
 
     Integrals use per-cell Gauss quadrature on the mesh cells clipped to
     the window; the max is taken over all quadrature nodes and the clipped
-    cell interfaces. Functions that return one column per axis, shape
-    (m, dim), give one ErrorNorms per column, each equal to that column's
-    own call, from one evaluation of both. Other shapes, or one function
-    returning (m,) and the other (m, dim), are a ValueError; a scalar
-    broadcasts. A window that overlaps no cell gives zero norms (both
+    cell interfaces, each evaluated once. Functions that return one column
+    per axis, shape (m, dim), give one ErrorNorms per column, each equal to
+    that column's own call, from one evaluation of both. Other shapes, or
+    one function returning (m,) and the other (m, dim), are a ValueError; a
+    scalar broadcasts. A window that overlaps no cell gives zero norms (both
     functions are still called, at no times, to learn the form); a
     non-finite window bound is an error.
     """
@@ -63,7 +65,8 @@ def error_norms(
     kept = hi > lo
     lo, hi = lo[kept], hi[kept]
     nodes, weights = gauss_points(lo, hi, quad_points_per_cell)
-    pts = np.concatenate([nodes.ravel(), lo, hi])
+    # the kept cells are contiguous, so hi[:-1] is lo[1:]
+    pts = np.concatenate([nodes.ravel(), lo, hi[-1:]])
     ref, cand = np.asarray(reference(pts)), np.asarray(candidate(pts))
     err = np.abs(ref - cand)
     if err.shape[:1] != pts.shape or err.ndim > 2 or (err.ndim == 2 and 1 in (ref.ndim, cand.ndim)):
@@ -431,33 +434,6 @@ def check_comparison(rows: list[ComparisonRow], min_ratio: float = 10.0) -> list
 # backward integration
 # ---------------------------------------------------------------------------
 
-def rk_step(
-    state: np.ndarray,
-    tau: float | np.ndarray,
-    dtau: float | np.ndarray,
-    velocity_field: Callable[[np.ndarray, float | np.ndarray], np.ndarray],
-    order: str = "rk4",
-) -> np.ndarray:
-    """One explicit Runge-Kutta step of dx/dtau = -v(x, tau).
-
-    ``tau`` and ``dtau`` may be arrays that broadcast against ``state``:
-    each row is then an independent step, and the field is called with the
-    array of stage times.
-    """
-    x = np.asarray(state, dtype=float)
-    if order == "rk2":
-        k1 = -velocity_field(x, tau)
-        k2 = -velocity_field(x + 0.5 * dtau * k1, tau + 0.5 * dtau)
-        return x + dtau * k2
-    if order == "rk4":
-        k1 = -velocity_field(x, tau)
-        k2 = -velocity_field(x + 0.5 * dtau * k1, tau + 0.5 * dtau)
-        k3 = -velocity_field(x + 0.5 * dtau * k2, tau + 0.5 * dtau)
-        k4 = -velocity_field(x + dtau * k3, tau + dtau)
-        return x + dtau / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    raise ValueError(f"order must be 'rk2' or 'rk4', got {order!r}")
-
-
 @dataclass
 class BacktraceResult:
     endpoint: np.ndarray
@@ -507,12 +483,16 @@ def backtrace(
     The ODE runs over a local time 0 .. duration while physical time runs
     from the last acquisition back to the first; velocity lookups clamp to
     the track's time span (stages may step slightly outside). The requested
-    degree sets the order, also on short tracks: RK2 for 1, else RK4. The path is
-    scored at the RK step times against ``reference`` (physical time ->
-    positions), which defaults to ``cubic_reference(track)`` and must
-    return shape (len(taus), track.dim), else ValueError. A dtau whose
+    degree sets the order, also on short tracks: RK2 for 1, else RK4. The
+    field depends on time only, so one evaluation of the velocity at the
+    steps' ends and midpoints (midpoints only for RK2) gives every stage.
+    The path is scored at the RK step times against ``reference``
+    (physical time -> positions), which defaults to
+    ``cubic_reference(track)`` and must return shape (len(taus), track.dim),
+    else ValueError. A dtau whose
     step count overflows raises ValueError, and one whose steps cannot be
-    allocated MemoryError, both before the fit.
+    allocated MemoryError, both before the fit, as does an order other
+    than "rk2" or "rk4".
     """
     if not (math.isfinite(dtau) and dtau > 0):
         raise ValueError(f"dtau must be finite and positive, got {dtau!r}")
@@ -531,22 +511,27 @@ def backtrace(
                           f"{duration!r}, too many to allocate") from None
     h[n_full:] = rest
     taus_arr = np.add.accumulate(np.concatenate([[0.0], h]))
-
-    polys = reconstruct_track(track, degree, limiter)
     if order is None:
         order = "rk2" if degree == 1 else "rk4"
+    if order not in ("rk2", "rk4"):
+        raise ValueError(f"order must be 'rk2' or 'rk4', got {order!r}")
 
-    # The field depends on time only, so every step's increment is one RK
-    # step from a zero state, all steps at once; summing the increments in
-    # step order gives the same path as stepping one at a time.
-    velocities = _derivative(polys, 1)
+    polys = reconstruct_track(track, degree, limiter)
 
-    def field(x: np.ndarray, tau: np.ndarray) -> np.ndarray:
-        return velocities(np.clip(t1 - tau[:, 0], t0, t1))
-
-    increments = rk_step(
-        np.zeros((len(h), track.dim)), taus_arr[:-1, None], h[:, None], field, order
-    )
+    # The steps share their ends (taus[:-1] + h is taus[1:] bit for bit),
+    # and RK4's two midpoint stages are one; summing the increments in step
+    # order gives the path of stepping one at a time. Adding 0.0 makes a
+    # -0.0 increment +0.0, as a step from a zero state makes it.
+    t_ends = np.clip(t1 - taus_arr, t0, t1)
+    t_mids = np.clip(t1 - (taus_arr[:-1] + 0.5 * h), t0, t1)
+    velocity = _derivative(polys, 1)
+    if order == "rk2":
+        increments = 0.0 + h[:, None] * -velocity(t_mids)
+    else:
+        k = -velocity(np.concatenate([t_ends, t_mids]))
+        k_ends, k_mid = k[: n_steps + 1], k[n_steps + 1:]
+        increments = 0.0 + h[:, None] / 6.0 * (k_ends[:-1] + 2.0 * k_mid + 2.0 * k_mid
+                                               + k_ends[1:])
     path_arr = np.add.accumulate(
         np.concatenate([track.coords[-1:].astype(float), increments]), axis=0
     )
@@ -554,8 +539,7 @@ def backtrace(
     if reference is None:
         reference = (_derivative(polys, 0) if degree == 3 and limiter == "none"
                      else cubic_reference(track))
-    t_phys = np.clip(t1 - taus_arr, t0, t1)
-    expected = np.asarray(reference(t_phys), dtype=float)
+    expected = np.asarray(reference(t_ends), dtype=float)
     if expected.shape != path_arr.shape:
         raise ValueError(f"reference returned shape {expected.shape}, "
                          f"expected {path_arr.shape} (steps x axes)")

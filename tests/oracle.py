@@ -35,7 +35,7 @@ from shotr.mesh import StaggeredMesh, build_mesh
 from shotr.quadrature import gauss_points
 from shotr.recon import _FACT, CellPoly, TaylorBasis, effective_degree, reconstruct_track
 from shotr.trajdata import TrackSeries, TrackSet, _column_map, split_axes
-from shotr.validate import ErrorNorms, rk_step
+from shotr.validate import ErrorNorms
 
 
 logger = logging.getLogger(__name__)
@@ -421,6 +421,23 @@ def error_norms(reference, candidate, window, quad_points_per_cell, mesh) -> Err
         l2_sq += float(np.dot(weights, err[:-2] ** 2))
         linf = max(linf, float(err.max()))
     return ErrorNorms(l1, math.sqrt(l2_sq), linf)
+
+
+def rk_step(state: np.ndarray, tau: float, dtau: float, velocity_field, order: str = "rk4"):
+    """One explicit Runge-Kutta step of dx/dtau = -v(x, tau): the midpoint
+    rule for "rk2", the classical four-stage rule for "rk4"."""
+    x = np.asarray(state, dtype=float)
+    if order == "rk2":
+        k1 = -velocity_field(x, tau)
+        k2 = -velocity_field(x + 0.5 * dtau * k1, tau + 0.5 * dtau)
+        return x + dtau * k2
+    if order == "rk4":
+        k1 = -velocity_field(x, tau)
+        k2 = -velocity_field(x + 0.5 * dtau * k1, tau + 0.5 * dtau)
+        k3 = -velocity_field(x + 0.5 * dtau * k2, tau + 0.5 * dtau)
+        k4 = -velocity_field(x + dtau * k3, tau + dtau)
+        return x + dtau / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    raise ValueError(f"order must be 'rk2' or 'rk4', got {order!r}")
 
 
 def backtrace_path(

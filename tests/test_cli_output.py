@@ -81,6 +81,15 @@ def test_length_and_summary_stdout_is_one_row_per_track(track_file, capsys, comm
     assert out == {"length": oracle.length_csv, "summary": oracle.summary_csv}[command](pairs)
 
 
+@pytest.mark.parametrize("command", ["kinematics", "summary", "length"])
+def test_tables_formatted_a_few_rows_at_a_time_give_the_same_text(track_file, capsys,
+                                                                  monkeypatch, command):
+    path, _ = track_file
+    whole = run(capsys, command, "--input", path)
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 3)
+    assert run(capsys, command, "--input", path) == whole
+
+
 def test_file_of_dropped_tracks(tmp_path, capsys):
     """Every track has one usable sample: an empty "tracks" object and CSV
     headers with no rows."""

@@ -71,7 +71,6 @@ OPTIONAL_PARAMETERS = {
     "run_convergence": ["mesh_cells", "limiter"],
     "compare_spt": ["mesh_points"],
     "backtrace": ["order", "limiter", "reference"],
-    "rk_step": ["order"],
 }
 
 

@@ -354,6 +354,25 @@ def test_reconstruct_tracks_equals_reconstruct_track(rng, monkeypatch, caplog, b
                     assert np.array_equal(p.coeffs, w.coeffs)
 
 
+def test_operators_solve_a_long_track_a_chunk_of_cells_at_a_time(rng, monkeypatch):
+    """No QR takes more than _CHUNK_CELLS cells, and with 7-cell chunks
+    tracks of 2 to 1,300 samples keep the coefficients of one solve, bit for
+    bit, through reconstruct_track and reconstruct_tracks."""
+    tracks = [random_track(rng, n, 3, f"n{n}") for n in (2, 3, 8, 9, 16, 23, 60, 1300)]
+    cases = [(degree, limiter) for degree in (1, 3, 9) for limiter in LIMITERS]
+    expected = {case: [reconstruct_track(t, *case) for t in tracks] for case in cases}
+    monkeypatch.setattr(recon, "_CHUNK_CELLS", 7)
+    batches, qr = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a: batches.append(len(a)) or qr(a))
+    for case in cases:
+        for got in ([reconstruct_track(t, *case) for t in tracks],
+                    [polys for _, polys in reconstruct_tracks(tracks, *case)]):
+            for polys, want in zip(got, expected[case], strict=True):
+                for p, w in zip(polys, want, strict=True):
+                    assert np.array_equal(p.coeffs, w.coeffs)
+    assert max(batches) == 7
+
+
 @pytest.mark.parametrize("limiter", LIMITERS)
 def test_split_axis_reconstructs_as_its_axis_of_the_track(rng, limiter):
     """A one-axis track from split_axes is reconstructed, and limited, bit

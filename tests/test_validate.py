@@ -15,11 +15,11 @@ from shotr.validate import (
     compare_spt,
     error_norms,
     get_case,
-    rk_step,
     run_convergence,
 )
 
 from .conftest import count_calls, random_track
+from .oracle import rk_step
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +67,18 @@ def test_window_clips_cells():
     mesh = build_mesh(np.linspace(0, 2, 21))
     en = error_norms(lambda t: np.ones_like(t), lambda t: np.zeros_like(t), (0.5, 1.5), 4, mesh)
     assert en.l1 == pytest.approx(1.0, abs=1e-13)
+
+
+def test_each_clipped_interface_is_evaluated_once():
+    """k kept cells take their quad * k nodes and their k + 1 clipped
+    interfaces: a full window, one clipped inside its end cells, and one
+    that overlaps no cell."""
+    mesh = build_mesh(np.linspace(0, 2, 21))
+    for window, kept in (((0.0, 2.0), 20), ((0.55, 1.45), 10), ((3.0, 4.0), 0)):
+        sizes = []
+        candidate = lambda t: sizes.append(t.size) or np.zeros_like(t)
+        error_norms(lambda t: t, candidate, window, 4, mesh)
+        assert sizes == [4 * kept + kept + 1 if kept else 0]
 
 
 def test_window_outside_the_mesh_gives_zero_norms():
@@ -327,11 +339,27 @@ def test_backtrace_partial_final_step():
     assert res.taus[-1] == pytest.approx(1.3, abs=1e-12)
 
 
-def test_backtrace_rejects_unknown_order():
+def test_backtrace_rejects_unknown_order(monkeypatch):
     times = np.linspace(0, 1.3, 14)
     track = TrackSeries("p", times, np.column_stack([times, times**2]))
+    calls = []
+    count_calls(monkeypatch, validate, "reconstruct_track", calls)
     with pytest.raises(ValueError, match="rk2"):
         backtrace(track, 3, 0.5, order="rk3")
+    assert calls == []
+
+
+@pytest.mark.parametrize("order", ["rk2", "rk4"])
+def test_backtrace_takes_its_velocities_from_one_evaluation(rng, monkeypatch, order):
+    """RK2 evaluates the velocity at the n step midpoints, RK4 at the n + 1
+    step ends and the n midpoints, in one call."""
+    track = random_track(rng, 30, 3)
+    calls, evaluate = [], validate.evaluate
+    monkeypatch.setattr(validate, "evaluate", lambda polys, t, orders: (
+        calls.append((t.size, tuple(orders))) or evaluate(polys, t, orders)))
+    res = backtrace(track, 3, 0.37, order=order, reference=lambda t: np.zeros((t.size, 3)))
+    n = len(res.taus) - 1
+    assert calls == [(n if order == "rk2" else 2 * n + 1, (1,))]
 
 
 @pytest.mark.parametrize("dtau", [0.0, -0.5, float("inf"), float("nan")])
