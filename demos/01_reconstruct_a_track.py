@@ -8,7 +8,8 @@ acceleration become available at arbitrary times, not only at the frames.
 
 import numpy as np
 
-from shotr import TrackSeries, eval_at, reconstruct_track, sample_dense
+from shotr import TrackSeries, eval_at, reconstruct_track
+from shotr.kinematics import dense_kinematics
 
 rng = np.random.default_rng(1)
 
@@ -40,8 +41,11 @@ print(f"  velocity     = {state.velocity}")
 print(f"  acceleration = {state.acceleration}")
 print(f"  speed        = {state.speed:.4f}")
 
-# 3) dense output at the Gauss points of every cell (4 per cell for cubics)
-samples = sample_dense(polys)
-print(f"\ndense sampling: {len(samples)} states, e.g. first three times:")
-for s in samples[:3]:
-    print(f"  t={s.t:.4f}  speed={s.speed:.4f}")
+# 3) dense output at the Gauss points of every cell (4 per cell for cubics),
+#    as arrays: the times, then position, velocity and acceleration, each
+#    one row per axis
+dense_t, _, dense_v, _ = dense_kinematics(polys)
+speed = np.linalg.norm(dense_v, axis=0)
+print(f"\ndense sampling: {len(dense_t)} states, e.g. first three times:")
+for t, v in zip(dense_t[:3], speed[:3]):
+    print(f"  t={t:.4f}  speed={v:.4f}")

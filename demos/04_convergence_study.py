@@ -6,8 +6,7 @@ the printed empirical orders confirm it. The embedded reference values
 (the published benchmark results) gate the run when check=True.
 """
 
-from shotr import get_case, run_convergence
-from shotr.validate import check_convergence
+from shotr.validate import check_convergence, get_case, run_convergence
 
 case = get_case("conv3d")
 rows = run_convergence(case, degrees=[1, 2, 3], mesh_cells=[100, 200, 400, 800])

@@ -11,7 +11,7 @@ order of magnitude even with steps spanning ten frames.
 
 import numpy as np
 
-from shotr import backtrace, get_case
+from shotr.validate import backtrace, get_case
 
 case = get_case("tanhcos2d")   # a stall-then-dash x motion with an oscillating y
 track = case.sample(41)

@@ -44,9 +44,9 @@ from .recon import LIMITERS, check_degree, reconstruct_tracks  # noqa: E402
 from .trajdata import parse_tracks, split_axes  # noqa: E402
 
 
-# Rows of a track's table formatted at once, so that a long track's CSV
-# text is never built whole.
-_CSV_BLOCK_ROWS = 4096
+# Rows of a track's CSV table, or cells of an axis of its JSON, formatted
+# at once, so that a long track's text is never built whole.
+_BLOCK_ROWS = 4096
 
 
 def _fmt(x: float) -> str:
@@ -84,20 +84,25 @@ def _json_cell(n_coeffs: int) -> str:
             '            "coeffs": [\n' + coeffs + '\n            ]\n          }')
 
 
-def _json_track(track, polys) -> str:
-    """One member of reconstruct's "tracks" object, laid out as
-    json.dump(..., indent=2) lays it out; json spells every number."""
+def _json_track(track, polys):
+    """The text of one member of reconstruct's "tracks" object, in pieces,
+    laid out as json.dump(..., indent=2) lays it out: each axis is
+    formatted _BLOCK_ROWS cells at a time, and json spells every number."""
     import json
 
     mesh, n_coeffs = polys[0].mesh, polys[0].degree + 1
-    values = np.concatenate(
-        [np.column_stack([mesh.barycenters, mesh.widths, p.coeffs]) for p in polys]
-    )
-    numbers = json.dumps(values.ravel().tolist())[1:-1].split(", ")
-    axis = "        [\n" + ",\n".join([_json_cell(n_coeffs)] * mesh.n_cells) + "\n        ]"
-    axes = ",\n".join([axis] * len(polys)) % tuple(numbers)
-    return ('    %s: {\n      "dim": %d,\n      "degree_used": %d,\n      "axes": [\n%s\n      ]\n    }'
-            % (json.dumps(track.track_id), track.dim, n_coeffs - 1, axes))
+    cell = _json_cell(n_coeffs)
+    yield ('    %s: {\n      "dim": %d,\n      "degree_used": %d,\n      "axes": [\n'
+           % (json.dumps(track.track_id), track.dim, n_coeffs - 1))
+    for k, p in enumerate(polys):
+        yield ",\n        [\n" if k else "        [\n"
+        for lo in range(0, mesh.n_cells, _BLOCK_ROWS):
+            block = slice(lo, lo + _BLOCK_ROWS)
+            values = np.column_stack([mesh.barycenters[block], mesh.widths[block], p.coeffs[block]])
+            numbers = json.dumps(values.ravel().tolist())[1:-1].split(", ")
+            yield (",\n" if lo else "") + ",\n".join([cell] * len(values)) % tuple(numbers)
+        yield "\n        ]"
+    yield "\n      ]\n    }"
 
 
 def _csv_rows(track_id: str, table: np.ndarray) -> str:
@@ -122,7 +127,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
                   % (args.degree, json.dumps(args.limiter)))
         sep = "\n"
         for track, polys in pairs:
-            out.write(sep + _json_track(track, polys))
+            out.write(sep)
+            out.writelines(_json_track(track, polys))
             sep = ",\n"
         out.write("}\n}\n" if sep == "\n" else "\n  }\n}\n")
     return 0
@@ -131,14 +137,14 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 def _write_track_tables(args: argparse.Namespace, header: list[str], table) -> int:
     """CSV of every track of the input: the header, then for each track
     the rows of table(track, polys), a 2-D float array, formatted
-    _CSV_BLOCK_ROWS rows at a time."""
+    _BLOCK_ROWS rows at a time."""
     pairs = _reconstructed(args)
     with _output(args) as out:
         csv.writer(out, lineterminator="\n").writerow(header)
         for track, polys in pairs:
             rows = table(track, polys)
-            for lo in range(0, len(rows), _CSV_BLOCK_ROWS):
-                out.write(_csv_rows(track.track_id, rows[lo:lo + _CSV_BLOCK_ROWS]))
+            for lo in range(0, len(rows), _BLOCK_ROWS):
+                out.write(_csv_rows(track.track_id, rows[lo:lo + _BLOCK_ROWS]))
     return 0
 
 

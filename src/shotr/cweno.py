@@ -23,16 +23,6 @@ import numpy as np
 from .recon import _FACT, PiecewisePoly
 from .trajdata import TrackSeries
 
-__all__ = [
-    "CwenoConfig",
-    "side_lines",
-    "candidates",
-    "oscillation_indicators",
-    "nonlinear_weights",
-    "blend",
-    "limit_piecewise",
-]
-
 
 class CwenoConfig:
     """The limiter's constants, part of the method's definition: the central

@@ -22,7 +22,9 @@ class StaggeredMesh:
 
     def __post_init__(self):
         t = self.interfaces = _frozen_floats(self.interfaces)
-        if t.ndim != 1 or len(t) < 2:
+        if t.ndim != 1:
+            raise ValueError(f"interfaces must be one-dimensional, got shape {t.shape}")
+        if len(t) < 2:
             raise NonMonotoneTimes("need at least 2 strictly increasing times")
         if not np.isfinite(t).all():
             raise ValueError("times include non-finite values")

@@ -112,16 +112,21 @@ class CellPoly:
 class PiecewisePoly:
     """Reconstruction of one axis: the mesh and each cell's coefficients.
 
-    The coefficients are held read-only; the caller's own array stays
-    writable. value, derivative and second_derivative are one-axis calls
-    to ``evaluate``.
+    The coefficients, one row per cell and 2 to MAX_DEGREE + 1 columns, are
+    held read-only; the caller's own array stays writable. value,
+    derivative and second_derivative are one-axis calls to ``evaluate``.
     """
 
     mesh: StaggeredMesh
     coeffs: np.ndarray  # (n_cells, degree + 1), normalized Taylor basis per cell
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _frozen_floats(self.coeffs))
+        coeffs = _frozen_floats(self.coeffs)
+        if coeffs.ndim != 2 or len(coeffs) != self.mesh.n_cells or not (
+                2 <= coeffs.shape[1] <= MAX_DEGREE + 1):
+            raise ValueError(f"coeffs must have {self.mesh.n_cells} rows and 2 to "
+                             f"{MAX_DEGREE + 1} columns, got shape {coeffs.shape}")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def degree(self) -> int:

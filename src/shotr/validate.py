@@ -170,6 +170,10 @@ def get_case(name: str) -> SyntheticCase:
 # ---------------------------------------------------------------------------
 
 REFERENCE_MESH_CELLS = (100, 200, 400, 800)
+# check_convergence's gates: each error within this share of its reference,
+# and each L1/L2 order on the two finest refinements within ORDER_TOL of N+1.
+REFERENCE_REL_TOL = 0.05
+ORDER_TOL = 0.25
 
 # Published per-axis position errors (l1, l2, linf) of the 3-D convergence
 # benchmark, keyed by (degree, refinement level, axis). Level k has
@@ -291,16 +295,12 @@ def run_convergence(
     return rows
 
 
-def check_convergence(
-    rows: list[ConvergenceRow],
-    rel_tol: float = 0.05,
-    order_tol: float = 0.25,
-) -> list[str]:
+def check_convergence(rows: list[ConvergenceRow]) -> list[str]:
     """Violations of the convergence gates; empty when everything passes.
 
-    Gates: per-axis errors match the published reference within rel_tol
-    where a reference entry exists, and L1/L2 empirical orders on the two
-    finest refinements stay within order_tol of degree + 1.
+    Gates: per-axis errors match the published reference within
+    REFERENCE_REL_TOL where a reference entry exists, and L1/L2 empirical
+    orders on the two finest refinements stay within ORDER_TOL of degree + 1.
     """
     violations: list[str] = []
     level_of = {cells: lvl for lvl, cells in enumerate(REFERENCE_MESH_CELLS)}
@@ -318,10 +318,10 @@ def check_convergence(
                 continue
             for k, name in enumerate(("L1", "L2", "Linf")):
                 got = norms.as_tuple()[k]
-                if abs(got - ref[k]) > rel_tol * ref[k]:
+                if abs(got - ref[k]) > REFERENCE_REL_TOL * ref[k]:
                     violations.append(
                         f"N={row.degree} cells={row.n_cells} axis={ax} {name}: "
-                        f"{got:.3e} vs reference {ref[k]:.3e} (>±{rel_tol:.0%})"
+                        f"{got:.3e} vs reference {ref[k]:.3e} (>±{REFERENCE_REL_TOL:.0%})"
                     )
 
     for degree, drows in by_degree.items():
@@ -331,10 +331,10 @@ def check_convergence(
                 continue
             for ax, orders in row.orders.items():
                 for k, name in enumerate(("L1", "L2")):
-                    if abs(orders[k] - expected) > order_tol:
+                    if abs(orders[k] - expected) > ORDER_TOL:
                         violations.append(
                             f"N={degree} cells={row.n_cells} axis={ax} order({name})="
-                            f"{orders[k]:.2f} outside {expected}±{order_tol}"
+                            f"{orders[k]:.2f} outside {expected}±{ORDER_TOL}"
                         )
     return violations
 
@@ -346,6 +346,7 @@ def check_convergence(
 COMPARISON_MESH_POINTS = (21, 41, 81)
 COMPARISON_DEGREES = (1, 3)
 COMPARISON_QUAD_POINTS = 4  # Gauss points per cell
+COMPARISON_MIN_RATIO = 10.0  # P3 velocity L2 error at least this far below P1's
 
 
 @dataclass
@@ -389,12 +390,12 @@ def compare_spt(
     return rows
 
 
-def check_comparison(rows: list[ComparisonRow], min_ratio: float = 10.0) -> list[str]:
+def check_comparison(rows: list[ComparisonRow]) -> list[str]:
     """Violations of the comparison gates; empty when everything passes.
 
-    Gates: P3 velocity L2 error at least min_ratio times below P1 on every
-    mesh and axis, and both methods' position and velocity errors strictly
-    decreasing under refinement.
+    Gates: P3 velocity L2 error at least COMPARISON_MIN_RATIO times below P1
+    on every mesh and axis, and both methods' position and velocity errors
+    strictly decreasing under refinement.
     """
     violations: list[str] = []
     index = {(r.method, r.n_points, r.axis): r for r in rows}
@@ -407,10 +408,10 @@ def check_comparison(rows: list[ComparisonRow], min_ratio: float = 10.0) -> list
             p3 = index.get(("P3", n_points, ax))
             if p1 is None or p3 is None:
                 continue
-            if p3.velocity.l2 * min_ratio > p1.velocity.l2:
+            if p3.velocity.l2 * COMPARISON_MIN_RATIO > p1.velocity.l2:
                 violations.append(
                     f"points={n_points} axis={ax}: velocity L2 ratio "
-                    f"{p1.velocity.l2 / p3.velocity.l2:.1f} < {min_ratio}"
+                    f"{p1.velocity.l2 / p3.velocity.l2:.1f} < {COMPARISON_MIN_RATIO}"
                 )
 
     for method in ("P1", "P3"):

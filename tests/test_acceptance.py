@@ -14,7 +14,10 @@ from shotr.geometry import trajectory_length
 from shotr.recon import reconstruct_track
 from shotr.trajdata import TrackSeries
 from shotr.validate import (
+    COMPARISON_MIN_RATIO,
+    ORDER_TOL,
     REFERENCE_MESH_CELLS,
+    REFERENCE_REL_TOL,
     backtrace,
     check_backtrace,
     check_comparison,
@@ -39,7 +42,8 @@ def _report(num, name, ok, detail=""):
 def test_criterion_1_convergence_table():
     case = get_case("conv3d")
     rows = run_convergence(case, degrees=[1, 2, 3, 4, 5], mesh_cells=REFERENCE_MESH_CELLS)
-    violations = check_convergence(rows, rel_tol=0.05, order_tol=0.25)
+    assert (REFERENCE_REL_TOL, ORDER_TOL) == (0.05, 0.25)  # the published gate
+    violations = check_convergence(rows)
 
     # spot anchors pinned independently of the embedded reference table
     lvl0 = next(r for r in rows if r.degree == 1 and r.n_cells == 100)
@@ -68,7 +72,8 @@ def test_criterion_1_convergence_table():
 
 def test_criterion_2_comparison_velocity_gap():
     rows = compare_spt(get_case("tanhcos2d"), mesh_points=(21, 41, 81))
-    violations = check_comparison(rows, min_ratio=10.0)
+    assert COMPARISON_MIN_RATIO == 10.0  # the published gate
+    violations = check_comparison(rows)
     ratios = {}
     for r in rows:
         if r.method == "P3":

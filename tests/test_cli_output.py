@@ -86,8 +86,22 @@ def test_tables_formatted_a_few_rows_at_a_time_give_the_same_text(track_file, ca
                                                                   monkeypatch, command):
     path, _ = track_file
     whole = run(capsys, command, "--input", path)
-    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 3)
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)
     assert run(capsys, command, "--input", path) == whole
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_json_formatted_a_few_cells_at_a_time_gives_the_same_text(track_file, tmp_path, capsys,
+                                                                   monkeypatch, block):
+    """Most tracks of the file are longer than the block; a file whose one
+    track is dropped writes no track at all."""
+    path, _ = track_file
+    dropped = tmp_path / "dropped.csv"
+    dropped.write_text("track,t,x\na,0.0,1.0\n", encoding="utf-8")
+    paths = [path, str(dropped)]
+    whole = [run(capsys, "reconstruct", "--input", p) for p in paths]
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
+    assert [run(capsys, "reconstruct", "--input", p) for p in paths] == whole
 
 
 def test_file_of_dropped_tracks(tmp_path, capsys):

@@ -28,9 +28,11 @@ def test_non_monotone_times_rejected():
         for times in ([0.0, 1.0, 1.0], [0.0, 2.0, 1.0]):
             with pytest.raises(NonMonotoneTimes, match="^times must be strictly increasing$"):
                 make(np.array(times))
-        for times in ([0.0], [[0.0, 1.0]]):
-            with pytest.raises(NonMonotoneTimes, match="^need at least 2 strictly increasing"):
-                make(np.array(times))
+        with pytest.raises(NonMonotoneTimes, match="^need at least 2 strictly increasing"):
+            make(np.array([0.0]))
+        with pytest.raises(ValueError, match=r"^interfaces must be one-dimensional, "
+                                             r"got shape \(1, 2\)$"):
+            make(np.array([[0.0, 1.0]]))
 
 
 @pytest.mark.parametrize("times", [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [-np.inf, 0.0]])

@@ -1,9 +1,9 @@
 """The package's import contract: `import shotr` loads its submodules, and
 numpy, only on first use, and the command line starts numpy with one BLAS
 thread unless the user chose a thread count or numpy was loaded first.
-Also the exported names' optional parameters and records' init fields,
-listed in full, and the modules' syntax against the oldest supported
-Python."""
+Also the optional parameters and init fields of every public function and
+record of every submodule, exported or not, listed in full, and the
+modules' syntax against the oldest supported Python."""
 
 import ast
 import dataclasses
@@ -59,18 +59,34 @@ def test_dir_and_star_import_cover_every_export():
     assert set(shotr.__all__) <= namespace.keys()
 
 
-# Every parameter with a default of every exported name; for a dataclass,
-# every init field with a default. A new option is an edit to this list.
+def _public_callables() -> dict:
+    """Every public function and class defined in a shotr submodule, keyed
+    module.name, whether the package exports it or not."""
+    found = {}
+    for path in sorted((ROOT / "src" / "shotr").glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"shotr.{path.stem}")
+        found |= {f"{path.stem}.{name}": obj for name, obj in vars(module).items()
+                  if not name.startswith("_") and callable(obj)
+                  and getattr(obj, "__module__", None) == module.__name__}
+    return found
+
+
+# Every parameter with a default of every public callable of every
+# submodule; for a dataclass, every init field with a default. A new option
+# is an edit to this list.
 OPTIONAL_PARAMETERS = {
-    "reconstruct_track": ["limiter", "cweno_config"],
-    "reconstruct_tracks": ["limiter"],
-    "parse_tracks": ["fmt"],
-    "cell_lengths": ["geom_degree"],
-    "trajectory_length": ["geom_degree"],
-    "summarize": ["geom_degree"],
-    "run_convergence": ["mesh_cells", "limiter"],
-    "compare_spt": ["mesh_points"],
-    "backtrace": ["order", "limiter", "reference"],
+    "cli.main": ["argv"],
+    "recon.reconstruct_track": ["limiter", "cweno_config"],
+    "recon.reconstruct_tracks": ["limiter"],
+    "trajdata.parse_tracks": ["fmt"],
+    "geometry.cell_lengths": ["geom_degree"],
+    "geometry.trajectory_length": ["geom_degree"],
+    "kinematics.summarize": ["geom_degree"],
+    "validate.run_convergence": ["mesh_cells", "limiter"],
+    "validate.compare_spt": ["mesh_points"],
+    "validate.backtrace": ["order", "limiter", "reference"],
 }
 
 
@@ -78,8 +94,6 @@ def _optional_parameters(obj) -> list[str]:
     if dataclasses.is_dataclass(obj):
         return [f.name for f in dataclasses.fields(obj) if f.init and (
             f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING)]
-    if not callable(obj):
-        return []
     try:
         params = inspect.signature(obj).parameters.values()
     except ValueError:  # no signature to read
@@ -88,34 +102,37 @@ def _optional_parameters(obj) -> list[str]:
 
 
 def test_optional_parameters_are_the_listed_ones():
-    found = {name: _optional_parameters(getattr(shotr, name)) for name in shotr.__all__}
+    found = {name: _optional_parameters(obj) for name, obj in _public_callables().items()}
     assert {name: params for name, params in found.items() if params} == OPTIONAL_PARAMETERS
 
 
-# The init fields of every exported dataclass: each holds what cannot be
-# derived from the others (a track's dimension is its coords' column count,
-# a mesh's widths and barycenters come from its interfaces, a cell's degree
-# from its coefficient count). A new field is an edit to this dict.
+# The init fields of every dataclass a submodule defines: each holds what
+# cannot be derived from the others (a track's dimension is its coords'
+# column count, a mesh's widths and barycenters come from its interfaces, a
+# cell's degree from its coefficient count). A new field is an edit to
+# this dict.
 INIT_FIELDS = {
-    "TrackSeries": ["track_id", "times", "coords"],
-    "TrackSet": ["tracks"],
-    "StaggeredMesh": ["interfaces"],
-    "CellPoly": ["coeffs", "basis"],
-    "PiecewisePoly": ["mesh", "coeffs"],
-    "TaylorBasis": ["center", "width"],
-    "KinematicSample": ["t", "position", "velocity", "acceleration"],
-    "VelocitySummary": ["v_l", "v_d", "v_m", "length", "duration"],
-    "BacktraceResult": ["endpoint", "endpoint_error", "taus", "path", "per_axis", "combined"],
-    "ComparisonRow": ["case", "method", "degree", "n_points", "axis", "position", "velocity"],
-    "ConvergenceRow": ["case", "degree", "n_cells", "dt", "errors", "orders"],
-    "ErrorNorms": ["l1", "l2", "linf"],
-    "SyntheticCase": ["name", "position_fns", "velocity_fns", "domain"],
+    "trajdata.TrackSeries": ["track_id", "times", "coords"],
+    "trajdata.TrackSet": ["tracks"],
+    "mesh.StaggeredMesh": ["interfaces"],
+    "recon.CellPoly": ["coeffs", "basis"],
+    "recon.PiecewisePoly": ["mesh", "coeffs"],
+    "recon.TaylorBasis": ["center", "width"],
+    "kinematics.KinematicSample": ["t", "position", "velocity", "acceleration"],
+    "kinematics.VelocitySummary": ["v_l", "v_d", "v_m", "length", "duration"],
+    "validate.BacktraceResult": ["endpoint", "endpoint_error", "taus", "path", "per_axis",
+                                 "combined"],
+    "validate.ComparisonRow": ["case", "method", "degree", "n_points", "axis", "position",
+                               "velocity"],
+    "validate.ConvergenceRow": ["case", "degree", "n_cells", "dt", "errors", "orders"],
+    "validate.ErrorNorms": ["l1", "l2", "linf"],
+    "validate.SyntheticCase": ["name", "position_fns", "velocity_fns", "domain"],
 }
 
 
 def test_records_init_fields_are_the_listed_ones():
     found = {name: [f.name for f in dataclasses.fields(obj) if f.init]
-             for name in shotr.__all__ if dataclasses.is_dataclass(obj := getattr(shotr, name))}
+             for name, obj in _public_callables().items() if dataclasses.is_dataclass(obj)}
     assert found == INIT_FIELDS
 
 

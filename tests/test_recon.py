@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -264,6 +265,18 @@ def test_poly_leaves_the_callers_coefficients_writable():
     frozen = np.ones((2, 4))
     frozen.setflags(write=False)
     assert PiecewisePoly(mesh, frozen).coeffs is frozen
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (1, 4), (4,), (2, 1), (2, MAX_DEGREE + 2), (2, 4, 1)])
+def test_poly_rejects_coefficients_that_do_not_fit_its_mesh(shape):
+    """One row per cell, of 2 to MAX_DEGREE + 1 coefficients; any other
+    shape is a ValueError that names it, not a fit that evaluates to 0 or
+    an IndexError later."""
+    mesh = build_mesh(np.array([0.0, 1.0, 2.0]))
+    for columns in (2, MAX_DEGREE + 1):
+        assert PiecewisePoly(mesh, np.zeros((2, columns))).degree == columns - 1
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        PiecewisePoly(mesh, np.zeros(shape))
 
 
 def test_axes_must_share_one_mesh_and_one_degree(rng):

@@ -229,10 +229,12 @@ def test_p1_velocity_is_secant_slope():
     np.testing.assert_allclose(polys[0].derivative(mids), secants, atol=1e-12)
 
 
-def test_check_comparison_reports_ratio_violations(comparison_rows):
-    violations = check_comparison(comparison_rows, min_ratio=1.0)
+def test_check_comparison_reports_ratio_violations(comparison_rows, monkeypatch):
+    monkeypatch.setattr(validate, "COMPARISON_MIN_RATIO", 1.0)
+    violations = check_comparison(comparison_rows)
     assert violations == []  # P3 always beats P1 outright
-    violations = check_comparison(comparison_rows, min_ratio=1e9)
+    monkeypatch.setattr(validate, "COMPARISON_MIN_RATIO", 1e9)
+    violations = check_comparison(comparison_rows)
     assert violations  # absurd gate must trip
 
 
@@ -337,6 +339,26 @@ def test_backtrace_partial_final_step():
     track = TrackSeries("p", times, np.column_stack([times, times**2]))
     res = backtrace(track, 3, 0.5)
     assert res.taus[-1] == pytest.approx(1.3, abs=1e-12)
+
+
+@pytest.mark.parametrize("order, expected", [
+    ("rk2", 2),
+    pytest.param("rk4", 4, marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 5: a stage time on an interior interface takes the earlier "
+        "cell, so with steps that land on frames RK4's end stages come from the "
+        "cells beside the step, across the C0 curve's velocity jump: first order, "
+        "0.548 / 0.275 / 0.145"))),
+], ids=["rk2", "rk4"])
+def test_backtrace_converges_at_its_order_on_frame_aligned_steps(order, expected):
+    """A 41-sample 2-D random walk at dt 0.1, whose fitted velocity jumps at
+    every frame, backtraced at dtau 0.1, 0.05 and 0.025 against the fit's own
+    positions: the error falls at the method's order, less 0.25."""
+    walk = np.cumsum(np.random.default_rng(1).normal(size=(41, 2)), axis=0)
+    track = TrackSeries("walk", 0.1 * np.arange(41), walk)
+    errors = np.array([backtrace(track, 3, dtau, order=order).combined.linf
+                       for dtau in (0.1, 0.05, 0.025)])
+    orders = np.log2(errors[:-1] / errors[1:])
+    assert orders.min() >= expected - 0.25, (errors, orders)
 
 
 def test_backtrace_rejects_unknown_order(monkeypatch):
