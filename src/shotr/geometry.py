@@ -2,7 +2,10 @@
 
 Each cell of the reconstructed curve is mapped to the reference interval
 [0, 1] by a Lagrange nodal basis of degree up to 3, with nodal positions
-taken from the reconstruction polynomials at equispaced node times. The
+taken from the reconstruction at equispaced node times. Each cell is
+evaluated at its own nodes through recon's evaluator, told the cell: a node
+on an interface is read from that cell's polynomial, not its left
+neighbour's. The
 cell length is the Gauss-quadrature integral of the Jacobian magnitude
 sqrt(sum_axes (ds/dxi)^2); for degree 1 this collapses to the straight
 chord, i.e. summing cells reproduces the classical polyline length.
@@ -14,7 +17,7 @@ import numpy as np
 
 from .errors import UnsupportedDegree
 from .quadrature import gauss_points
-from .recon import PiecewisePoly, _taylor_eval
+from .recon import PiecewisePoly, _evaluate
 
 # Cubic isoparametric cells at most. The tables derive for any degree, but a
 # higher cap would change the `length` and `summary` of every reconstruction
@@ -66,9 +69,9 @@ def cell_lengths(
     nodes, dphi, w_q = _reference_cell(_clamped_geometry_degree(geom_degree))
     mesh = axis_polys[0].mesh
     node_times = mesh.interfaces[:-1, None] + nodes * mesh.widths[:, None]
-    u = (node_times - mesh.barycenters[:, None]) / mesh.widths[:, None]
-    coeffs = np.array([p.coeffs for p in axis_polys])[:, :, None, :]
-    tangent = _taylor_eval(coeffs, u) @ dphi        # ds/dxi, (n_axes, n_cells, n_q)
+    cells = np.arange(mesh.n_cells)[:, None]        # each cell at its own nodes
+    positions, = _evaluate(axis_polys, node_times, cells, (0,))
+    tangent = positions @ dphi                      # ds/dxi, (n_axes, n_cells, n_q)
     return np.sqrt(np.sum(tangent**2, axis=0)) @ w_q
 
 

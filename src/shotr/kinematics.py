@@ -1,8 +1,10 @@
 """Instantaneous and summary kinematics of reconstructed trajectories.
 
 Position, velocity, and acceleration at any time come straight from the
-piecewise polynomial and its analytic derivatives on the cell containing
-the query time, all three for every axis from one evaluation. Dense output
+piecewise polynomial and its analytic derivatives, all three for every axis
+from one evaluation. A query time on an interior frame is read on its left
+cell, as every query by time is (``recon.evaluate``); arc length instead
+names each cell. Dense output
 samples the N+1 Gauss points of every cell.
 Summary velocities: average speed along the curvilinear path, net
 displacement over duration, and the mean of per-cell finite-difference

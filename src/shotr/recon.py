@@ -29,6 +29,10 @@ the rounding of large coefficients.
 A reconstruction is the mesh plus an ``(n_cells, N + 1)`` array of these
 coefficients per axis. ``evaluate`` is the one path from them to values and
 derivatives: one cell lookup per set of times serves every axis and order.
+The curve is only C0, so each interior frame has a value on either side: a
+query by time gives it to its left cell. The library's per-cell callers
+(arc length) name the cell instead and run the same evaluation after the
+lookup.
 """
 
 import logging
@@ -155,34 +159,47 @@ def evaluate(axis_polys: list[PiecewisePoly], t, orders) -> list[np.ndarray]:
     of a track at times t, one array of shape (dim, *t.shape) per order.
 
     The axes share one mesh, so one cell lookup serves every axis and order.
-    Each order divides the coefficients of all axes by the factorials, per
-    cell when t has at least as many times as the mesh has cells and per
-    gathered row otherwise, and runs one Horner loop. Times outside the span use the end cells' polynomials.
+    A time on an interior interface takes its left cell, and times outside
+    the span the end cells' polynomials. The library's per-cell callers
+    (arc length) name each cell instead, through the same evaluation.
     Axes on different meshes or of different degrees are a ValueError.
+    """
+    t = np.asarray(t, dtype=float)
+    return _evaluate(axis_polys, t, locate_cells(axis_polys[0].mesh, t), orders)
+
+
+def _evaluate(axis_polys: list[PiecewisePoly], t: np.ndarray, cells: np.ndarray,
+              orders) -> list[np.ndarray]:
+    """evaluate at times t on the given cells, an index per time that
+    broadcasts against t: one array of shape (dim, *broadcast shape) per
+    order.
+
+    Each order divides the coefficients of all axes by the factorials, per
+    cell when there are at least as many times as the mesh has cells and
+    per gathered row otherwise, and runs one Horner loop.
     """
     mesh, n = axis_polys[0].mesh, axis_polys[0].coeffs.shape[-1]
     if not all((p.mesh is mesh or np.array_equal(p.mesh.interfaces, mesh.interfaces))
                and p.coeffs.shape[-1] == n for p in axis_polys):
         raise ValueError("the axes of a track must share one mesh and one degree")
-    t = np.asarray(t, dtype=float)
-    idx = locate_cells(mesh, t)
-    width = mesh.widths[idx]
-    u = (t - mesh.barycenters[idx]) / width
-    # Dense queries (dense output, error norms, RK stages) scale per cell
-    # and then gather, which costs less than scaling per point; a query of
-    # fewer times than cells takes its rows first, so that its cost follows
-    # t, not the track. Both do the same divisions, so the bits agree.
-    per_cell = t.size >= mesh.n_cells
-    coeffs = np.stack([p.coeffs if per_cell else p.coeffs[idx] for p in axis_polys])
+    width = mesh.widths[cells]
+    u = (t - mesh.barycenters[cells]) / width
+    # Dense queries (dense output, error norms, RK stages, arc length) scale
+    # per cell, then gather, which costs less than scaling per point; fewer
+    # times than cells take their rows first, so the cost follows t, not the
+    # track. Both do the same divisions, so the bits agree.
+    per_cell = u.size >= mesh.n_cells
+    coeffs = np.array([p.coeffs if per_cell else p.coeffs[cells] for p in axis_polys])
     out = []
     for order in orders:
         if order >= n:
-            out.append(np.zeros((len(axis_polys), *t.shape)))
+            out.append(np.zeros((len(axis_polys), *u.shape)))
             continue
         scaled = coeffs[..., order:] / _FACT[: n - order]
         if per_cell:
-            scaled = np.take(scaled, idx, axis=1)
-        out.append(_horner(scaled, u) / width**order)
+            scaled = np.take(scaled, cells, axis=1)
+        value = _horner(scaled, u)
+        out.append(value / width**order if order else value)
     return out
 
 

@@ -4,8 +4,9 @@ import pytest
 from shotr.errors import UnsupportedDegree
 from shotr.quadrature import gauss_points
 from shotr.geometry import _reference_cell, cell_lengths, trajectory_length
-from shotr.recon import reconstruct_track
-from shotr.trajdata import TrackSeries
+from shotr.kinematics import summarize
+from shotr.recon import LIMITERS, reconstruct_track
+from shotr.trajdata import TrackSeries, split_axes
 
 from . import oracle
 from .conftest import count_calls, random_track
@@ -145,10 +146,13 @@ def test_geometry_degree_above_three_falls_back():
 @pytest.mark.parametrize("geom_degree", [1, 2, 3, 5])
 def test_cell_lengths_match_the_nodal_basis(rng, geom_degree):
     """The lengths of the hand-written basis computed one cell at a time,
-    to 1e-14 relative (the order of the sums differs)."""
-    polys = reconstruct_track(random_track(rng, 30, 3), 4)
-    want = oracle.cell_lengths(polys, min(geom_degree, 3))
-    np.testing.assert_allclose(cell_lengths(polys, geom_degree), want, rtol=1e-14, atol=0)
+    to 1e-14 relative (the order of the sums differs). A limited fit misses
+    its samples, so each cell's end nodes must come from its own polynomial."""
+    track = random_track(rng, 30, 3)
+    for limiter in LIMITERS:
+        polys = reconstruct_track(track, 4, limiter)
+        want = oracle.cell_lengths(polys, min(geom_degree, 3))
+        np.testing.assert_allclose(cell_lengths(polys, geom_degree), want, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("geom_degree", [1, 2, 3])
@@ -166,3 +170,22 @@ def test_cell_lengths_build_the_basis_tables_once(rng, monkeypatch, geom_degree)
     assert again.tobytes() == first.tobytes()
     _reference_cell.__wrapped__(geom_degree)
     assert "polyval" in calls  # the counters see the tables when they are built
+
+
+def test_arc_length_takes_the_axes_of_one_track(rng):
+    """Arc length evaluates through the same core as evaluate, so axes on
+    different meshes (of equal or unequal cell counts) or of different
+    degrees are evaluate's ValueError, not one axis read on another's mesh."""
+    def fit(times, degree=3):
+        track = TrackSeries("t", times, rng.normal(size=(len(times), 2)))
+        return track, reconstruct_track(track, degree)
+
+    track, a = fit(np.arange(4.0))
+    _, b = fit(10 * np.arange(4.0))
+    _, c = fit(np.arange(5.0))
+    _, d = fit(np.arange(4.0), 1)
+    for polys in ([a[0], b[1]], [a[0], c[1]], [a[0], d[1]]):
+        for measure in (cell_lengths, trajectory_length,
+                        lambda p: summarize(p, split_axes(track))):
+            with pytest.raises(ValueError, match="one mesh and one degree"):
+                measure(polys)

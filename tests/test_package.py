@@ -145,13 +145,31 @@ def test_every_module_parses_as_the_oldest_supported_python():
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
+_EVALUATION_HELPERS = {"_taylor_eval", "_horner"}
+
+
 class _Scan(ast.NodeVisitor):
-    """The functions of a module that call locate_cells, and those whose for
-    loops take a Horner step, ``acc = acc * u + c`` (in either order)."""
+    """The functions of a module that call locate_cells, those that call
+    _taylor_eval, those whose for loops take a Horner step, ``acc = acc * u
+    + c`` (in either order), and the evaluation helpers the module names or
+    imports."""
 
     def __init__(self, module: str):
         self.scope = [module]
-        self.lookups, self.horner = [], []
+        self.lookups, self.taylor_calls, self.horner, self.helpers = [], [], [], set()
+
+    def visit_Name(self, node):
+        if node.id in _EVALUATION_HELPERS:
+            self.helpers.add(node.id)
+
+    def visit_Attribute(self, node):
+        if node.attr in _EVALUATION_HELPERS:
+            self.helpers.add(node.attr)
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        self.helpers.update(alias.name for alias in node.names
+                            if alias.name in _EVALUATION_HELPERS)
 
     def visit_FunctionDef(self, node):
         self.scope.append(node.name)
@@ -164,6 +182,8 @@ class _Scan(ast.NodeVisitor):
         name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
         if name == "locate_cells":
             self.lookups.append(".".join(self.scope))
+        if name == "_taylor_eval":
+            self.taylor_calls.append(".".join(self.scope))
         self.generic_visit(node)
 
     def visit_For(self, node):
@@ -186,16 +206,23 @@ def _is_horner_step(target, value) -> bool:
 
 def test_one_cell_lookup_and_one_horner_loop():
     """One Taylor-basis evaluator: the package looks cells up in one place,
-    recon.evaluate, and writes the Horner loop once, in recon._horner, which
-    CellPoly and geometry.cell_lengths also run."""
-    lookups, horner = [], []
+    recon.evaluate, and writes the Horner loop once, in recon._horner.
+    No module but recon reads the evaluation helpers (geometry.cell_lengths
+    names its cells to the evaluator's core instead), and _taylor_eval
+    serves only CellPoly."""
+    lookups, taylor_calls, horner, helpers = [], [], [], {}
     for path in sorted((ROOT / "src" / "shotr").glob("*.py")):
         scan = _Scan(path.stem)
         scan.visit(ast.parse(path.read_text(encoding="utf-8")))
         lookups += scan.lookups
+        taylor_calls += scan.taylor_calls
         horner += scan.horner
+        if scan.helpers and path.stem != "recon":
+            helpers[path.stem] = sorted(scan.helpers)
     assert lookups == ["recon.evaluate"]
     assert horner == ["recon._horner"]
+    assert helpers == {}
+    assert taylor_calls == ["recon.CellPoly._eval"]
 
 
 def test_unknown_name_raises_attribute_error():

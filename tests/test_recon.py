@@ -295,6 +295,31 @@ def test_axes_must_share_one_mesh_and_one_degree(rng):
 
 
 @pytest.mark.parametrize("limiter", LIMITERS)
+@pytest.mark.parametrize("degree", range(1, MAX_DEGREE + 1))
+def test_a_named_cell_is_evaluated_on_its_own_polynomial(rng, limiter, degree):
+    """Told the cells, the evaluator reads each cell's polynomial at both of
+    its interfaces, bit for bit as its CellPoly does, whether it scales per
+    cell (every cell at once) or per gathered row (one cell). A query by
+    time gives an interior interface to the left cell instead, and on a
+    limited fit, whose cells miss their samples, the two sides differ."""
+    track = random_track(rng, 2 * degree + 6, 2)
+    polys = reconstruct_track(track, degree, limiter)
+    assert polys[0].degree == degree
+    ends = np.stack([track.times[:-1], track.times[1:]], axis=1)  # (n_cells, 2)
+    cells = np.arange(len(ends))[:, None]
+    want = np.array([[c.value(ends[i]) for i, c in enumerate(p.cells)] for p in polys])
+    named, = recon._evaluate(polys, ends, cells, (0,))
+    assert named.tobytes() == want.tobytes()
+    for i in range(len(ends)):
+        one, = recon._evaluate(polys, ends[i:i + 1], cells[i:i + 1], (0,))
+        assert one.tobytes() == want[:, i:i + 1].tobytes()
+    by_time, = evaluate(polys, track.times[1:-1], (0,))
+    assert by_time.tobytes() == want[:, :-1, 1].tobytes()  # the left neighbour's right end
+    if limiter == "cweno":
+        assert np.any(by_time != named[:, 1:, 0])
+
+
+@pytest.mark.parametrize("limiter", LIMITERS)
 def test_reconstruction_keeps_its_own_coefficients_without_a_copy(rng, monkeypatch, limiter):
     """The fit and the limiter freeze the arrays they made before building
     the record, so the record takes them as they are."""
@@ -458,7 +483,7 @@ def tolerance(degree: int) -> float:
     degree stays below 1e-12 at every degree. At millionfold spread, on the
     draws of the test below, it grows to 1e-8 (degree 5) and 2e-6 (degree
     9), and degrees 4, 7 and 8 exceed this bound (strict xfails); other
-    draws can miss by far more (ROADMAP item 2)."""
+    draws can miss by far more (ROADMAP item 6)."""
     return 1e-12 * 10.0**degree
 
 

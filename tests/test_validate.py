@@ -344,7 +344,7 @@ def test_backtrace_partial_final_step():
 @pytest.mark.parametrize("order, expected", [
     ("rk2", 2),
     pytest.param("rk4", 4, marks=pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 5: a stage time on an interior interface takes the earlier "
+        "ROADMAP item 10: a stage time on an interior interface takes the earlier "
         "cell, so with steps that land on frames RK4's end stages come from the "
         "cells beside the step, across the C0 curve's velocity jump: first order, "
         "0.548 / 0.275 / 0.145"))),
