@@ -41,12 +41,13 @@ import numpy as np  # noqa: E402
 
 from .errors import CheckFailed, ShotrError, UnsupportedDegree  # noqa: E402
 from .recon import LIMITERS, check_degree, reconstruct_tracks  # noqa: E402
-from .trajdata import parse_tracks, split_axes  # noqa: E402
+from .trajdata import FORMATS, parse_tracks, split_axes  # noqa: E402
 
 
 # Rows of a track's CSV table, or cells of an axis of its JSON, formatted
 # at once, so that a long track's text is never built whole.
 _BLOCK_ROWS = 4096
+_DEFAULT_FORMAT = next(iter(FORMATS))  # trajdata lists the default first
 
 
 def _fmt(x: float) -> str:
@@ -55,7 +56,7 @@ def _fmt(x: float) -> str:
 
 
 def _tracks(args: argparse.Namespace):
-    return parse_tracks(args.input, args.fmt or FORMATS[0]).tracks.values()
+    return parse_tracks(args.input, args.fmt or _DEFAULT_FORMAT).tracks.values()
 
 
 def _reconstructed(args: argparse.Namespace):
@@ -289,9 +290,6 @@ COMMANDS = {
     "backtrace": cmd_backtrace,
 }
 
-FORMATS = ("generic_csv", "trackmate_csv")  # the first is the default
-
-
 def _int_list(text: str) -> list[int]:
     values = [int(tok) for tok in text.split(",") if tok.strip()]
     if not values:
@@ -324,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     file_in = argparse.ArgumentParser(add_help=False)
     file_in.add_argument("--input", required=True, help="track CSV file")
-    file_in.add_argument("--format", dest="fmt", default=FORMATS[0], choices=FORMATS)
+    file_in.add_argument("--format", dest="fmt", default=_DEFAULT_FORMAT, choices=FORMATS)
 
     file_cmd = [output, recon, file_in]
     sub.add_parser("reconstruct", parents=file_cmd,
@@ -361,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--input", help="track CSV file")
     src.add_argument("--case", help="synthetic case name")
     p_back.add_argument("--format", dest="fmt", default=None, choices=FORMATS,
-                        help="format of --input (default generic_csv)")
+                        help=f"format of --input (default {_DEFAULT_FORMAT})")
     p_back.add_argument("--limiter", choices=LIMITERS, default=None,
                         help="limiter applied to --input tracks (default cweno)")
     p_back.add_argument("--meshes", type=int, default=None,

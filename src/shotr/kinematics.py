@@ -87,8 +87,14 @@ def summarize(
     geom_degree: int = MAX_GEOMETRY_DEGREE,
 ) -> VelocitySummary:
     """Summary velocities of one track, from its axes' reconstructions and
-    its one-axis tracks (``split_axes``)."""
-    times = series[0].times
+    its one-axis tracks (``split_axes``). One-axis tracks of another count
+    or on other times than the first axis's mesh are a ValueError."""
+    times = axis_polys[0].mesh.interfaces
+    if len(series) != len(axis_polys):
+        raise ValueError(f"summarize got {len(series)} one-axis tracks "
+                         f"for {len(axis_polys)} axes")
+    if not all(np.array_equal(s.times, times) for s in series):
+        raise ValueError("the one-axis tracks' times are not the reconstruction's mesh")
     duration = float(times[-1] - times[0])
     length = trajectory_length(axis_polys, geom_degree)
     v_d = np.array([(s.values[-1] - s.values[0]) / duration for s in series])

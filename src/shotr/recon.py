@@ -32,7 +32,9 @@ derivatives: one cell lookup per set of times serves every axis and order.
 The curve is only C0, so each interior frame has a value on either side: a
 query by time gives it to its left cell. The library's per-cell callers
 (arc length) name the cell instead and run the same evaluation after the
-lookup.
+lookup. A ``CellPoly`` runs it too, on its one cell, so a cell and its
+track give the same bits. The factorial scaling, the Horner loop and the
+width scaling are written once, in that evaluation's core.
 """
 
 import logging
@@ -62,27 +64,6 @@ _PAIR = np.arange(2)
 _SIGNS = np.array([1.0, -1.0])
 
 
-def _horner(scaled: np.ndarray, u) -> np.ndarray:
-    """sum_l scaled[..., l] u^l by Horner; scaled[..., l] must broadcast
-    against u."""
-    acc = scaled[..., -1]
-    for l in range(scaled.shape[-1] - 2, -1, -1):
-        acc = acc * u + scaled[..., l]
-    return acc
-
-
-def _taylor_eval(coeffs: np.ndarray, u, order: int = 0) -> np.ndarray:
-    """order-th derivative in u of sum_l coeffs[..., l] u^l / l!.
-
-    coeffs[..., l] must broadcast against u. Dividing by width**order turns
-    the result into the physical-time derivative.
-    """
-    n = coeffs.shape[-1]
-    if order >= n:
-        return np.zeros(np.broadcast_shapes(coeffs.shape[:-1], np.shape(u)))
-    return _horner(coeffs[..., order:] / _FACT[: n - order], u)
-
-
 @dataclass(frozen=True)
 class TaylorBasis:
     """Normalized Taylor basis about a cell barycenter, of any degree."""
@@ -93,14 +74,17 @@ class TaylorBasis:
 
 @dataclass(frozen=True)
 class CellPoly:
-    """Polynomial of one cell: coefficients in its Taylor basis."""
+    """Polynomial of one cell: coefficients in its Taylor basis, evaluated
+    as its track evaluates this cell, in the query's shape."""
 
     coeffs: np.ndarray
     basis: TaylorBasis
 
     def _eval(self, t, order: int):
-        u = (np.asarray(t, dtype=float) - self.basis.center) / self.basis.width
-        return _taylor_eval(self.coeffs, u, order) / self.basis.width**order
+        axes, = _evaluate_taylor([self.coeffs[None]], np.array([self.basis.center]),
+                                 np.array([self.basis.width]), np.asarray(t, dtype=float),
+                                 0, (order,))
+        return axes[0]
 
     def value(self, t):
         return self._eval(t, 0)
@@ -172,34 +156,45 @@ def _evaluate(axis_polys: list[PiecewisePoly], t: np.ndarray, cells: np.ndarray,
               orders) -> list[np.ndarray]:
     """evaluate at times t on the given cells, an index per time that
     broadcasts against t: one array of shape (dim, *broadcast shape) per
-    order.
-
-    Each order divides the coefficients of all axes by the factorials, per
-    cell when there are at least as many times as the mesh has cells and
-    per gathered row otherwise, and runs one Horner loop.
-    """
+    order, from the core once the axes are checked."""
     mesh, n = axis_polys[0].mesh, axis_polys[0].coeffs.shape[-1]
     if not all((p.mesh is mesh or np.array_equal(p.mesh.interfaces, mesh.interfaces))
                and p.coeffs.shape[-1] == n for p in axis_polys):
         raise ValueError("the axes of a track must share one mesh and one degree")
-    width = mesh.widths[cells]
-    u = (t - mesh.barycenters[cells]) / width
+    return _evaluate_taylor([p.coeffs for p in axis_polys], mesh.barycenters, mesh.widths,
+                            t, cells, orders)
+
+
+def _evaluate_taylor(coeffs: list[np.ndarray], centers: np.ndarray, widths: np.ndarray,
+                     t: np.ndarray, cells, orders) -> list[np.ndarray]:
+    """The one Taylor-basis evaluator: coeffs, one (n_cells, N + 1) array
+    per axis in the normalized Taylor basis of cells of the given centers
+    and widths, at times t on cells, an index per time that broadcasts
+    against t. One array of shape (dim, *broadcast shape) per order, from
+    one Horner loop in u; an order above N gives zeros."""
+    n = coeffs[0].shape[-1]
+    width = widths[cells]
+    u = (t - centers[cells]) / width
+    if np.shape(cells) != u.shape:  # so that every order has u's shape
+        cells = np.broadcast_to(cells, u.shape)
     # Dense queries (dense output, error norms, RK stages, arc length) scale
     # per cell, then gather, which costs less than scaling per point; fewer
     # times than cells take their rows first, so the cost follows t, not the
     # track. Both do the same divisions, so the bits agree.
-    per_cell = u.size >= mesh.n_cells
-    coeffs = np.array([p.coeffs if per_cell else p.coeffs[cells] for p in axis_polys])
+    per_cell = u.size >= len(centers)
+    stacked = np.array([c if per_cell else c[cells] for c in coeffs])
     out = []
     for order in orders:
         if order >= n:
-            out.append(np.zeros((len(axis_polys), *u.shape)))
+            out.append(np.zeros((len(coeffs), *u.shape)))
             continue
-        scaled = coeffs[..., order:] / _FACT[: n - order]
+        scaled = stacked[..., order:] / _FACT[: n - order]
         if per_cell:
             scaled = np.take(scaled, cells, axis=1)
-        value = _horner(scaled, u)
-        out.append(value / width**order if order else value)
+        acc = scaled[..., -1]
+        for l in range(n - order - 2, -1, -1):
+            acc = acc * u + scaled[..., l]
+        out.append(acc / width**order if order else acc)
     return out
 
 

@@ -29,8 +29,12 @@ from .errors import DuplicateTimestamp, MalformedRow, NonMonotoneTimes
 
 logger = logging.getLogger(__name__)
 
-GENERIC_AXIS_COLUMNS = ("x", "y", "z")
-TRACKMATE_AXIS_COLUMNS = ("POSITION_X", "POSITION_Y", "POSITION_Z")
+# Each input format: its track and time columns, then its axis columns in
+# order. The first is the default.
+FORMATS = {
+    "generic_csv": (("track", "t"), ("x", "y", "z")),
+    "trackmate_csv": (("TRACK_ID", "POSITION_T"), ("POSITION_X", "POSITION_Y", "POSITION_Z")),
+}
 _BLOCK_ROWS = 256  # rows held as text at once; earlier rows are already floats
 
 
@@ -113,16 +117,10 @@ class TrackSet:
 
 def _column_map(header: list[str], fmt: str, path: str) -> tuple[int, int, list[int]]:
     """Return (track column, time column, axis columns) indices."""
-    names = [h.strip() for h in header]
-    if fmt == "generic_csv":
-        required = ("track", "t")
-        axis_names = GENERIC_AXIS_COLUMNS
-    elif fmt == "trackmate_csv":
-        required = ("TRACK_ID", "POSITION_T")
-        axis_names = TRACKMATE_AXIS_COLUMNS
-    else:
+    if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-
+    required, axis_names = FORMATS[fmt]
+    names = [h.strip() for h in header]
     try:
         track_col = names.index(required[0])
         time_col = names.index(required[1])

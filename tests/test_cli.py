@@ -14,7 +14,7 @@ from shotr.cli import build_parser, main
 from shotr.geometry import trajectory_length
 from shotr.kinematics import summarize
 from shotr.recon import LIMITERS, MAX_DEGREE, reconstruct_track
-from shotr.trajdata import parse_tracks, split_axes
+from shotr.trajdata import FORMATS, parse_tracks, split_axes
 
 from . import oracle
 from .conftest import count_calls, random_track, write_csv
@@ -394,6 +394,18 @@ def test_limiter_names_are_the_library_names():
         for action in p._actions:
             if "--limiter" in action.option_strings:
                 assert tuple(action.choices) == LIMITERS, name
+
+
+def test_format_names_are_the_library_names():
+    """--format offers trajdata's formats, and its first is the default."""
+    seen = 0
+    for name, p in _subparsers().items():
+        for action in p._actions:
+            if "--format" in action.option_strings:
+                seen += 1
+                assert tuple(action.choices) == tuple(FORMATS), name
+                assert action.default in (None, next(iter(FORMATS))), name
+    assert seen == 5  # the four file commands and backtrace
 
 
 @pytest.mark.parametrize("command", ["convergence", "compare"])

@@ -103,6 +103,20 @@ def test_summary_back_and_forth():
     assert s.v_l > 0
 
 
+def test_summary_takes_the_one_axis_tracks_of_the_fitted_track(rng):
+    """Another track's axes are a ValueError, not one track's length over
+    another's duration: of another count, or on other times."""
+    a = TrackSeries("a", np.arange(4.0), rng.normal(size=(4, 2)))
+    b = TrackSeries("b", 10 * np.arange(6.0), rng.normal(size=(6, 3)))
+    c = TrackSeries("c", 10 * np.arange(4.0), rng.normal(size=(4, 2)))
+    polys = reconstruct_track(a, 3)
+    with pytest.raises(ValueError, match="3 one-axis tracks for 2 axes"):
+        summarize(polys, split_axes(b))
+    with pytest.raises(ValueError, match="times are not the reconstruction's mesh"):
+        summarize(polys, split_axes(c))
+    assert summarize(polys, split_axes(a)).duration == 3.0
+
+
 def test_displacement_velocity_equals_time_average_of_velocity(rng):
     track = random_track(rng, 14, dim=2)
     polys = reconstruct_track(track, 3)

@@ -145,18 +145,20 @@ def test_every_module_parses_as_the_oldest_supported_python():
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
-_EVALUATION_HELPERS = {"_taylor_eval", "_horner"}
+# The evaluator's core, and the second path and the Horner helper that it
+# replaced: no module but recon may name the core, and none the others.
+_EVALUATION_HELPERS = {"_evaluate_taylor", "_taylor_eval", "_horner"}
 
 
 class _Scan(ast.NodeVisitor):
-    """The functions of a module that call locate_cells, those that call
-    _taylor_eval, those whose for loops take a Horner step, ``acc = acc * u
-    + c`` (in either order), and the evaluation helpers the module names or
-    imports."""
+    """The functions of a module that call locate_cells, those whose for
+    loops take a Horner step, ``acc = acc * u + c`` (in either order), those
+    that divide by a slice of _FACT, and the evaluation helpers the module
+    defines, names or imports."""
 
     def __init__(self, module: str):
         self.scope = [module]
-        self.lookups, self.taylor_calls, self.horner, self.helpers = [], [], [], set()
+        self.lookups, self.horner, self.fact_divisions, self.helpers = [], [], [], set()
 
     def visit_Name(self, node):
         if node.id in _EVALUATION_HELPERS:
@@ -172,6 +174,8 @@ class _Scan(ast.NodeVisitor):
                             if alias.name in _EVALUATION_HELPERS)
 
     def visit_FunctionDef(self, node):
+        if node.name in _EVALUATION_HELPERS:
+            self.helpers.add(node.name)
         self.scope.append(node.name)
         self.generic_visit(node)
         self.scope.pop()
@@ -182,8 +186,16 @@ class _Scan(ast.NodeVisitor):
         name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
         if name == "locate_cells":
             self.lookups.append(".".join(self.scope))
-        if name == "_taylor_eval":
-            self.taylor_calls.append(".".join(self.scope))
+        self.generic_visit(node)
+
+    def visit_BinOp(self, node):
+        if isinstance(node.op, ast.Div) and _is_fact_slice(node.right):
+            self.fact_divisions.append(".".join(self.scope))
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node):
+        if isinstance(node.op, ast.Div) and _is_fact_slice(node.value):
+            self.fact_divisions.append(".".join(self.scope))
         self.generic_visit(node)
 
     def visit_For(self, node):
@@ -204,25 +216,34 @@ def _is_horner_step(target, value) -> bool:
     return False
 
 
+def _is_fact_slice(node) -> bool:
+    """node is _FACT indexed by a slice, such as _FACT[: n - order] or _FACT[:n, None]."""
+    if not (isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "_FACT"):
+        return False
+    index = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+    return any(isinstance(i, ast.Slice) for i in index)
+
+
 def test_one_cell_lookup_and_one_horner_loop():
     """One Taylor-basis evaluator: the package looks cells up in one place,
-    recon.evaluate, and writes the Horner loop once, in recon._horner.
-    No module but recon reads the evaluation helpers (geometry.cell_lengths
-    names its cells to the evaluator's core instead), and _taylor_eval
-    serves only CellPoly."""
-    lookups, taylor_calls, horner, helpers = [], [], [], {}
+    recon.evaluate, and scales by the factorials and writes the Horner loop
+    once, in the core recon._evaluate_taylor, which CellPoly calls too. No
+    module but recon names the core (geometry.cell_lengths names its cells
+    to recon._evaluate instead), and no module defines, names or calls the
+    second path _taylor_eval or the helper _horner."""
+    lookups, horner, fact_divisions, helpers = [], [], [], {}
     for path in sorted((ROOT / "src" / "shotr").glob("*.py")):
         scan = _Scan(path.stem)
         scan.visit(ast.parse(path.read_text(encoding="utf-8")))
         lookups += scan.lookups
-        taylor_calls += scan.taylor_calls
         horner += scan.horner
-        if scan.helpers and path.stem != "recon":
+        fact_divisions += scan.fact_divisions
+        if scan.helpers:
             helpers[path.stem] = sorted(scan.helpers)
     assert lookups == ["recon.evaluate"]
-    assert horner == ["recon._horner"]
-    assert helpers == {}
-    assert taylor_calls == ["recon.CellPoly._eval"]
+    assert horner == ["recon._evaluate_taylor"]
+    assert fact_divisions == ["recon._evaluate_taylor"]
+    assert helpers == {"recon": ["_evaluate_taylor"]}
 
 
 def test_unknown_name_raises_attribute_error():

@@ -301,7 +301,9 @@ def test_a_named_cell_is_evaluated_on_its_own_polynomial(rng, limiter, degree):
     its interfaces, bit for bit as its CellPoly does, whether it scales per
     cell (every cell at once) or per gathered row (one cell). A query by
     time gives an interior interface to the left cell instead, and on a
-    limited fit, whose cells miss their samples, the two sides differ."""
+    limited fit, whose cells miss their samples, the two sides differ.
+    A CellPoly's value and derivatives at scalar, 1-D, empty and 2-D times
+    have the query's shape and the bytes of the evaluator told its cell."""
     track = random_track(rng, 2 * degree + 6, 2)
     polys = reconstruct_track(track, degree, limiter)
     assert polys[0].degree == degree
@@ -317,6 +319,17 @@ def test_a_named_cell_is_evaluated_on_its_own_polynomial(rng, limiter, degree):
     assert by_time.tobytes() == want[:, :-1, 1].tobytes()  # the left neighbour's right end
     if limiter == "cweno":
         assert np.any(by_time != named[:, 1:, 0])
+    fractions = [0.3, rng.uniform(-0.5, 1.5, 5), np.array([]), rng.uniform(-0.5, 1.5, (2, 3))]
+    for i, (start, width) in enumerate(zip(track.times[:-1], np.diff(track.times))):
+        for x in fractions:
+            t = start + x * width
+            want = recon._evaluate(polys, np.asarray(t), np.full(np.shape(t), i), (0, 1, 2))
+            for a, p in enumerate(polys):
+                cell = p.cells[i]
+                got = [cell.value(t), cell.derivative(t), cell.second_derivative(t)]
+                for order, (g, w) in enumerate(zip(got, want)):
+                    assert np.shape(g) == np.shape(t), (i, np.shape(t), order)
+                    assert np.asarray(g).tobytes() == w[a].tobytes(), (i, np.shape(t), order)
 
 
 @pytest.mark.parametrize("limiter", LIMITERS)

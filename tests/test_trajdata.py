@@ -45,6 +45,12 @@ def test_header_that_skips_an_axis_is_rejected(tmp_path, fmt, header, present, m
         parse_tracks(path, fmt)
 
 
+def test_unknown_format_is_a_value_error(tmp_path):
+    path = write_csv(tmp_path / "a.csv", [("a", 0, 1, 1), ("a", 1, 2, 2)])
+    with pytest.raises(ValueError, match="unknown format 'csv'"):
+        parse_tracks(path, "csv")
+
+
 def test_duplicate_timestamp_names_track(tmp_path):
     path = write_csv(tmp_path / "a.csv", [("a", 0, 1, 1), ("a", 0, 2, 2), ("a", 1, 3, 3)])
     with pytest.raises(DuplicateTimestamp, match="'a'"):
