@@ -14,13 +14,16 @@ exponent 4. They are not settable.
 
 All cells are limited at once: candidates are ``(n_cells, 3, N + 1)``
 coefficient arrays in the cells' Taylor bases, stacked central, left, right.
+The cells are the fit's mesh, and the samples those of the one-axis track
+it was fitted from (another track's axis is a ValueError).
 """
 
 import functools
 
 import numpy as np
 
-from .recon import _FACT, PiecewisePoly
+from .mesh import StaggeredMesh
+from .recon import _FACT, PiecewisePoly, _fitted_samples
 from .trajdata import TrackSeries
 
 
@@ -38,19 +41,17 @@ class CwenoConfig:
     exponent = 4
 
 
-def side_lines(series: TrackSeries, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right linear candidates of every cell, anchored at its left
-    interface, as (n_cells, degree + 1) coefficients in the cells' bases;
-    series is the one-axis track that was reconstructed.
+def side_lines(mesh: StaggeredMesh, s: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right linear candidates of every cell of the mesh, anchored
+    at its left interface, as (n_cells, degree + 1) coefficients in the
+    cells' bases; s holds one axis's samples at the mesh's interfaces.
 
     The left line joins the left interface sample to its predecessor; the
     right line joins the cell's own interface pair (the linear-linking
     segment). The first cell has no predecessor, so its left line is its
     right line.
     """
-    t, s = series.times, series.values
-    center = 0.5 * (t[:-1] + t[1:])
-    width = t[1:] - t[:-1]
+    t, center, width = mesh.interfaces, mesh.barycenters, mesh.widths
     slope = (s[1:] - s[:-1]) / width
     right = np.zeros((len(width), degree + 1))
     right[:, 0] = s[:-1] + slope * (center - t[:-1])
@@ -62,12 +63,14 @@ def side_lines(series: TrackSeries, degree: int) -> tuple[np.ndarray, np.ndarray
 
 
 def candidates(poly: PiecewisePoly, series: TrackSeries) -> np.ndarray:
-    """Central, left and right candidates of every cell, (n_cells, 3, N + 1).
+    """Central, left and right candidates of every cell, (n_cells, 3, N + 1),
+    from poly and the one-axis track it was fitted from (else ValueError).
 
     The central candidate removes the side candidates' linear-weight share
     from the optimal polynomial, so the linear weights recombine it exactly.
     """
-    left, right = side_lines(series, poly.degree)
+    samples, = _fitted_samples([poly], [series])
+    left, right = side_lines(poly.mesh, samples, poly.degree)
     cfg = CwenoConfig
     central = (poly.coeffs - cfg.lambda_side * left - cfg.lambda_side * right) / cfg.lambda_central
     return np.stack([central, left, right], axis=1)
@@ -121,10 +124,11 @@ def blend(cands: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
 
 
 def limit_piecewise(poly: PiecewisePoly, series: TrackSeries) -> PiecewisePoly:
-    """Apply the limiter to every cell of an unlimited reconstruction. Cells
-    whose three sigma + epsilon are equal keep the optimal polynomial, which
-    their linear weights recombine, rather than a sum of candidates that can
-    reach 1e15 times the data scale next to a far narrower cell."""
+    """Apply the limiter to every cell of an unlimited reconstruction, given
+    the one-axis track it was fitted from (else ValueError). Cells whose
+    three sigma + epsilon are equal keep the optimal polynomial, which their
+    linear weights recombine, rather than a sum of candidates that can reach
+    1e15 times the data scale next to a far narrower cell."""
     cands = candidates(poly, series)
     sigmas = oscillation_indicators(cands, poly.mesh.widths[:, None])
     s = sigmas + CwenoConfig.epsilon

@@ -8,7 +8,8 @@ names each cell. Dense output
 samples the N+1 Gauss points of every cell.
 Summary velocities: average speed along the curvilinear path, net
 displacement over duration, and the mean of per-cell finite-difference
-velocities.
+velocities, over the fit's cells (the duration and the widths are its
+mesh's) and the samples of the one-axis tracks it was fitted from.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import OutOfDomain
 from .geometry import MAX_GEOMETRY_DEGREE, trajectory_length
 from .quadrature import gauss_points
-from .recon import PiecewisePoly, evaluate
+from .recon import PiecewisePoly, _fitted_samples, evaluate
 from .trajdata import TrackSeries
 
 
@@ -89,16 +90,12 @@ def summarize(
     """Summary velocities of one track, from its axes' reconstructions and
     its one-axis tracks (``split_axes``). One-axis tracks of another count
     or on other times than the first axis's mesh are a ValueError."""
-    times = axis_polys[0].mesh.interfaces
-    if len(series) != len(axis_polys):
-        raise ValueError(f"summarize got {len(series)} one-axis tracks "
-                         f"for {len(axis_polys)} axes")
-    if not all(np.array_equal(s.times, times) for s in series):
-        raise ValueError("the one-axis tracks' times are not the reconstruction's mesh")
-    duration = float(times[-1] - times[0])
+    values = _fitted_samples(axis_polys, series)
+    mesh = axis_polys[0].mesh
+    duration = float(mesh.interfaces[-1] - mesh.interfaces[0])
     length = trajectory_length(axis_polys, geom_degree)
-    v_d = np.array([(s.values[-1] - s.values[0]) / duration for s in series])
-    v_m = np.array([np.mean(np.diff(s.values) / np.diff(s.times)) for s in series])
+    v_d = (values[:, -1] - values[:, 0]) / duration
+    v_m = np.mean(np.diff(values) / mesh.widths, axis=1)
     return VelocitySummary(
         v_l=length / duration,
         v_d=v_d,

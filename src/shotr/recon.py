@@ -165,6 +165,19 @@ def _evaluate(axis_polys: list[PiecewisePoly], t: np.ndarray, cells: np.ndarray,
                             t, cells, orders)
 
 
+def _fitted_samples(axis_polys: list[PiecewisePoly], series: list[TrackSeries]) -> np.ndarray:
+    """The samples of the one-axis tracks the axes were fitted from, as one
+    (axes, n) array; another count, or times other than the first axis's
+    mesh, are a ValueError."""
+    times = axis_polys[0].mesh.interfaces
+    if len(series) != len(axis_polys):
+        raise ValueError(f"summarize got {len(series)} one-axis tracks "
+                         f"for {len(axis_polys)} axes")
+    if not all(s.times is times or np.array_equal(s.times, times) for s in series):
+        raise ValueError("the one-axis tracks' times are not the reconstruction's mesh")
+    return np.array([s.values for s in series])
+
+
 def _evaluate_taylor(coeffs: list[np.ndarray], centers: np.ndarray, widths: np.ndarray,
                      t: np.ndarray, cells, orders) -> list[np.ndarray]:
     """The one Taylor-basis evaluator: coeffs, one (n_cells, N + 1) array

@@ -169,26 +169,25 @@ def _float_columns(
 
 
 def _row_blocks(reader, used: itemgetter, n_needed: int):
-    """Yield (fields, line numbers, error) for blocks of up to _BLOCK_ROWS
+    """Yield (fields, line numbers) for blocks of up to _BLOCK_ROWS
     non-blank rows, where fields are the used tokens of each row. The last
     block ends at the end of the file, or before the first short row, whose
-    MalformedRow it carries."""
+    MalformedRow is raised when the generator is resumed after it."""
     fields: list[tuple[str, ...]] = []
     line_nos: list[int] = []
     for line_no, row in enumerate(reader, start=2):
         if not "".join(row).strip():
             continue
         if len(row) < n_needed:
-            yield fields, line_nos, MalformedRow(
-                f"line {line_no}: expected at least {n_needed} fields, got {len(row)}"
-            )
-            return
+            yield fields, line_nos
+            raise MalformedRow(f"line {line_no}: expected at least {n_needed} fields, "
+                               f"got {len(row)}")
         fields.append(used(row))
         line_nos.append(line_no)
         if len(fields) == _BLOCK_ROWS:
-            yield fields, line_nos, None
+            yield fields, line_nos
             fields, line_nos = [], []
-    yield fields, line_nos, None
+    yield fields, line_nos
 
 
 def parse_tracks(path: str, fmt: str = "generic_csv") -> TrackSet:
@@ -213,12 +212,10 @@ def parse_tracks(path: str, fmt: str = "generic_csv") -> TrackSet:
         used = itemgetter(track_col, time_col, *axis_cols)
         dim = len(axis_cols)
 
-        for fields, line_nos, error in _row_blocks(reader, used, n_needed):
+        for fields, line_nos in _row_blocks(reader, used, n_needed):
             columns = list(zip(*fields)) or [()] * (2 + dim)
             # rows before an unparsable one still get their warnings, in line order
-            values, parse_error = _float_columns(columns[1:], line_nos)
-            if parse_error is not None:
-                error = parse_error
+            values, error = _float_columns(columns[1:], line_nos)
             finite = np.isfinite(values).all(axis=0)
             for i in np.flatnonzero(~finite).tolist():
                 logger.warning("%s line %d: non-finite sample rejected", path, line_nos[i])

@@ -260,12 +260,14 @@ def run_convergence(
     mesh_cells: Sequence[int] = REFERENCE_MESH_CELLS,
     limiter: str = "none",
 ) -> list[ConvergenceRow]:
-    """Position errors and empirical orders over a mesh-refinement sequence."""
+    """Position errors and empirical orders over increasing mesh cell counts."""
     for before, after in zip(mesh_cells, mesh_cells[1:]):
         if before == after:
-            raise ValueError(
-                f"mesh cell count {after} repeated: an order needs two different meshes"
-            )
+            raise ValueError(f"mesh cell count {after} repeated: "
+                             "an order needs two different meshes")
+        if before > after:
+            raise ValueError(f"mesh cell counts {before}, {after} decrease: "
+                             "a refinement sequence goes from coarse to fine")
     rows: list[ConvergenceRow] = []
     a, b = case.domain
     axes = AXES[: case.dim]

@@ -231,11 +231,17 @@ def test_empty_integer_list_exits_one(capsys, argv):
 
 
 def test_convergence_repeated_mesh_exits_one(capsys):
-    """Two equal meshes give no order (log(dt / dt) = 0)."""
+    """Two equal meshes give no order (log(dt / dt) = 0), and a coarser mesh
+    after a finer one would gate a coarse pair as the finest."""
     code, out, err = run_cli(capsys, "convergence", "--meshes", "100,100", "--degrees", "1")
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "100" in err and "repeated" in err
+    code, out, err = run_cli(capsys, "convergence", "--check", "--degrees", "1",
+                             "--meshes", "100,200,400,200")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "400, 200 decrease" in err
 
 
 def test_compare_row_shape(capsys):

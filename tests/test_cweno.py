@@ -59,7 +59,7 @@ def test_large_exponent_gives_finite_output(rng):
 
 def test_left_line_has_unit_slope():
     series = TrackSeries("axis", [0.0, 1.0, 2.0], [0.0, 1.0, 1.5])
-    left, _ = side_lines(series, 3)
+    left, _ = side_lines(build_mesh(series.times), series.values, 3)
     line = CellPoly(left[1], TaylorBasis(1.5, 1.0))  # cell 1
     pts = np.linspace(0.8, 2.3, 7)
     np.testing.assert_allclose(line.derivative(pts), 1.0, atol=1e-13)
@@ -68,7 +68,7 @@ def test_left_line_has_unit_slope():
 
 def test_first_cell_has_no_left_line():
     series = TrackSeries("axis", [0.0, 1.0, 2.0], [0.0, 1.0, 1.5])
-    left, right = side_lines(series, 2)
+    left, right = side_lines(build_mesh(series.times), series.values, 2)
     # the right line is the cell's own linking segment and always exists;
     # it stands in for the missing left line of the first cell
     np.testing.assert_array_equal(left[0], right[0])
@@ -94,7 +94,7 @@ def test_line_reexpansion_reproduces_defining_samples(rng):
     values = rng.normal(0, 2, 10)
     series = TrackSeries("axis", times, values)
     poly = reconstruct_track(series, 3)[0]
-    left, right = side_lines(series, 3)
+    left, right = side_lines(poly.mesh, values, 3)
     for cell in range(1, 9):
         basis = poly.cells[cell].basis
         line = CellPoly(left[cell], basis)
@@ -123,6 +123,24 @@ def test_central_of_constant_is_constant():
     poly = reconstruct_track(series, 2)[0]
     p0 = candidates(poly, series)[:, 0]
     np.testing.assert_allclose(p0, np.tile([4.0, 0.0, 0.0], (3, 1)), atol=1e-13)
+
+
+def test_limiter_takes_the_one_axis_track_of_the_fit(rng):
+    """Another track's axis is summarize's ValueError, not a limit of one
+    track's fit with another's samples: on other times, or of another
+    length, which numpy would reject only as a broadcast of (5, 4) with
+    (7, 4)."""
+    a = TrackSeries("a", random_times(rng, 6), rng.normal(size=6))
+    poly = reconstruct_track(a, 3)[0]
+    others = (TrackSeries("b", 10 * a.times, a.values),
+              TrackSeries("c", random_times(rng, 8), rng.normal(size=8)))
+    for other in others:
+        for fn in (candidates, limit_piecewise):
+            with pytest.raises(ValueError, match="times are not the reconstruction's mesh"):
+                fn(poly, other)
+    same_times = TrackSeries("d", a.times.copy(), a.values)
+    np.testing.assert_array_equal(limit_piecewise(poly, same_times).coeffs,
+                                  limit_piecewise(poly, a).coeffs)
 
 
 # ---------------------------------------------------------------------------

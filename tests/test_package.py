@@ -246,6 +246,24 @@ def test_one_cell_lookup_and_one_horner_loop():
     assert helpers == {"recon": ["_evaluate_taylor"]}
 
 
+def test_the_limiter_and_the_summary_read_the_fits_cells():
+    """Cell centers and widths are derived from times once, by the mesh:
+    cweno and kinematics read no .times attribute. The check that one-axis
+    tracks are the ones a fit was made from is written once, in
+    recon._fitted_samples, through which both read their samples."""
+    times_reads, pairing_checks = {}, []
+    for path in sorted((ROOT / "src" / "shotr").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        times_reads[path.stem] = [node.lineno for node in ast.walk(tree)
+                                  if isinstance(node, ast.Attribute) and node.attr == "times"]
+        pairing_checks += [f"{path.stem}.{fn.name}" for fn in ast.walk(tree)
+                           if isinstance(fn, ast.FunctionDef) and any(
+                               isinstance(node, ast.Constant) and "reconstruction's mesh"
+                               in str(node.value) for node in ast.walk(fn))]
+    assert times_reads["cweno"] == [] and times_reads["kinematics"] == []
+    assert pairing_checks == ["recon._fitted_samples"]
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         shotr.no_such_name

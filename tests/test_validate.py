@@ -192,6 +192,17 @@ def test_check_convergence_flags_bad_rows():
     assert any("L1" in v and "cells=100" in v for v in violations)
 
 
+def test_convergence_meshes_must_increase():
+    """Each order compares a mesh with the one before it, and the gate reads
+    the last two rows as the finest: equal or decreasing neighbours are a
+    ValueError naming the pair, before any mesh is fitted."""
+    case = get_case("conv3d")
+    with pytest.raises(ValueError, match="mesh cell count 200 repeated"):
+        run_convergence(case, degrees=[1], mesh_cells=[100, 200, 200])
+    with pytest.raises(ValueError, match="mesh cell counts 800, 400 decrease"):
+        run_convergence(case, degrees=[1, 2], mesh_cells=[800, 400, 200, 100])
+
+
 # ---------------------------------------------------------------------------
 # comparison study
 # ---------------------------------------------------------------------------
