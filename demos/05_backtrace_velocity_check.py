@@ -9,13 +9,11 @@ curve: cubic reconstruction with RK4 beats linear linking with RK2 by an
 order of magnitude even with steps spanning ten frames.
 """
 
-import numpy as np
-
 from shotr.validate import backtrace, get_case
 
 case = get_case("tanhcos2d")   # a stall-then-dash x motion with an oscillating y
 track = case.sample(41)
-reference = lambda t: np.column_stack([f(t) for f in case.position_fns])
+reference = case.position      # the exact curve, one column per axis
 
 print(f"track: {len(track)} samples over {track.times[-1] - track.times[0]:.1f} s, "
       f"integration step 0.5 s (10 cells per step)\n")

@@ -13,7 +13,8 @@ step count too large to allocate), 2 check failure.
 A command imports only the modules it runs: the file commands never load
 the validation harness, and reconstruct loads neither the geometry nor the
 kinematics module. The process entry point, run(), freezes the objects the
-imports made before main() starts.
+imports made before main() starts, and lets a closed stdout end the process
+as it ends cat: killed by SIGPIPE, with nothing on stderr.
 """
 
 import argparse
@@ -24,6 +25,7 @@ import io
 import logging
 import math
 import os
+import signal
 import sys
 
 # Run BLAS on one thread, unless numpy is loaded already or the user chose.
@@ -196,6 +198,12 @@ def cmd_summary(args: argparse.Namespace) -> int:
 # validation commands
 # ---------------------------------------------------------------------------
 
+def _gate(violations: list[str]) -> None:
+    """Fail a --check: raise CheckFailed listing the violations, if any."""
+    if violations:
+        raise CheckFailed("\n".join(violations))
+
+
 def cmd_convergence(args: argparse.Namespace) -> int:
     from . import validate
 
@@ -215,9 +223,7 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     _write_csv(args, ["case", "N", "dt", "axis", "norm", "error", "order"], out_rows)
 
     if args.check:
-        violations = validate.check_convergence(rows)
-        if violations:
-            raise CheckFailed("\n".join(violations))
+        _gate(validate.check_convergence(rows))
     return 0
 
 
@@ -239,9 +245,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     _write_csv(args, header, out_rows)
 
     if args.check:
-        violations = validate.check_comparison(rows)
-        if violations:
-            raise CheckFailed("\n".join(violations))
+        _gate(validate.check_comparison(rows))
     return 0
 
 
@@ -256,7 +260,7 @@ def cmd_backtrace(args: argparse.Namespace) -> int:
             raise ShotrError("backtrace --limiter and --format apply to --input only")
         case = validate.get_case(args.case)
         sources = [(case.sample(41 if args.meshes is None else args.meshes),
-                    validate._columns(case.position_fns), "none")]
+                    case.position, "none")]
     else:
         if args.meshes is not None or args.check:
             raise ShotrError("backtrace --meshes and --check require --case (synthetic reference)")
@@ -274,9 +278,7 @@ def cmd_backtrace(args: argparse.Namespace) -> int:
                  for method, res in results.items()]
     _write_csv(args, ["track", "method", "endpoint_err", "L1", "L2", "Linf"], rows)
     if args.check:  # --case only, so results are its one track's
-        violations = validate.check_backtrace(results["RK2+P1"], results["RK4+P3"])
-        if violations:
-            raise CheckFailed("\n".join(violations))
+        _gate(validate.check_backtrace(results["RK2+P1"], results["RK4+P3"]))
     return 0
 
 
@@ -398,7 +400,14 @@ def run() -> int:
     process ends. Objects main creates are collected as before. main()
     does not freeze, because callers in a long-lived process (tests, the
     benchmark's in-process pass) would keep their heap forever.
+
+    Where the platform has SIGPIPE, its default action is restored, so a
+    write to a closed pipe (`shotr kinematics ... | head`) ends the process
+    silently instead of reporting the broken pipe as an error. main()
+    leaves the signal alone, for the same callers.
     """
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     gc.freeze()
     return main()
 

@@ -236,14 +236,10 @@ def parse_tracks(path: str, fmt: str = "generic_csv") -> TrackSet:
     coords = np.ascontiguousarray(values[1:, order].T)
     for a in (times, coords):  # each track holds a read-only slice, not a copy
         a.setflags(write=False)
-    repeated = (times[1:] == times[:-1]) & (codes[1:] == codes[:-1])
-    first_dup = int(codes[1:][repeated].min()) if repeated.any() else len(first_seen)
     ends = np.cumsum(np.bincount(codes, minlength=len(first_seen))).tolist()
 
     tracks: dict[str, TrackSeries] = {}
-    for k, (track_id, lo, hi) in enumerate(zip(first_seen, [0, *ends[:-1]], ends)):
-        if k == first_dup:
-            raise DuplicateTimestamp(f"track {track_id!r} has duplicate timestamps")
+    for track_id, lo, hi in zip(first_seen, [0, *ends[:-1]], ends):
         if hi - lo < 2:
             logger.warning(
                 "%s: track %r dropped (%d sample(s), need >= 2)", path, track_id, hi - lo

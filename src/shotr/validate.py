@@ -94,7 +94,7 @@ def _norms(err: np.ndarray, weights: np.ndarray) -> ErrorNorms:
 # synthetic cases
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticCase:
     """Analytic trajectory with its exact velocity, for validation runs."""
 
@@ -107,58 +107,55 @@ class SyntheticCase:
     def dim(self) -> int:
         return len(self.position_fns)
 
+    def position(self, t: np.ndarray) -> np.ndarray:
+        """The exact positions at times (m,), one column per axis."""
+        return np.column_stack([f(t) for f in self.position_fns])
+
+    def velocity(self, t: np.ndarray) -> np.ndarray:
+        """The exact velocities at times (m,), one column per axis."""
+        return np.column_stack([f(t) for f in self.velocity_fns])
+
     def sample(self, n_points: int) -> TrackSeries:
         """Equidistant samples over the domain, endpoints included, as a
         track named after the case."""
         t = np.linspace(self.domain[0], self.domain[1], n_points)
-        coords = np.column_stack([f(t) for f in self.position_fns])
-        return TrackSeries(self.name, t, coords)
+        return TrackSeries(self.name, t, self.position(t))
 
 
-def _conv3d() -> SyntheticCase:
-    pi = np.pi
-    return SyntheticCase(
+CASES: dict[str, SyntheticCase] = {
+    "conv3d": SyntheticCase(
         name="conv3d",
         position_fns=(
-            lambda t: np.sin(pi * t) * np.cos(2 * pi * t),
-            lambda t: 3 * np.cos(2 * pi * t) - 2 * np.sin(pi * t),
-            lambda t: -6 * np.sin(pi * t) + 2 * np.cos(3 * pi * t),
+            lambda t: np.sin(np.pi * t) * np.cos(2 * np.pi * t),
+            lambda t: 3 * np.cos(2 * np.pi * t) - 2 * np.sin(np.pi * t),
+            lambda t: -6 * np.sin(np.pi * t) + 2 * np.cos(3 * np.pi * t),
         ),
         velocity_fns=(
-            lambda t: pi * np.cos(pi * t) * np.cos(2 * pi * t)
-            - 2 * pi * np.sin(pi * t) * np.sin(2 * pi * t),
-            lambda t: -6 * pi * np.sin(2 * pi * t) - 2 * pi * np.cos(pi * t),
-            lambda t: -6 * pi * np.cos(pi * t) - 6 * pi * np.sin(3 * pi * t),
+            lambda t: np.pi * np.cos(np.pi * t) * np.cos(2 * np.pi * t)
+            - 2 * np.pi * np.sin(np.pi * t) * np.sin(2 * np.pi * t),
+            lambda t: -6 * np.pi * np.sin(2 * np.pi * t) - 2 * np.pi * np.cos(np.pi * t),
+            lambda t: -6 * np.pi * np.cos(np.pi * t) - 6 * np.pi * np.sin(3 * np.pi * t),
         ),
         domain=(-1.0, 1.0),
-    )
-
-
-def _tanhcos2d() -> SyntheticCase:
-    pi = np.pi
-    return SyntheticCase(
+    ),
+    "tanhcos2d": SyntheticCase(
         name="tanhcos2d",
         position_fns=(
             lambda t: 2 * t - np.log(np.tanh(5 * (t - 1)) + 1) / 5,
-            lambda t: np.sin(2 * pi * t),
+            lambda t: np.sin(2 * np.pi * t),
         ),
         velocity_fns=(
             lambda t: 1 + np.tanh(5 * (t - 1)),
-            lambda t: 2 * pi * np.cos(2 * pi * t),
+            lambda t: 2 * np.pi * np.cos(2 * np.pi * t),
         ),
         domain=(0.0, 2.0),
-    )
-
-
-CASES: dict[str, Callable[[], SyntheticCase]] = {
-    "conv3d": _conv3d,
-    "tanhcos2d": _tanhcos2d,
+    ),
 }
 
 
 def get_case(name: str) -> SyntheticCase:
     try:
-        return CASES[name]()
+        return CASES[name]
     except KeyError:
         raise ShotrError(
             f"unknown case {name!r}; available: {sorted(CASES)}"
@@ -272,13 +269,13 @@ def run_convergence(
     a, b = case.domain
     axes = AXES[: case.dim]
     tracks = {cells: case.sample(cells + 1) for cells in mesh_cells}
-    exact = _columns(case.position_fns)
     for degree in degrees:
         prev: ConvergenceRow | None = None
         for cells in mesh_cells:
             polys = reconstruct_track(tracks[cells], degree, limiter)
             mesh, quad = polys[0].mesh, polys[0].degree + 1
-            errors = dict(zip(axes, error_norms(exact, _derivative(polys, 0), (a, b), quad, mesh)))
+            errors = dict(zip(axes, error_norms(case.position, _derivative(polys, 0),
+                                                (a, b), quad, mesh)))
             dt = (b - a) / cells
             orders = None
             if prev is not None:
@@ -375,15 +372,14 @@ def compare_spt(
     rows: list[ComparisonRow] = []
     a, b = case.domain
     axes = AXES[: case.dim]
-    exact_position, exact_velocity = _columns(case.position_fns), _columns(case.velocity_fns)
     for n_points in mesh_points:
         track = case.sample(n_points)
         for degree in COMPARISON_DEGREES:
             polys = reconstruct_track(track, degree)
             mesh = polys[0].mesh
-            position = error_norms(exact_position, _derivative(polys, 0),
+            position = error_norms(case.position, _derivative(polys, 0),
                                    (a, b), COMPARISON_QUAD_POINTS, mesh)
-            velocity = error_norms(exact_velocity, _derivative(polys, 1),
+            velocity = error_norms(case.velocity, _derivative(polys, 1),
                                    (a, b), COMPARISON_QUAD_POINTS, mesh)
             rows += [
                 ComparisonRow(case.name, f"P{degree}", degree, n_points, ax, pos, vel)
@@ -453,11 +449,6 @@ def _path_norms(taus: np.ndarray, deviation: np.ndarray) -> ErrorNorms:
         l2=float(math.sqrt(np.trapezoid(deviation**2, taus))),
         linf=float(np.max(np.abs(deviation))),
     )
-
-
-def _columns(fns: Sequence[Callable]) -> Callable[[np.ndarray], np.ndarray]:
-    """Times (m,) -> the functions' values, one column per function."""
-    return lambda t: np.column_stack([f(t) for f in fns])
 
 
 def _derivative(polys: list[PiecewisePoly], order: int) -> Callable[[np.ndarray], np.ndarray]:

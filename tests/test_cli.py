@@ -196,6 +196,15 @@ def test_header_that_skips_an_axis_exits_one(tmp_path, capsys, fmt, axes, gap):
     assert err.startswith("error: ") and gap in err
 
 
+def test_header_without_a_time_column_exits_one(tmp_path, capsys):
+    path = tmp_path / "no_t.csv"
+    path.write_text("track,x,y\na,0,0\na,1,1\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "length", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {path}: header ") and "lacks required columns" in err
+
+
 def test_convergence_check_passes_for_linear(capsys):
     code, out, _ = run_cli(
         capsys, "convergence", "--case", "conv3d", "--degrees", "1", "--check"
@@ -244,6 +253,17 @@ def test_convergence_repeated_mesh_exits_one(capsys):
     assert err.startswith("error: ") and "400, 200 decrease" in err
 
 
+def test_convergence_check_failure_exits_two(capsys):
+    """The table is written, then the violations follow "check failed:"."""
+    code, out, err = run_cli(capsys, "convergence", "--check", "--degrees", "3",
+                             "--meshes", "10,20")
+    assert code == 2
+    assert len(read_csv_text(out)[1]) == 2 * 3 * 3  # meshes x axes x norms
+    lines = err.splitlines()
+    assert lines[lines.index("check failed:") + 1] == (
+        "N=3 cells=20 axis=x order(L1)=2.65 outside 4±0.25")
+
+
 def test_compare_row_shape(capsys):
     code, out, _ = run_cli(capsys, "compare", "--case", "tanhcos2d", "--meshes", "21,41")
     assert code == 0
@@ -274,6 +294,20 @@ def test_backtrace_case_check(capsys):
     assert header == ["track", "method", "endpoint_err", "L1", "L2", "Linf"]
     assert [r[1] for r in rows] == ["RK2+P1", "RK4+P3"]
     assert float(rows[1][4]) < float(rows[0][4])
+
+
+def test_backtrace_case_check_failure_exits_two(capsys):
+    """At dtau = dt every RK2 stage lands on a frame, where P1 meets the
+    samples exactly, so RK4+P3 is not below it in any norm."""
+    code, out, err = run_cli(capsys, "backtrace", "--case", "tanhcos2d", "--meshes", "5",
+                             "--dtau", "0.5", "--check")
+    assert code == 2
+    assert [r[1] for r in read_csv_text(out)[1]] == ["RK2+P1", "RK4+P3"]
+    lines = err.splitlines()
+    failed = lines[lines.index("check failed:") + 1:]
+    assert [line.split(":")[0] for line in failed] == [
+        "backtrace L1", "backtrace L2", "backtrace Linf"]
+    assert all("not below low-order" in line for line in failed)
 
 
 def test_backtrace_file_mode(tmp_path, capsys, rng):

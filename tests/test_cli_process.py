@@ -9,7 +9,9 @@ imported counts.
 
 import ast
 import json
+import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -53,10 +55,14 @@ sys.stderr.write(json.dumps({"code": code, "before": before,
 """
 
 
-def python(*args: str) -> subprocess.CompletedProcess:
+def _env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120)
+    return env
+
+
+def python(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], env=_env(), capture_output=True, timeout=120)
 
 
 @pytest.fixture
@@ -144,3 +150,19 @@ def test_python_m_and_main_write_the_same_bytes(tmp_path, tracks_csv, case):
     assert (as_main.returncode, as_main.stdout, as_main.stderr) == (
         in_process.returncode, in_process.stdout, in_process.stderr)
     assert as_main.stdout or as_main.returncode
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_a_closed_stdout_ends_the_process_as_it_ends_cat(tmp_path):
+    """`shotr kinematics ... | head -1`: the write after the reader closes
+    the pipe kills the process by SIGPIPE, with nothing on stderr, where a
+    broken-pipe error would exit 1. The output is far larger than a pipe
+    holds, so the process is still writing when the pipe closes."""
+    path = write_csv(tmp_path / "long.csv",
+                     [("a", 0.1 * k, math.sin(k), math.cos(k)) for k in range(2000)])
+    proc = subprocess.Popen([sys.executable, "-m", "shotr.cli", "kinematics", "--input", path],
+                            env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"track,t,x,y,z,")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (-signal.SIGPIPE, b"")

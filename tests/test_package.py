@@ -309,3 +309,92 @@ def test_cli_output_does_not_depend_on_the_blas_thread_count(tmp_path, rng, comm
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     argv = ["-m", "shotr.cli", command, "--input", str(path)]
     assert run_python(*argv) == run_python(*argv, OPENBLAS_NUM_THREADS="2")
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((ROOT / "src" / "shotr").glob("*.py"))}
+
+
+def _message(node) -> str:
+    """The text of a raised message: an f-string's literal parts with {}
+    for each field, else the argument's source."""
+    if isinstance(node, ast.JoinedStr):
+        return "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                       for part in node.values)
+    return ast.unparse(node)
+
+
+class _Raises(ast.NodeVisitor):
+    """message -> the functions of a module that raise an exception built
+    from it; a message held in a variable names no text and is skipped."""
+
+    def __init__(self, module: str):
+        self.scope, self.found = [module], {}
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef
+
+    def visit_Raise(self, node):
+        exc = node.exc
+        if isinstance(exc, ast.Call) and exc.args and not isinstance(exc.args[0], ast.Name):
+            self.found.setdefault(_message(exc.args[0]), set()).add(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_no_message_is_raised_by_two_functions():
+    """Each error is raised by one owner: a rule whose message two functions
+    raise is a rule written twice. TrackSeries alone rejects repeated
+    frame times, and cli fails a --check through one helper."""
+    raisers = {}
+    for module, tree in _modules().items():
+        scan = _Raises(module)
+        scan.visit(tree)
+        for message, functions in scan.found.items():
+            raisers.setdefault(message, set()).update(functions)
+    assert {message: sorted(functions) for message, functions in raisers.items()
+            if len(functions) > 1} == {}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_cli_names_no_private_attribute_of_another_module():
+    """The command line reaches the library through its public names, so a
+    private helper can change without the CLI noticing."""
+    tree = _modules()["cli"]
+    modules = {alias.asname or alias.name.partition(".")[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module is None
+                for alias in node.names}
+    found = [ast.unparse(node) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id in modules and _private(node.attr)]
+    found += [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names if _private(alias.name)]
+    assert found == []
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    """An unused import is a leftover of a deletion. A name counts as used
+    where the module reads it, or lists it in __all__."""
+    unused = {}
+    for module, tree in _modules().items():
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= set(getattr(importlib.import_module(f"shotr.{module}".removesuffix(".__init__")),
+                            "__all__", ()))
+        if imported - used:
+            unused[module] = sorted(imported - used)
+    assert unused == {}

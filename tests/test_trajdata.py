@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shotr.errors import DuplicateTimestamp, MalformedRow, NonMonotoneTimes
-from shotr.trajdata import TrackSeries, parse_tracks, split_axes
+from shotr.trajdata import TrackSeries, TrackSet, parse_tracks, split_axes
 
 from .conftest import write_csv
 
@@ -45,6 +45,19 @@ def test_header_that_skips_an_axis_is_rejected(tmp_path, fmt, header, present, m
         parse_tracks(path, fmt)
 
 
+@pytest.mark.parametrize("fmt, header, message", [
+    ("generic_csv", "track,x,y", "lacks required columns ('track', 't')"),
+    ("trackmate_csv", "TRACK_ID,POSITION_X,POSITION_Y",
+     "lacks required columns ('TRACK_ID', 'POSITION_T')"),
+    ("generic_csv", "track,t", "has no coordinate columns"),
+    ("trackmate_csv", "TRACK_ID,POSITION_T", "has no coordinate columns"),
+])
+def test_header_without_the_time_or_any_axis_is_rejected(tmp_path, fmt, header, message):
+    path = write_csv(tmp_path / "a.csv", [("a", 0, 1), ("a", 1, 2)], header=header)
+    with pytest.raises(MalformedRow, match=f"^{re.escape(path)}: header .*{re.escape(message)}$"):
+        parse_tracks(path, fmt)
+
+
 def test_unknown_format_is_a_value_error(tmp_path):
     path = write_csv(tmp_path / "a.csv", [("a", 0, 1, 1), ("a", 1, 2, 2)])
     with pytest.raises(ValueError, match="unknown format 'csv'"):
@@ -55,6 +68,19 @@ def test_duplicate_timestamp_names_track(tmp_path):
     path = write_csv(tmp_path / "a.csv", [("a", 0, 1, 1), ("a", 0, 2, 2), ("a", 1, 3, 3)])
     with pytest.raises(DuplicateTimestamp, match="'a'"):
         parse_tracks(path)
+
+
+def test_repeated_time_is_raised_after_the_drop_warnings_before_it(tmp_path, caplog):
+    """The tracks before the first with a repeated time are read, and a
+    one-sample one among them dropped with its warning; the tracks after it
+    are not reached."""
+    rows = [("c", 0, 1, 1), ("a", 0, 1, 1), ("a", 0, 2, 2), ("a", 1, 3, 3), ("b", 0, 1, 1)]
+    path = write_csv(tmp_path / "a.csv", rows)
+    with caplog.at_level(logging.WARNING), pytest.raises(
+            DuplicateTimestamp, match="^track 'a' has duplicate timestamps$"):
+        parse_tracks(path)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}: track 'c' dropped (1 sample(s), need >= 2)"]
 
 
 def test_trackmate_matches_generic(tmp_path):
@@ -262,3 +288,10 @@ def test_track_series_rejects_infinite_time():
         TrackSeries("p7", [0.0, 1.0, np.inf], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="track 'p7' has non-finite"):
         TrackSeries("p7", [0.0, 1.0, 2.0], [1.0, -np.inf, 3.0])
+
+
+def test_track_set_rejects_tracks_of_different_dimensions():
+    tracks = {"a": TrackSeries("a", [0.0, 1.0], [1.0, 2.0]),
+              "b": TrackSeries("b", [0.0, 1.0], [[1.0, 2.0], [3.0, 4.0]])}
+    with pytest.raises(ValueError, match=r"^tracks mix dimensionalities: \[1, 2\]$"):
+        TrackSet(tracks)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,24 @@ def test_unknown_case_raises():
         get_case("nope")
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_case_is_one_frozen_record_that_evaluates_its_exact_curve(name):
+    """get_case returns the record CASES holds, on every call; position and
+    velocity give one column per axis, each its own function's values, and
+    sample takes its coordinates from position."""
+    case = get_case(name)
+    assert case is get_case(name) is CASES[name]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        case.domain = (0.0, 1.0)
+    t = np.linspace(*case.domain, 7)
+    for got, fns in ((case.position(t), case.position_fns),
+                     (case.velocity(t), case.velocity_fns)):
+        assert got.shape == (7, case.dim)
+        for column, f in zip(got.T, fns):
+            np.testing.assert_array_equal(column, f(t))
+    np.testing.assert_array_equal(case.sample(7).coords, case.position(t))
+
+
 # ---------------------------------------------------------------------------
 # convergence study
 # ---------------------------------------------------------------------------
@@ -192,6 +212,15 @@ def test_check_convergence_flags_bad_rows():
     assert any("L1" in v and "cells=100" in v for v in violations)
 
 
+def test_check_convergence_flags_an_order_off_its_degree():
+    """Cubic reconstruction on 10 and 20 cells has not reached its order 4:
+    the gate names the degree, the finer mesh, the axis, the norm and the
+    order."""
+    violations = check_convergence(run_convergence(get_case("conv3d"), [3], [10, 20]))
+    assert "N=3 cells=20 axis=x order(L1)=2.65 outside 4±0.25" in violations
+    assert all(" order(L" in v for v in violations)
+
+
 def test_convergence_meshes_must_increase():
     """Each order compares a mesh with the one before it, and the gate reads
     the last two rows as the finest: equal or decreasing neighbours are a
@@ -229,6 +258,16 @@ def test_comparison_errors_decrease_with_refinement(comparison_rows):
             for prev, cur in zip(seq, seq[1:]):
                 assert cur.position.l2 < prev.position.l2
                 assert cur.velocity.l2 < prev.velocity.l2
+
+
+def test_check_comparison_flags_errors_that_do_not_decrease():
+    """On 3 and 4 points the errors grow under refinement: the gate names
+    the method, axis, quantity, norm and the two meshes."""
+    violations = check_comparison(compare_spt(get_case("tanhcos2d"), (3, 4)))
+    decreasing = [v for v in violations if " not decreasing: " in v]
+    assert any(v.startswith("P1 axis=x velocity L2 not decreasing: ")
+               and v.endswith(" (3 -> 4 points)") for v in decreasing)
+    assert {v.split()[0] for v in decreasing} == {"P1", "P3"}
 
 
 def test_p1_velocity_is_secant_slope():
