@@ -41,47 +41,32 @@ class ErrorNorms:
 def error_norms(
     reference: Callable[[np.ndarray], np.ndarray],
     candidate: Callable[[np.ndarray], np.ndarray],
-    window: tuple[float, float],
     quad_points_per_cell: int,
     mesh: StaggeredMesh,
-) -> ErrorNorms | list[ErrorNorms]:
-    """Integral L1/L2 and discrete Linf distance between two functions.
+) -> list[ErrorNorms]:
+    """Integral L1/L2 and discrete Linf distance between two functions over
+    every cell of mesh, one ErrorNorms per column.
 
-    Integrals use per-cell Gauss quadrature on the mesh cells clipped to
-    the window; the max is taken over all quadrature nodes and the clipped
-    cell interfaces, each evaluated once. Functions that return one column
-    per axis, shape (m, dim), give one ErrorNorms per column, each equal to
-    that column's own call, from one evaluation of both. Other shapes, or
-    one function returning (m,) and the other (m, dim), are a ValueError; a
-    scalar broadcasts. A window that overlaps no cell gives zero norms (both
-    functions are still called, at no times, to learn the form); a
-    non-finite window bound is an error.
+    Both functions map times (m,) to one column per axis, the same
+    (m, dim) from both; a scalar broadcasts. Integrals use per-cell Gauss quadrature; the max is taken
+    over all quadrature nodes and the cell interfaces, from one evaluation
+    of each function. Any other shape, (m,) included, is a ValueError.
     """
-    a, b = window
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"window must be finite, got {window!r}")
-    lo = np.maximum(mesh.interfaces[:-1], a)
-    hi = np.minimum(mesh.interfaces[1:], b)
-    kept = hi > lo
-    lo, hi = lo[kept], hi[kept]
-    nodes, weights = gauss_points(lo, hi, quad_points_per_cell)
-    # the kept cells are contiguous, so hi[:-1] is lo[1:]
-    pts = np.concatenate([nodes.ravel(), lo, hi[-1:]])
+    t = mesh.interfaces
+    nodes, weights = gauss_points(t[:-1], t[1:], quad_points_per_cell)
+    pts = np.concatenate([nodes.ravel(), t])
     ref, cand = np.asarray(reference(pts)), np.asarray(candidate(pts))
-    err = np.abs(ref - cand)
-    if err.shape[:1] != pts.shape or err.ndim > 2 or (err.ndim == 2 and 1 in (ref.ndim, cand.ndim)):
+    shapes = {r.shape for r in (ref, cand) if r.ndim}  # a scalar broadcasts
+    if len(shapes) != 1 or not all(len(s) == 2 and s[0] == pts.size for s in shapes):
         raise ValueError(f"the functions returned shapes {ref.shape} and {cand.shape} at "
-                         f"{pts.size} times; expected ({pts.size},) or ({pts.size}, columns) from both")
-    if err.ndim == 1:
-        return _norms(err, weights)
+                         f"{pts.size} times; expected ({pts.size}, columns) from both")
+    err = np.abs(ref - cand)
     return [_norms(column, weights) for column in np.ascontiguousarray(err.T)]
 
 
 def _norms(err: np.ndarray, weights: np.ndarray) -> ErrorNorms:
-    """Norms of one function's errors at the quadrature nodes, then at the
-    clipped interfaces, under the nodes' weights."""
-    if err.size == 0:
-        return ErrorNorms(0.0, 0.0, 0.0)
+    """Norms of one column's errors at the quadrature nodes, then at the
+    interfaces, under the nodes' weights."""
     quad_err = err[: weights.size].reshape(weights.shape)
     return ErrorNorms(
         float(np.sum(weights * quad_err)),
@@ -117,7 +102,9 @@ class SyntheticCase:
 
     def sample(self, n_points: int) -> TrackSeries:
         """Equidistant samples over the domain, endpoints included, as a
-        track named after the case."""
+        track named after the case; fewer than 2 points is a ValueError."""
+        if n_points < 2:
+            raise ValueError(f"case {self.name!r} needs at least 2 points, got {n_points}")
         t = np.linspace(self.domain[0], self.domain[1], n_points)
         return TrackSeries(self.name, t, self.position(t))
 
@@ -257,7 +244,11 @@ def run_convergence(
     mesh_cells: Sequence[int] = REFERENCE_MESH_CELLS,
     limiter: str = "none",
 ) -> list[ConvergenceRow]:
-    """Position errors and empirical orders over increasing mesh cell counts."""
+    """Position errors and empirical orders over increasing mesh cell counts,
+    each at least 1."""
+    for cells in mesh_cells:
+        if cells < 1:
+            raise ValueError(f"mesh cell count {cells}: a mesh has at least 1 cell")
     for before, after in zip(mesh_cells, mesh_cells[1:]):
         if before == after:
             raise ValueError(f"mesh cell count {after} repeated: "
@@ -275,7 +266,7 @@ def run_convergence(
             polys = reconstruct_track(tracks[cells], degree, limiter)
             mesh, quad = polys[0].mesh, polys[0].degree + 1
             errors = dict(zip(axes, error_norms(case.position, _derivative(polys, 0),
-                                                (a, b), quad, mesh)))
+                                                quad, mesh=mesh)))
             dt = (b - a) / cells
             orders = None
             if prev is not None:
@@ -350,7 +341,8 @@ COMPARISON_MIN_RATIO = 10.0  # P3 velocity L2 error at least this far below P1's
 
 @dataclass
 class ComparisonRow:
-    """Position and velocity errors of one (method, mesh, axis) triple."""
+    """Position and velocity errors of one (method, mesh, axis) triple. The
+    degree is the fit's: below the method's on a mesh too short for it."""
 
     case: str
     method: str
@@ -370,7 +362,6 @@ def compare_spt(
     Both methods share one quadrature so their norms are comparable.
     """
     rows: list[ComparisonRow] = []
-    a, b = case.domain
     axes = AXES[: case.dim]
     for n_points in mesh_points:
         track = case.sample(n_points)
@@ -378,11 +369,11 @@ def compare_spt(
             polys = reconstruct_track(track, degree)
             mesh = polys[0].mesh
             position = error_norms(case.position, _derivative(polys, 0),
-                                   (a, b), COMPARISON_QUAD_POINTS, mesh)
+                                   COMPARISON_QUAD_POINTS, mesh=mesh)
             velocity = error_norms(case.velocity, _derivative(polys, 1),
-                                   (a, b), COMPARISON_QUAD_POINTS, mesh)
+                                   COMPARISON_QUAD_POINTS, mesh=mesh)
             rows += [
-                ComparisonRow(case.name, f"P{degree}", degree, n_points, ax, pos, vel)
+                ComparisonRow(case.name, f"P{degree}", polys[0].degree, n_points, ax, pos, vel)
                 for ax, pos, vel in zip(axes, position, velocity)
             ]
     return rows
@@ -391,11 +382,15 @@ def compare_spt(
 def check_comparison(rows: list[ComparisonRow]) -> list[str]:
     """Violations of the comparison gates; empty when everything passes.
 
-    Gates: P3 velocity L2 error at least COMPARISON_MIN_RATIO times below P1
-    on every mesh and axis, and both methods' position and velocity errors
-    strictly decreasing under refinement.
+    Gates: each method fitted at its own degree on every mesh, P3 velocity
+    L2 error at least COMPARISON_MIN_RATIO times below P1 on every mesh and
+    axis, and both methods' position and velocity errors strictly
+    decreasing under refinement.
     """
-    violations: list[str] = []
+    violations = [f"{method} at {n_points} points: fitted at degree {degree}"
+                  for method, n_points, degree in dict.fromkeys(
+                      (r.method, r.n_points, r.degree) for r in rows)
+                  if method != f"P{degree}"]
     index = {(r.method, r.n_points, r.axis): r for r in rows}
     meshes = sorted({r.n_points for r in rows})
     axes = sorted({r.axis for r in rows})
@@ -435,20 +430,10 @@ def check_comparison(rows: list[ComparisonRow]) -> list[str]:
 
 @dataclass
 class BacktraceResult:
-    endpoint: np.ndarray
-    endpoint_error: float          # distance to the first recorded sample
+    endpoint_error: float          # distance from path[-1] to the first recorded sample
     taus: np.ndarray               # local integration times, 0 .. duration
     path: np.ndarray               # (len(taus), dim)
-    per_axis: list[ErrorNorms]     # path vs reference, per axis
-    combined: ErrorNorms           # same, on the deviation magnitude
-
-
-def _path_norms(taus: np.ndarray, deviation: np.ndarray) -> ErrorNorms:
-    return ErrorNorms(
-        l1=float(np.trapezoid(np.abs(deviation), taus)),
-        l2=float(math.sqrt(np.trapezoid(deviation**2, taus))),
-        linf=float(np.max(np.abs(deviation))),
-    )
+    combined: ErrorNorms           # path vs reference, on the deviation magnitude
 
 
 def _derivative(polys: list[PiecewisePoly], order: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -537,17 +522,16 @@ def backtrace(
     if expected.shape != path_arr.shape:
         raise ValueError(f"reference returned shape {expected.shape}, "
                          f"expected {path_arr.shape} (steps x axes)")
-    deviation = path_arr - expected
-
-    per_axis = [_path_norms(taus_arr, deviation[:, d]) for d in range(track.dim)]
-    combined = _path_norms(taus_arr, np.linalg.norm(deviation, axis=1))
+    distance = np.linalg.norm(path_arr - expected, axis=1)
     return BacktraceResult(
-        endpoint=path_arr[-1],
         endpoint_error=float(np.linalg.norm(path_arr[-1] - track.coords[0])),
         taus=taus_arr,
         path=path_arr,
-        per_axis=per_axis,
-        combined=combined,
+        combined=ErrorNorms(
+            l1=float(np.trapezoid(distance, taus_arr)),
+            l2=float(math.sqrt(np.trapezoid(distance**2, taus_arr))),
+            linf=float(np.max(distance)),
+        ),
     )
 
 

@@ -253,6 +253,38 @@ def test_convergence_repeated_mesh_exits_one(capsys):
     assert err.startswith("error: ") and "400, 200 decrease" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["backtrace", "--case", "tanhcos2d", "--meshes", "-1"],
+     "case 'tanhcos2d' needs at least 2 points, got -1"),
+    (["backtrace", "--case", "tanhcos2d", "--meshes", "0"],
+     "case 'tanhcos2d' needs at least 2 points, got 0"),
+    (["backtrace", "--case", "conv3d", "--meshes", "1"],
+     "case 'conv3d' needs at least 2 points, got 1"),
+    (["compare", "--meshes", "1,21"], "case 'tanhcos2d' needs at least 2 points, got 1"),
+    (["convergence", "--meshes", "0,10"], "mesh cell count 0: a mesh has at least 1 cell"),
+], ids=["backtrace-negative", "backtrace-zero", "backtrace-one", "compare-one",
+        "convergence-zero"])
+def test_study_sizes_below_a_mesh_exit_one(capsys, argv, message):
+    """A point count below 2, or a cell count below 1, is one error line
+    naming the size, before any output."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_compare_check_flags_a_reduced_fit(capsys):
+    """On 2 and 3 points the cubic cannot be fitted: the CSV keeps the P3
+    label, and the gate names each reduced fit before the other violations."""
+    code, out, err = run_cli(capsys, "compare", "--meshes", "2,3", "--check")
+    assert code == 2
+    assert {r[1] for r in read_csv_text(out)[1]} == {"P1", "P3"}
+    lines = err.splitlines()
+    failed = lines[lines.index("check failed:") + 1:]
+    assert failed[:2] == ["P3 at 2 points: fitted at degree 1",
+                          "P3 at 3 points: fitted at degree 2"]
+
+
 def test_convergence_check_failure_exits_two(capsys):
     """The table is written, then the violations follow "check failed:"."""
     code, out, err = run_cli(capsys, "convergence", "--check", "--degrees", "3",

@@ -96,52 +96,45 @@ def test_backtrace_matches_stepwise_oracle(rng, degree, limiter):
                 assert np.array_equal(res.path, path)
 
 
+def _column(f):
+    """A function of one value per time as a function of one column."""
+    return lambda t: f(t)[:, None]
+
+
 def test_error_norms_match_per_cell_oracle(rng):
-    """Full, clipped and partially overlapping windows, on reconstructions
-    and on closed-form functions, to 1e-13 relative. Functions that return
-    one column per axis give one ErrorNorms per column, bit-equal to that
-    column's own call."""
+    """On reconstructions and on closed-form functions, each column's norms
+    match the per-cell oracle over the mesh's span to 1e-13 relative, and
+    are bit-equal to that column's own one-column call."""
     for _ in range(20):
         n = int(rng.integers(2, 200))
         track = random_track(rng, n, int(rng.integers(1, 4)))
         polys = reconstruct_track(track, int(rng.integers(1, 6)))
-        poly = polys[0]
         mesh = build_mesh(track.times)
-        t0, t1 = mesh.span
-        span = t1 - t0
         fns = [lambda t, k=k: np.sin((3 + k) * t) + 0.1 * t**2 for k in range(track.dim)]
-        g = fns[0]
         exact = lambda t: np.column_stack([f(t) for f in fns])
         fitted = lambda t: np.column_stack([p.value(t) for p in polys])
-        windows = [
-            (t0, t1),
-            (t0 + 0.3 * span, t1 - 0.2 * span),
-            (t0 - span, t0 + 0.4 * span),
-            (t0 + 0.6 * span, t1 + span),
-        ]
-        for window in windows:
-            for quad in (1, 4, 7):
-                got = error_norms(g, poly.value, window, quad, mesh)
-                ref = oracle.error_norms(g, poly.value, window, quad, mesh)
+        for quad in (1, 4, 7):
+            columns = error_norms(exact, fitted, quad, mesh)
+            assert len(columns) == track.dim
+            for got, f, p in zip(columns, fns, polys):
+                ref = oracle.error_norms(f, p.value, mesh.span, quad, mesh)
                 np.testing.assert_allclose(got.as_tuple(), ref.as_tuple(), rtol=1e-13, atol=0)
-                columns = error_norms(exact, fitted, window, quad, mesh)
-                per_column = [error_norms(f, p.value, window, quad, mesh)
-                              for f, p in zip(fns, polys)]
-                assert [c.as_tuple() for c in columns] == [c.as_tuple() for c in per_column]
+                [own] = error_norms(_column(f), _column(p.value), quad, mesh)
+                assert own.as_tuple() == got.as_tuple()
 
 
 @pytest.mark.parametrize("limiter", ["none", "cweno"])
 def test_study_rows_are_the_per_axis_norms(limiter):
     """run_convergence's and compare_spt's norms, from one evaluation of all
-    axes, bit-equal the 1-D norms of each axis evaluated on its own."""
+    axes, bit-equal the one-column norms of each axis evaluated on its own."""
     case = get_case("conv3d")
     axes = "xyz"
     for row in run_convergence(case, (1, 2, 3), (20, 40, 80), limiter):
         polys = reconstruct_track(case.sample(row.n_cells + 1), row.degree, limiter)
         for d, ax in enumerate(axes):
             fitted = partial(oracle.evaluate_axis, polys[d], order=0)
-            want = error_norms(case.position_fns[d], fitted, case.domain, row.degree + 1,
-                               polys[0].mesh)
+            [want] = error_norms(_column(case.position_fns[d]), _column(fitted),
+                                 row.degree + 1, polys[0].mesh)
             assert row.errors[ax].as_tuple() == want.as_tuple()
     if limiter == "cweno":
         return
@@ -150,8 +143,9 @@ def test_study_rows_are_the_per_axis_norms(limiter):
         poly = reconstruct_track(case.sample(row.n_points), row.degree)[d]
         for fns, order, got in ((case.position_fns, 0, row.position),
                                 (case.velocity_fns, 1, row.velocity)):
-            want = error_norms(fns[d], partial(oracle.evaluate_axis, poly, order=order),
-                               case.domain, COMPARISON_QUAD_POINTS, poly.mesh)
+            fitted = partial(oracle.evaluate_axis, poly, order=order)
+            [want] = error_norms(_column(fns[d]), _column(fitted),
+                                 COMPARISON_QUAD_POINTS, poly.mesh)
             assert got.as_tuple() == want.as_tuple()
 
 

@@ -120,8 +120,7 @@ INIT_FIELDS = {
     "recon.TaylorBasis": ["center", "width"],
     "kinematics.KinematicSample": ["t", "position", "velocity", "acceleration"],
     "kinematics.VelocitySummary": ["v_l", "v_d", "v_m", "length", "duration"],
-    "validate.BacktraceResult": ["endpoint", "endpoint_error", "taus", "path", "per_axis",
-                                 "combined"],
+    "validate.BacktraceResult": ["endpoint_error", "taus", "path", "combined"],
     "validate.ComparisonRow": ["case", "method", "degree", "n_points", "axis", "position",
                                "velocity"],
     "validate.ConvergenceRow": ["case", "degree", "n_cells", "dt", "errors", "orders"],

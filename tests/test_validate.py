@@ -28,16 +28,24 @@ from .oracle import rk_step
 # error norms
 # ---------------------------------------------------------------------------
 
+def _one_column(reference, candidate, quad, mesh):
+    """The norms of two functions of one value per time, through error_norms'
+    one column."""
+    [norms] = error_norms(lambda t: reference(t)[:, None], lambda t: candidate(t)[:, None],
+                          quad, mesh)
+    return norms
+
+
 def test_identical_functions_have_zero_norms():
     mesh = build_mesh(np.linspace(0, 2, 11))
     f = lambda t: np.sin(t)
-    en = error_norms(f, f, (0, 2), 4, mesh)
+    en = _one_column(f, f, 4, mesh)
     assert en.as_tuple() == (0.0, 0.0, 0.0)
 
 
 def test_constant_error_analytic():
     mesh = build_mesh(np.linspace(0, 2, 21))
-    en = error_norms(lambda t: np.ones_like(t), lambda t: np.zeros_like(t), (0, 2), 4, mesh)
+    en = _one_column(lambda t: np.ones_like(t), lambda t: np.zeros_like(t), 4, mesh)
     assert en.l1 == pytest.approx(2.0, abs=1e-13)
     assert en.l2 == pytest.approx(np.sqrt(2.0), abs=1e-13)
     assert en.linf == pytest.approx(1.0, abs=1e-15)
@@ -45,7 +53,7 @@ def test_constant_error_analytic():
 
 def test_linear_error_analytic():
     mesh = build_mesh(np.linspace(0, 1, 9))
-    en = error_norms(lambda t: t, lambda t: np.zeros_like(t), (0, 1), 4, mesh)
+    en = _one_column(lambda t: t, lambda t: np.zeros_like(t), 4, mesh)
     assert en.l1 == pytest.approx(0.5, abs=1e-12)
     assert en.l2 == pytest.approx(1 / np.sqrt(3), abs=1e-12)
     assert en.linf == pytest.approx(1.0, abs=1e-15)
@@ -59,65 +67,40 @@ def test_norm_dominance_inequalities(rng):
         c = rng.normal(size=4)
         f = lambda t: np.polynomial.polynomial.polyval(t, c)
         g = lambda t: np.sin(3 * t)
-        en = error_norms(f, g, (0, 3), 5, mesh)
+        en = _one_column(f, g, 5, mesh)
         T = 3.0
         assert en.l1 <= T * en.linf + 1e-12
         assert en.l2**2 <= T * en.linf**2 + 1e-12
 
 
-def test_window_clips_cells():
-    mesh = build_mesh(np.linspace(0, 2, 21))
-    en = error_norms(lambda t: np.ones_like(t), lambda t: np.zeros_like(t), (0.5, 1.5), 4, mesh)
-    assert en.l1 == pytest.approx(1.0, abs=1e-13)
-
-
 def test_each_clipped_interface_is_evaluated_once():
-    """k kept cells take their quad * k nodes and their k + 1 clipped
-    interfaces: a full window, one clipped inside its end cells, and one
-    that overlaps no cell."""
+    """k cells take their quad * k nodes and their k + 1 interfaces, in one
+    call of each function."""
     mesh = build_mesh(np.linspace(0, 2, 21))
-    for window, kept in (((0.0, 2.0), 20), ((0.55, 1.45), 10), ((3.0, 4.0), 0)):
-        sizes = []
-        candidate = lambda t: sizes.append(t.size) or np.zeros_like(t)
-        error_norms(lambda t: t, candidate, window, 4, mesh)
-        assert sizes == [4 * kept + kept + 1 if kept else 0]
-
-
-def test_window_outside_the_mesh_gives_zero_norms():
-    mesh = build_mesh(np.linspace(0, 2, 21))
-    one = lambda t: np.ones_like(t)
-    columns = lambda t: np.column_stack([t, 2 * t])
-    for window in ((3.0, 4.0), (-2.0, -1.0), (2.0, 3.0), (1.0, 1.0)):
-        en = error_norms(one, lambda t: np.zeros_like(t), window, 4, mesh)
-        assert en.as_tuple() == (0.0, 0.0, 0.0)
-        per_column = error_norms(columns, lambda t: 0 * columns(t), window, 4, mesh)
-        assert [n.as_tuple() for n in per_column] == [(0.0, 0.0, 0.0)] * 2
+    sizes = []
+    candidate = lambda t: sizes.append(t.size) or np.zeros((t.size, 2))
+    error_norms(lambda t: np.column_stack([t, t]), candidate, 4, mesh)
+    assert sizes == [4 * 20 + 21]
 
 
 def test_functions_of_different_forms_are_rejected():
-    """Both functions give one value per time, (m,), or one column per axis,
-    (m, dim); a 1-D result against a column would broadcast to (m, m)."""
+    """Both functions give the same one column per axis, (m, dim); one value
+    per time, (m,), is rejected on either side, a 1-D result against a
+    column would broadcast to (m, m), and one column against three to three."""
     mesh = build_mesh(np.linspace(0, 2, 11))
     axis = lambda t: np.sin(t)
     column = lambda t: np.sin(t)[:, None]
+    three = lambda t: np.zeros((len(t), 3))
     cube = lambda t: np.zeros((len(t), 2, 2))
-    for window in ((0.0, 2.0), (3.0, 4.0)):
-        for f, g in ((axis, column), (column, axis), (cube, cube), (lambda t: 1.0, lambda t: 0.0)):
-            with pytest.raises(ValueError, match="returned shapes"):
-                error_norms(f, g, window, 4, mesh)
-    # a scalar broadcasts against either form
+    for f, g in ((axis, column), (column, axis), (axis, axis), (axis, three),
+                 (column, three), (cube, cube), (lambda t: 1.0, lambda t: 0.0)):
+        with pytest.raises(ValueError, match="returned shapes"):
+            error_norms(f, g, 4, mesh)
+    # a scalar broadcasts against a column, on either side
     zero = lambda t: 0.0
-    assert error_norms(zero, axis, (0, 2), 4, mesh) == error_norms(np.zeros_like, axis, (0, 2), 4, mesh)
-    assert error_norms(column, zero, (0, 2), 4, mesh) == [error_norms(axis, zero, (0, 2), 4, mesh)]
-
-
-@pytest.mark.parametrize("window", [(np.nan, 1.0), (0.0, np.nan), (0.0, np.inf), (-np.inf, 1.0)])
-def test_non_finite_window_rejected(window):
-    """A NaN bound would otherwise overlap no cell and give zero norms."""
-    mesh = build_mesh(np.linspace(0, 2, 21))
-    one = lambda t: np.ones_like(t)
-    with pytest.raises(ValueError, match="window must be finite"):
-        error_norms(one, lambda t: np.zeros_like(t), window, 4, mesh)
+    zeros = lambda t: np.zeros((t.size, 1))
+    assert error_norms(column, zero, 4, mesh) == error_norms(column, zeros, 4, mesh)
+    assert error_norms(zero, column, 4, mesh) == error_norms(zeros, column, 4, mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +125,13 @@ def test_case_sampling_endpoints_inclusive():
     assert track.times[0] == case.domain[0]
     assert track.times[-1] == case.domain[1]
     assert track.dim == 2
+
+
+@pytest.mark.parametrize("n_points", [-1, 0, 1])
+def test_case_sampling_needs_two_points(n_points):
+    with pytest.raises(ValueError, match=rf"^case 'tanhcos2d' needs at least 2 points, "
+                                         rf"got {n_points}$"):
+        get_case("tanhcos2d").sample(n_points)
 
 
 def test_unknown_case_raises():
@@ -232,6 +222,16 @@ def test_convergence_meshes_must_increase():
         run_convergence(case, degrees=[1, 2], mesh_cells=[800, 400, 200, 100])
 
 
+def test_convergence_meshes_have_a_cell():
+    """A cell count below 1 is a ValueError naming it, before the order
+    check and before any mesh is fitted."""
+    case = get_case("conv3d")
+    for cells in ([0, 10], [10, 0], [-3, 10]):
+        with pytest.raises(ValueError, match=rf"^mesh cell count {min(cells)}: "
+                                             "a mesh has at least 1 cell$"):
+            run_convergence(case, degrees=[1], mesh_cells=cells)
+
+
 # ---------------------------------------------------------------------------
 # comparison study
 # ---------------------------------------------------------------------------
@@ -268,6 +268,19 @@ def test_check_comparison_flags_errors_that_do_not_decrease():
     assert any(v.startswith("P1 axis=x velocity L2 not decreasing: ")
                and v.endswith(" (3 -> 4 points)") for v in decreasing)
     assert {v.split()[0] for v in decreasing} == {"P1", "P3"}
+
+
+def test_comparison_rows_hold_the_fitted_degree():
+    """On 2 and 3 points P3 is fitted at degrees 1 and 2: the rows keep the
+    P3 label with the fit's degree, and the gate names each reduced fit once,
+    before its other violations."""
+    rows = compare_spt(get_case("tanhcos2d"), (2, 3, 4))
+    assert {(r.method, r.n_points, r.degree) for r in rows} == {
+        ("P1", 2, 1), ("P1", 3, 1), ("P1", 4, 1), ("P3", 2, 1), ("P3", 3, 2), ("P3", 4, 3)}
+    violations = check_comparison(rows)
+    assert violations[:2] == ["P3 at 2 points: fitted at degree 1",
+                              "P3 at 3 points: fitted at degree 2"]
+    assert sum(" fitted at degree " in v for v in violations) == 2
 
 
 def test_p1_velocity_is_secant_slope():
@@ -343,7 +356,7 @@ def test_backtrace_straight_line_returns_to_start():
     track = TrackSeries("line", times, coords)
     for degree, order in ((1, "rk2"), (3, "rk4")):
         res = backtrace(track, degree, 0.5, order=order)
-        np.testing.assert_allclose(res.endpoint, coords[0], atol=1e-10)
+        np.testing.assert_allclose(res.path[-1], coords[0], atol=1e-10)
         assert res.endpoint_error < 1e-10
 
 
@@ -380,7 +393,7 @@ def test_backtrace_large_step_stays_bounded():
 def test_backtrace_default_reference_is_cubic_reconstruction(rng):
     track = random_track(rng, 15, dim=2)
     res = backtrace(track, 1, 0.1)
-    assert len(res.per_axis) == 2
+    assert res.path.shape == (len(res.taus), 2)
     assert res.combined.l1 >= 0.0
 
 
