@@ -282,16 +282,6 @@ def cmd_backtrace(args: argparse.Namespace) -> int:
     return 0
 
 
-COMMANDS = {
-    "reconstruct": cmd_reconstruct,
-    "kinematics": cmd_kinematics,
-    "length": cmd_length,
-    "summary": cmd_summary,
-    "convergence": cmd_convergence,
-    "compare": cmd_compare,
-    "backtrace": cmd_backtrace,
-}
-
 def _int_list(text: str) -> list[int]:
     values = [int(tok) for tok in text.split(",") if tok.strip()]
     if not values:
@@ -327,17 +317,17 @@ def build_parser() -> argparse.ArgumentParser:
     file_in.add_argument("--format", dest="fmt", default=_DEFAULT_FORMAT, choices=FORMATS)
 
     file_cmd = [output, recon, file_in]
-    sub.add_parser("reconstruct", parents=file_cmd,
-                   help="emit per-cell polynomial coefficients as JSON")
-    sub.add_parser("kinematics", parents=file_cmd,
-                   help="dense position/velocity/acceleration CSV")
-    sub.add_parser("length", parents=file_cmd,
-                   help="curvilinear path length per track")
-    sub.add_parser("summary", parents=file_cmd,
-                   help="summary velocities per track")
+    for name, handler, text in (
+        ("reconstruct", cmd_reconstruct, "emit per-cell polynomial coefficients as JSON"),
+        ("kinematics", cmd_kinematics, "dense position/velocity/acceleration CSV"),
+        ("length", cmd_length, "curvilinear path length per track"),
+        ("summary", cmd_summary, "summary velocities per track"),
+    ):
+        sub.add_parser(name, parents=file_cmd, help=text).set_defaults(run=handler)
 
     p_conv = sub.add_parser("convergence", parents=[output],
                             help="mesh-refinement study on a synthetic case")
+    p_conv.set_defaults(run=cmd_convergence)
     p_conv.add_argument("--case", default="conv3d")
     p_conv.add_argument("--degrees", type=_int_list, default=[1, 2, 3],
                         help="comma-separated degrees (default 1,2,3)")
@@ -350,6 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", parents=[output],
                            help="high-order reconstruction vs linear linking")
+    p_cmp.set_defaults(run=cmd_compare)
     p_cmp.add_argument("--case", default="tanhcos2d")
     p_cmp.add_argument("--meshes", type=_int_list, default=None,
                        help="comma-separated point counts (default 21,41,81)")
@@ -357,6 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_back = sub.add_parser("backtrace", parents=[output],
                             help="backward integration of reconstructed velocities")
+    p_back.set_defaults(run=cmd_backtrace)
     src = p_back.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="track CSV file")
     src.add_argument("--case", help="synthetic case name")
@@ -382,7 +374,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; 2 is reserved for check failures
         return 0 if (exc.code or 0) == 0 else 1
     try:
-        return COMMANDS[args.command](args)
+        return args.run(args)
     except CheckFailed as exc:
         print(f"check failed:\n{exc}", file=sys.stderr)
         return 2

@@ -40,11 +40,15 @@ class KinematicSample:
 
 @dataclass
 class VelocitySummary:
-    v_l: float            # path length / duration
     v_d: np.ndarray       # per-axis displacement / duration
     v_m: np.ndarray       # per-axis mean of per-cell finite differences
     length: float
     duration: float
+
+    @property
+    def v_l(self) -> float:
+        """Path length / duration."""
+        return self.length / self.duration
 
 
 def _check_domain(axis_polys: list[PiecewisePoly], t) -> None:
@@ -93,13 +97,9 @@ def summarize(
     values = _fitted_samples(axis_polys, series)
     mesh = axis_polys[0].mesh
     duration = float(mesh.interfaces[-1] - mesh.interfaces[0])
-    length = trajectory_length(axis_polys, geom_degree)
-    v_d = (values[:, -1] - values[:, 0]) / duration
-    v_m = np.mean(np.diff(values) / mesh.widths, axis=1)
     return VelocitySummary(
-        v_l=length / duration,
-        v_d=v_d,
-        v_m=v_m,
-        length=length,
+        v_d=(values[:, -1] - values[:, 0]) / duration,
+        v_m=np.mean(np.diff(values) / mesh.widths, axis=1),
+        length=trajectory_length(axis_polys, geom_degree),
         duration=duration,
     )

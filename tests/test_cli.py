@@ -296,6 +296,20 @@ def test_convergence_check_failure_exits_two(capsys):
         "N=3 cells=20 axis=x order(L1)=2.65 outside 4±0.25")
 
 
+def test_convergence_check_flags_a_reduced_fit(capsys):
+    """On 1 and 2 cells the cubic cannot be fitted: the table keeps N=3, and
+    the gate names each reduced fit before the order violations."""
+    code, out, err = run_cli(capsys, "convergence", "--meshes", "1,2", "--degrees", "3",
+                             "--check")
+    assert code == 2
+    assert {r[1] for r in read_csv_text(out)[1]} == {"3"}
+    lines = err.splitlines()
+    failed = lines[lines.index("check failed:") + 1:]
+    assert failed[:3] == ["N=3 cells=1: fitted at degree 1",
+                          "N=3 cells=2: fitted at degree 2",
+                          "N=3 cells=2 axis=x order(L1)=0.54 outside 4±0.25"]
+
+
 def test_compare_row_shape(capsys):
     code, out, _ = run_cli(capsys, "compare", "--case", "tanhcos2d", "--meshes", "21,41")
     assert code == 0

@@ -103,6 +103,16 @@ def test_summary_back_and_forth():
     assert s.v_l > 0
 
 
+def test_summary_speed_is_the_length_over_the_duration(rng):
+    """v_l is derived: the record's length over its duration, which is the
+    fit's arc length over the track's duration to the bit."""
+    track = random_track(rng, 30, dim=3)
+    polys = reconstruct_track(track, 3)
+    s = summarize(polys, split_axes(track))
+    assert s.v_l == s.length / s.duration
+    assert s.v_l == trajectory_length(polys) / float(track.times[-1] - track.times[0])
+
+
 def test_summary_takes_the_one_axis_tracks_of_the_fitted_track(rng):
     """Another track's axes are a ValueError, not one track's length over
     another's duration: of another count, or on other times."""

@@ -109,8 +109,9 @@ def test_optional_parameters_are_the_listed_ones():
 # The init fields of every dataclass a submodule defines: each holds what
 # cannot be derived from the others (a track's dimension is its coords'
 # column count, a mesh's widths and barycenters come from its interfaces, a
-# cell's degree from its coefficient count). A new field is an edit to
-# this dict.
+# cell's degree from its coefficient count, a comparison row's method from
+# its degree, a summary's v_l from its length and duration). A new field is
+# an edit to this dict.
 INIT_FIELDS = {
     "trajdata.TrackSeries": ["track_id", "times", "coords"],
     "trajdata.TrackSet": ["tracks"],
@@ -119,10 +120,9 @@ INIT_FIELDS = {
     "recon.PiecewisePoly": ["mesh", "coeffs"],
     "recon.TaylorBasis": ["center", "width"],
     "kinematics.KinematicSample": ["t", "position", "velocity", "acceleration"],
-    "kinematics.VelocitySummary": ["v_l", "v_d", "v_m", "length", "duration"],
+    "kinematics.VelocitySummary": ["v_d", "v_m", "length", "duration"],
     "validate.BacktraceResult": ["endpoint_error", "taus", "path", "combined"],
-    "validate.ComparisonRow": ["case", "method", "degree", "n_points", "axis", "position",
-                               "velocity"],
+    "validate.ComparisonRow": ["case", "degree", "n_points", "axis", "position", "velocity"],
     "validate.ConvergenceRow": ["case", "degree", "n_cells", "dt", "errors", "orders"],
     "validate.ErrorNorms": ["l1", "l2", "linf"],
     "validate.SyntheticCase": ["name", "position_fns", "velocity_fns", "domain"],
@@ -261,6 +261,18 @@ def test_the_limiter_and_the_summary_read_the_fits_cells():
                                in str(node.value) for node in ast.walk(fn))]
     assert times_reads["cweno"] == [] and times_reads["kinematics"] == []
     assert pairing_checks == ["recon._fitted_samples"]
+
+
+def test_every_call_of_error_norms_passes_mesh_by_keyword():
+    """perfbench's tracer counts an error_norms call's cells from its mesh,
+    read by keyword before position, and the position it reads is stale:
+    a positional mesh would fail inside the traced wrapper."""
+    calls = [(module, node.lineno, any(k.arg == "mesh" for k in node.keywords))
+             for module, tree in _modules().items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and "error_norms" in (
+                 getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert calls
+    assert [(module, line) for module, line, keyword in calls if not keyword] == []
 
 
 def test_unknown_name_raises_attribute_error():
