@@ -14,7 +14,8 @@ one RK step at a time. Slow, but written independently of the array code in
 and ``shotr.validate``, which the differential tests check against it.
 The CLI's output is built as a document for ``json.dump`` and as one CSV
 row per ``KinematicSample`` or ``VelocitySummary``, each value formatted on
-its own.
+its own. The limiter's array kernels are also kept in their reduction
+forms, which ``shotr.cweno``'s explicit forms are checked against.
 """
 
 import csv
@@ -27,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from shotr.cweno import CwenoConfig
+from shotr.cweno import CwenoConfig, _gram
 from shotr.errors import DuplicateTimestamp, MalformedRow
 from shotr.geometry import trajectory_length
 from shotr.kinematics import sample_dense, summarize
@@ -348,6 +349,35 @@ def limit(coeffs: np.ndarray, series: TrackSeries) -> np.ndarray:
         linear = len(set(sigmas + CwenoConfig.epsilon)) == 1  # the linear weights give c
         out.append(c if linear else blend(cands, sigmas))
     return np.array(out)
+
+
+# The limiter's array kernels in their reduction forms: the indicators as
+# one three-operand einsum over the Gram matrices, the min and the sums over
+# the candidate axis as numpy reductions. shotr.cweno writes them as matrix
+# products and three-term expressions; the tests hold its weights and blend
+# to these bits and its indicators to rounding.
+
+def einsum_indicators(coeffs: np.ndarray, widths, absolute: bool = False) -> np.ndarray:
+    """oscillation_indicators by one einsum; with absolute, the sum of the
+    absolute values of its terms, which bounds the rounding of any order of
+    summation."""
+    n = coeffs.shape[-1]
+    c, G = (np.abs(coeffs), np.abs(_gram(n))) if absolute else (coeffs, _gram(n))
+    forms = np.einsum("...j,mjk,...k->...m", c, G, c)
+    scale = np.asarray(widths, dtype=float)[..., None] ** (1 - 2 * np.arange(1, n))
+    return (forms * scale).sum(axis=-1)
+
+
+def reduced_weights(sigmas: np.ndarray) -> np.ndarray:
+    cfg = CwenoConfig
+    lam = np.array([cfg.lambda_central, cfg.lambda_side, cfg.lambda_side])
+    s = np.asarray(sigmas, dtype=float) + cfg.epsilon
+    raw = lam * (s.min(axis=-1, keepdims=True) / s) ** cfg.exponent
+    return raw / raw.sum(axis=-1, keepdims=True)
+
+
+def reduced_blend(cands: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    return (reduced_weights(sigmas)[..., None] * cands).sum(axis=-2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,10 @@ from shotr.cweno import (
     side_lines,
 )
 from shotr.mesh import build_mesh
-from shotr.recon import CellPoly, PiecewisePoly, TaylorBasis, reconstruct_track
-from shotr.trajdata import TrackSeries
+from shotr.recon import MAX_DEGREE, CellPoly, PiecewisePoly, TaylorBasis, reconstruct_track
+from shotr.trajdata import TrackSeries, split_axes
 
+from . import oracle
 from .conftest import random_times
 
 
@@ -178,6 +181,33 @@ def test_sigma_matches_symbolic_integration(rng):
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-13)
 
 
+def fit_candidates(rng, degree, n_pts=41):
+    """Candidates of a random walk's fit, and its cell widths."""
+    times = random_times(rng, n_pts) * 10.0 ** rng.uniform(-2, 2)
+    series = TrackSeries("axis", times, rng.normal(size=n_pts).cumsum())
+    poly = reconstruct_track(series, degree)[0]
+    return candidates(poly, series), poly.mesh.widths
+
+
+@pytest.mark.parametrize("degree", range(1, MAX_DEGREE + 1))
+def test_sigma_matches_the_einsum_form(rng, degree):
+    """In each shape the limiter and its callers pass (one cell, cells, cells'
+    candidates and candidates' cells), on a fit's candidates and on random
+    coefficients, the matrix-product indicators are within
+    4 (N + 1)^2 machine epsilons of the sum of the absolute terms of the
+    einsum form."""
+    cands, widths = fit_candidates(rng, degree)
+    noise = rng.normal(size=cands.shape) * 10.0 ** rng.uniform(-3, 3, cands.shape)
+    for c in (cands, noise):
+        for coeffs, w in ((c[5, 0], widths[5]), (c[:, 1], widths), (c, widths[:, None]),
+                          (c.transpose(1, 0, 2), widths)):
+            got = oscillation_indicators(coeffs, w)
+            ref = oracle.einsum_indicators(coeffs, w)
+            terms = oracle.einsum_indicators(coeffs, w, absolute=True)
+            assert np.shape(got) == np.shape(ref) == coeffs.shape[:-1]
+            assert np.all(np.abs(got - ref) <= 4 * (degree + 1) ** 2 * np.finfo(float).eps * terms)
+
+
 # ---------------------------------------------------------------------------
 # blending
 # ---------------------------------------------------------------------------
@@ -268,3 +298,59 @@ def test_limited_reconstruction_via_reconstruct_track(rng):
     np.testing.assert_allclose(via_flag.value(pts), direct.value(pts), atol=1e-13)
     with pytest.raises(ValueError, match="unknown limiter"):
         reconstruct_track(series, 3, limiter="minmod")
+
+
+def assert_same_bits(got, ref):
+    assert got.shape == ref.shape
+    np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("degree", [1, 3, 9])
+def test_weights_and_blend_are_the_reduction_forms_to_the_bit(rng, degree):
+    """For the same sigmas, the three-term weights and blend give the bits
+    of the min and sums taken as numpy reductions: on a fit's indicators,
+    on sigmas of every magnitude, on equal sets and on zeros, for one cell,
+    for cells and for a stack of cells."""
+    cands, widths = fit_candidates(rng, degree)
+    shape = cands.shape[:2]
+    for sigmas in (oscillation_indicators(cands, widths[:, None]),
+                   10.0 ** rng.uniform(-30, 300, shape),
+                   np.repeat(rng.uniform(size=(shape[0], 1)), 3, axis=1),
+                   np.zeros(shape)):
+        for c, s in ((cands[7], sigmas[7]), (cands, sigmas),
+                     (cands.reshape(2, -1, *cands.shape[1:]), sigmas.reshape(2, -1, 3))):
+            assert_same_bits(nonlinear_weights(s), oracle.reduced_weights(s))
+            assert_same_bits(blend(c, s), oracle.reduced_blend(c, s))
+
+
+def scaled_walk(scale):
+    """30-sample 2-D random walk on frame intervals of 0.5 to 1.5 times scale."""
+    rng = np.random.default_rng(0)
+    times = np.cumsum(rng.uniform(0.5, 1.5, 30)) * scale
+    return TrackSeries("walk", times, rng.normal(size=(30, 2)).cumsum(axis=0))
+
+
+@pytest.mark.parametrize("degree, scale, kept", [(3, 1e-61, 0), (3, 1e-63, 58),
+                                                 (9, 1e-16, 0), (9, 1e-18, 14)])
+def test_cells_whose_weights_are_not_finite_keep_the_fit(degree, scale, kept):
+    """A width raised to 1 - 2N overflows in cells narrower than about
+    1e-308^(1 / (2N - 1)) time units, and their weights are not finite.
+    Such a cell keeps the unlimited fit, as a cell with
+    equal indicators does, and the limiter raises no numpy warning; just
+    above that scale no cell's weights overflow."""
+    track = scaled_walk(scale)
+    n_kept = 0
+    for poly, series in zip(reconstruct_track(track, degree), split_axes(track)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            limited = limit_piecewise(poly, series)
+        with np.errstate(over="ignore", invalid="ignore"):
+            omega = nonlinear_weights(oscillation_indicators(candidates(poly, series),
+                                                             poly.mesh.widths[:, None]))
+        not_finite = ~np.isfinite(omega).all(axis=1)
+        assert np.isfinite(limited.coeffs).all()
+        np.testing.assert_array_equal(limited.coeffs[not_finite], poly.coeffs[not_finite])
+        n_kept += not_finite.sum()
+    assert n_kept == kept
+    via_flag = reconstruct_track(track, degree, "cweno")
+    assert all(np.isfinite(p.coeffs).all() for p in via_flag)

@@ -275,6 +275,29 @@ def test_every_call_of_error_norms_passes_mesh_by_keyword():
     assert [(module, line) for module, line, keyword in calls if not keyword] == []
 
 
+def _einsum_operands(call: ast.Call) -> float:
+    """Operands of an np.einsum call: those after the subscripts string, or
+    half the arguments in the interleaved form; a starred argument counts as
+    any number."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return float("inf")
+    if call.args and isinstance(call.args[0], ast.Constant) and isinstance(call.args[0].value, str):
+        return len(call.args) - 1
+    return len(call.args) // 2
+
+
+def test_no_einsum_of_more_than_two_operands():
+    """np.einsum with three or more operands runs numpy's generic loop, one
+    scalar step per term of every output; the package contracts such
+    products with matrix products (cweno.oscillation_indicators)."""
+    calls = [f"{module}:{node.lineno}" for module, tree in _modules().items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and "einsum" in (
+                 getattr(node.func, "id", None), getattr(node.func, "attr", None))
+             and _einsum_operands(node) > 2]
+    assert calls == []
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         shotr.no_such_name
