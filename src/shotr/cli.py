@@ -3,8 +3,8 @@
 Subcommands: reconstruct, kinematics, length, summary (file-based track
 processing), convergence, compare, backtrace (validation studies). Only
 the file-based ones take --degree and --limiter; the limiter's constants
-are fixed (cweno.CwenoConfig, which takes no arguments) and the arc-length
-geometry is the library's cubic default.
+are fixed (cweno.CwenoConfig, which takes no arguments) and the arc length
+is the fitted curve's own.
 backtrace takes --limiter and --format for --input only, --meshes and
 --check for --case only. Data goes to stdout or --output; warnings go to
 stderr. Exit codes: 0 ok, 1 input or processing error (also a backtrace

@@ -3,8 +3,8 @@
 Position, velocity, and acceleration at any time come straight from the
 piecewise polynomial and its analytic derivatives, all three for every axis
 from one evaluation. A query time on an interior frame is read on its left
-cell, as every query by time is (``recon.evaluate``); arc length instead
-names each cell. Dense output
+cell, as every query by time is (``recon.evaluate``); arc length, the
+integral of the fit's own speed, instead names each cell. Dense output
 samples the N+1 Gauss points of every cell.
 Summary velocities: average speed along the curvilinear path, net
 displacement over duration, and the mean of per-cell finite-difference
@@ -93,7 +93,8 @@ def summarize(
 ) -> VelocitySummary:
     """Summary velocities of one track, from its axes' reconstructions and
     its one-axis tracks (``split_axes``). One-axis tracks of another count
-    or on other times than the first axis's mesh are a ValueError."""
+    or on other times than the first axis's mesh are a ValueError; the
+    length is trajectory_length's, geom_degree included."""
     values = _fitted_samples(axis_polys, series)
     mesh = axis_polys[0].mesh
     duration = float(mesh.interfaces[-1] - mesh.interfaces[0])

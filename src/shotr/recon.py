@@ -30,9 +30,9 @@ A reconstruction is the mesh plus an ``(n_cells, N + 1)`` array of these
 coefficients per axis. ``evaluate`` is the one path from them to values and
 derivatives: one cell lookup per set of times serves every axis and order.
 The curve is only C0, so each interior frame has a value on either side: a
-query by time gives it to its left cell. The library's per-cell callers
-(arc length) name the cell instead and run the same evaluation after the
-lookup. A ``CellPoly`` runs it too, on its one cell, so a cell and its
+query by time gives it to its left cell. Arc length, the integral of the
+fit's own speed, names each cell instead and runs the same evaluation
+after the lookup. A ``CellPoly`` runs it too, on its one cell, so a cell and its
 track give the same bits. The factorial scaling, the Horner loop and the
 width scaling are written once, in that evaluation's core.
 """
@@ -144,8 +144,8 @@ def evaluate(axis_polys: list[PiecewisePoly], t, orders) -> list[np.ndarray]:
 
     The axes share one mesh, so one cell lookup serves every axis and order.
     A time on an interior interface takes its left cell, and times outside
-    the span the end cells' polynomials. The library's per-cell callers
-    (arc length) name each cell instead, through the same evaluation.
+    the span the end cells' polynomials. Arc length names each cell
+    instead, through the same evaluation.
     Axes on different meshes or of different degrees are a ValueError.
     """
     t = np.asarray(t, dtype=float)

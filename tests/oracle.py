@@ -7,9 +7,9 @@ The file is read one row at a time, each token converted as it is met;
 one exact rational solve of the constrained least-squares (KKT) system per
 cell and one candidate set per cell, with the oscillation indicator
 integrated by Gauss quadrature; each axis and derivative evaluated on its
-own, with its own cell search; arc lengths from a hand-written Lagrange
-table, cell by cell; error norms summed cell by cell and backtrace stepped
-one RK step at a time. Slow, but written independently of the array code in
+own, with its own cell search; arc lengths from each cell's own speed,
+cell by cell; error norms summed cell by cell and backtrace stepped one RK
+step at a time. Slow, but written independently of the array code in
 ``shotr.trajdata``, ``shotr.recon``, ``shotr.cweno``, ``shotr.geometry``
 and ``shotr.validate``, which the differential tests check against it.
 The CLI's output is built as a document for ``json.dump`` and as one CSV
@@ -384,47 +384,16 @@ def reduced_blend(cands: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
 # geometry
 # ---------------------------------------------------------------------------
 
-# Lagrange bases on equispaced nodes m/N of [0, 1], as monomial coefficients
-# (rows: basis functions, columns: powers of xi), written out by hand.
-NODAL_COEFFS = {
-    1: np.array([
-        [1.0, -1.0],
-        [0.0, 1.0],
-    ]),
-    2: np.array([
-        [1.0, -3.0, 2.0],
-        [0.0, 4.0, -4.0],
-        [0.0, -1.0, 2.0],
-    ]),
-    3: np.array([
-        [1.0, -11.0 / 2.0, 9.0, -9.0 / 2.0],
-        [0.0, 9.0, -45.0 / 2.0, 27.0 / 2.0],
-        [0.0, -9.0 / 2.0, 18.0, -27.0 / 2.0],
-        [0.0, 1.0, -9.0 / 2.0, 9.0 / 2.0],
-    ]),
-}
-
-
-def nodal_basis_derivatives(degree: int, xi) -> np.ndarray:
-    """Derivatives of the hand-written basis at xi, (degree + 1,) + shape(xi)."""
-    P = np.polynomial.polynomial
-    return np.array([P.polyval(np.asarray(xi, dtype=float), P.polyder(c))
-                     for c in NODAL_COEFFS[degree]])
-
-
-def cell_lengths(axis_polys, degree: int) -> np.ndarray:
-    """Arc length of every cell, one cell at a time: node positions from the
-    cell's own polynomial, the hand-written basis, max(degree + 1, 3) Gauss
-    points."""
+def cell_lengths(axis_polys) -> np.ndarray:
+    """Arc length of every cell, one cell at a time: the speed of each
+    axis's own cell polynomial at max(N + 1, 4) Gauss points of that cell."""
     mesh = axis_polys[0].mesh
-    nodes = np.arange(degree + 1) / degree
-    xi_q, w_q = gauss_points(0.0, 1.0, max(degree + 1, 3))
-    dphi = nodal_basis_derivatives(degree, xi_q)
+    n_q = max(axis_polys[0].degree + 1, 4)
     lengths = []
     for i in range(mesh.n_cells):
-        node_times = mesh.interfaces[i] + nodes * mesh.widths[i]
-        nodal = np.array([p.cells[i].value(node_times) for p in axis_polys])
-        lengths.append(np.sqrt(np.sum((nodal @ dphi) ** 2, axis=0)) @ w_q)
+        x, w = gauss_points(mesh.interfaces[i], mesh.interfaces[i + 1], n_q)
+        velocity = np.array([p.cells[i].derivative(x) for p in axis_polys])
+        lengths.append(np.sqrt(np.sum(velocity**2, axis=0)) @ w)
     return np.array(lengths)
 
 

@@ -160,17 +160,17 @@ def test_criterion_6_arc_length():
     worst_poly = 0.0
     for _ in range(50):
         track = random_track(rng, int(rng.integers(2, 15)), dim=int(rng.integers(1, 4)))
-        polys = reconstruct_track(track, 3)
+        polys = reconstruct_track(track, 1)
         chords = float(np.linalg.norm(np.diff(track.coords, axis=0), axis=1).sum())
-        worst_poly = max(worst_poly, abs(trajectory_length(polys, 1) - chords) / max(chords, 1.0))
+        worst_poly = max(worst_poly, abs(trajectory_length(polys) - chords) / max(chords, 1.0))
     if worst_poly > 1e-12:
-        problems.append(f"linear geometry vs polyline differs {worst_poly:.2e}")
+        problems.append(f"degree-1 fit's length vs polyline differs {worst_poly:.2e}")
 
     errs = []
     for n in (32, 64, 128):
         th = np.linspace(0, np.pi / 2, n + 1)
         track = TrackSeries("qc", th, np.column_stack([np.cos(th), np.sin(th)]))
-        errs.append(abs(trajectory_length(reconstruct_track(track, 3), 3) - np.pi / 2))
+        errs.append(abs(trajectory_length(reconstruct_track(track, 3)) - np.pi / 2))
     order = float(np.log2(errs[-2] / errs[-1]))
     if order < 3.5:
         problems.append(f"quarter-circle order {order:.2f} < 3.5")
@@ -180,7 +180,7 @@ def test_criterion_6_arc_length():
         track = random_track(rng, int(rng.integers(2, 10)), dim=2)
         polys = reconstruct_track(track, 3)
         chord = float(np.linalg.norm(track.coords[-1] - track.coords[0]))
-        if trajectory_length(polys, 3) < chord - 1e-12:
+        if trajectory_length(polys) < chord - 1e-12:
             chord_violations += 1
     if chord_violations:
         problems.append(f"{chord_violations} chord-inequality violations")

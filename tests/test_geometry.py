@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from shotr.errors import UnsupportedDegree
-from shotr.quadrature import gauss_points
-from shotr.geometry import _reference_cell, cell_lengths, trajectory_length
+from shotr.geometry import cell_lengths, trajectory_length
 from shotr.kinematics import summarize
 from shotr.recon import LIMITERS, reconstruct_track
 from shotr.trajdata import TrackSeries, split_axes
+from shotr.validate import get_case
 
 from . import oracle
-from .conftest import count_calls, random_track
+from .conftest import random_track
 
 
 def track_from_fn(fns, times, track_id="t"):
@@ -17,54 +17,28 @@ def track_from_fn(fns, times, track_id="t"):
     return TrackSeries(track_id, times, coords)
 
 
-def test_linear_basis_derivatives_constant():
-    _, d, _ = _reference_cell(1)
-    np.testing.assert_array_equal(d, [[-1.0] * d.shape[1], [1.0] * d.shape[1]])
-
-
-def test_quadratic_basis_derivatives_closed_form():
-    """-3 + 4 xi, 4 - 8 xi and -1 + 4 xi ([-3, 4, -1] at xi = 0), at the
-    Gauss points."""
-    _, d, _ = _reference_cell(2)
-    xi, _ = gauss_points(0.0, 1.0, 3)
-    np.testing.assert_allclose(d, [-3 + 4 * xi, 4 - 8 * xi, -1 + 4 * xi], rtol=0, atol=1e-14)
-
-
-def test_partition_of_unity_and_derivative_sum():
-    """The basis sums to one, so its derivatives sum to zero."""
-    for degree in (1, 2, 3, 5):
-        nodes, d, w = _reference_cell(degree)
-        np.testing.assert_allclose(nodes, np.linspace(0.0, 1.0, degree + 1), rtol=0, atol=1e-15)
-        np.testing.assert_allclose(d.sum(axis=0), 0.0, atol=1e-12)
-        assert w.sum() == pytest.approx(1.0, abs=1e-15)
-
-
-@pytest.mark.parametrize("degree", [1, 2, 3])
-def test_derived_tables_match_the_hand_written_basis(degree):
-    """Bit for bit."""
-    _, d, _ = _reference_cell(degree)
-    xi, _ = gauss_points(0.0, 1.0, max(degree + 1, 3))
-    assert d.tobytes() == oracle.nodal_basis_derivatives(degree, xi).tobytes()
-
-
 def test_unsupported_degree_raises():
-    polys = reconstruct_track(random_track(np.random.default_rng(1), 5), 3)
-    for geom_degree in (0, -1):
-        with pytest.raises(UnsupportedDegree):
-            cell_lengths(polys, geom_degree)
+    """A geometry degree below the fit's asks for a polyline or a lower
+    geometry that no longer exists: an error, not the curve's length."""
+    track = random_track(np.random.default_rng(1), 5)
+    polys = reconstruct_track(track, 3)
+    for measure in (trajectory_length, lambda p, g: summarize(p, split_axes(track), g).length):
+        for geom_degree in (0, -1, 2):
+            with pytest.raises(UnsupportedDegree, match="below the fit's degree 3"):
+                measure(polys, geom_degree)
+        assert measure(polys, 3) == measure(polys, 7) == trajectory_length(polys)
 
 
 def test_straight_segment_length_is_five():
     track = TrackSeries("seg", [0.0, 1.0], [[0.0, 0.0], [3.0, 4.0]])
     polys = reconstruct_track(track, 1)
-    for geom_degree in (1, 2, 3):
-        assert cell_lengths(polys, geom_degree)[0] == pytest.approx(5.0, abs=1e-12)
+    assert cell_lengths(polys)[0] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_1d_monotone_cell_collapses_to_displacement():
     track = TrackSeries("m", [0.0, 1.0, 2.0], [[0.0], [2.0], [3.0]])
     polys = reconstruct_track(track, 1)
-    np.testing.assert_allclose(cell_lengths(polys, 3), [2.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(cell_lengths(polys), [2.0, 1.0], atol=1e-12)
 
 
 def test_polyline_length_linear_geometry():
@@ -74,11 +48,12 @@ def test_polyline_length_linear_geometry():
 
 
 def test_linear_geometry_reduces_to_chord_sum(rng):
+    """The degree-1 fit is the polyline, so its length is the chords' sum."""
     for _ in range(20):
         track = random_track(rng, int(rng.integers(2, 15)), dim=int(rng.integers(1, 4)))
-        polys = reconstruct_track(track, 3)
+        polys = reconstruct_track(track, 1)
         chords = np.linalg.norm(np.diff(track.coords, axis=0), axis=1).sum()
-        assert trajectory_length(polys, 1) == pytest.approx(chords, rel=1e-12, abs=1e-12)
+        assert trajectory_length(polys) == pytest.approx(chords, rel=1e-12, abs=1e-12)
 
 
 def test_length_bounds_displacement(rng):
@@ -86,7 +61,7 @@ def test_length_bounds_displacement(rng):
         track = random_track(rng, int(rng.integers(2, 20)), dim=2)
         polys = reconstruct_track(track, 3)
         chord = np.linalg.norm(track.coords[-1] - track.coords[0])
-        assert trajectory_length(polys, 3) >= chord - 1e-12
+        assert trajectory_length(polys) >= chord - 1e-12
 
 
 def test_quarter_circle_high_order_convergence():
@@ -95,7 +70,7 @@ def test_quarter_circle_high_order_convergence():
         th = np.linspace(0, np.pi / 2, n + 1)
         track = track_from_fn((np.cos, np.sin), th, "qc")
         polys = reconstruct_track(track, 3)
-        errs.append(abs(trajectory_length(polys, 3) - np.pi / 2))
+        errs.append(abs(trajectory_length(polys) - np.pi / 2))
     orders = [np.log2(errs[i - 1] / errs[i]) for i in range(1, len(errs))]
     assert errs[-1] < 1e-8
     assert orders[-1] >= 3.5
@@ -110,7 +85,7 @@ def test_helix_length_matches_analytic():
         ts = np.linspace(0, t_end, n + 1)
         track = track_from_fn((np.cos, np.sin, lambda t: 0.5 * t), ts, "hx")
         polys = reconstruct_track(track, 3)
-        errs.append(abs(trajectory_length(polys, 3) - exact))
+        errs.append(abs(trajectory_length(polys) - exact))
     assert errs[0] / exact < 1e-5
     assert errs[0] / errs[1] > 10  # about 4th-order decay
 
@@ -119,57 +94,47 @@ def test_rigid_rotation_invariance(rng):
     track = random_track(rng, 12, dim=3)
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     rotated = TrackSeries("r", track.times, track.coords @ q.T)
-    base = trajectory_length(reconstruct_track(track, 3), 3)
-    rot = trajectory_length(reconstruct_track(rotated, 3), 3)
+    base = trajectory_length(reconstruct_track(track, 3))
+    rot = trajectory_length(reconstruct_track(rotated, 3))
     assert rot == pytest.approx(base, rel=1e-10)
 
 
-def test_cell_geometry_end_nodes_hit_interface_samples(rng):
-    # unlimited reconstruction interpolates the samples, so the first and
-    # last curve nodes of every cell are the recorded positions
-    track = random_track(rng, 10, dim=2)
-    polys = reconstruct_track(track, 3)
-    nodes, _, _ = _reference_cell(3)
-    node_times = track.times[:-1, None] + nodes * np.diff(track.times)[:, None]
-    np.testing.assert_allclose(node_times[:, -1], track.times[1:])
-    nodal = np.array([[c.value(t) for c, t in zip(p.cells, node_times)] for p in polys])
-    np.testing.assert_allclose(nodal[:, :, 0].T, track.coords[:-1], atol=1e-10)
-    np.testing.assert_allclose(nodal[:, :, -1].T, track.coords[1:], atol=1e-10)
+def _conv3d_length(panels: int, points: int) -> float:
+    """The exact curve's length by a composite Gauss rule: `panels` equal
+    panels of `points` points. Its speed stays above 5.8 on the domain, so
+    the rule converges fast; 2,000 x 10 and 20,000 x 20 points agree with an
+    adaptive quadrature to 2e-15 relative."""
+    case = get_case("conv3d")
+    x, w = np.polynomial.legendre.leggauss(points)
+    edges = np.linspace(*case.domain, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    t = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half * x
+    speed = np.linalg.norm(case.velocity(t.ravel()), axis=1).reshape(t.shape)
+    return float(np.sum(speed * half * w))
 
 
-def test_geometry_degree_above_three_falls_back():
-    track = track_from_fn((np.cos, np.sin), np.linspace(0, 1.5, 30), "qc")
-    polys = reconstruct_track(track, 5)
-    assert trajectory_length(polys, 7) == pytest.approx(trajectory_length(polys, 3), abs=1e-15)
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_conv3d_length_converges_with_the_fit(degree):
+    """The length is the fit's own, so it converges at the fit's order N+1
+    (measured 2.00, 4.12, 3.97, 5.57 and 5.99 from 400 to 800 cells), not
+    capped by a lower-degree cell geometry."""
+    exact = _conv3d_length(2000, 10)
+    case = get_case("conv3d")
+    errs = [abs(trajectory_length(reconstruct_track(case.sample(cells + 1), degree)) - exact)
+            for cells in (400, 800)]
+    assert np.log2(errs[0] / errs[1]) >= degree + 1 - 0.25
 
 
-@pytest.mark.parametrize("geom_degree", [1, 2, 3, 5])
-def test_cell_lengths_match_the_nodal_basis(rng, geom_degree):
-    """The lengths of the hand-written basis computed one cell at a time,
+@pytest.mark.parametrize("degree", range(1, 10))
+def test_cell_lengths_match_the_nodal_basis(rng, degree):
+    """The speed integral of each cell's own polynomial, one cell at a time,
     to 1e-14 relative (the order of the sums differs). A limited fit misses
-    its samples, so each cell's end nodes must come from its own polynomial."""
+    its samples, so each cell's nodes must come from its own polynomial."""
     track = random_track(rng, 30, 3)
     for limiter in LIMITERS:
-        polys = reconstruct_track(track, 4, limiter)
-        want = oracle.cell_lengths(polys, min(geom_degree, 3))
-        np.testing.assert_allclose(cell_lengths(polys, geom_degree), want, rtol=1e-14, atol=0)
-
-
-@pytest.mark.parametrize("geom_degree", [1, 2, 3])
-def test_cell_lengths_build_the_basis_tables_once(rng, monkeypatch, geom_degree):
-    """After its first call for a degree, cell_lengths calls no
-    numpy.polynomial function."""
-    polys = reconstruct_track(random_track(rng, 12, 2), 3)
-    first = cell_lengths(polys, geom_degree)
-    calls = []
-    count_calls(monkeypatch, np.polynomial.polynomial, "polyval", calls)
-    count_calls(monkeypatch, np.polynomial.polynomial, "polyder", calls)
-    count_calls(monkeypatch, np.polynomial.legendre, "leggauss", calls)
-    again = cell_lengths(polys, geom_degree)
-    assert calls == []
-    assert again.tobytes() == first.tobytes()
-    _reference_cell.__wrapped__(geom_degree)
-    assert "polyval" in calls  # the counters see the tables when they are built
+        polys = reconstruct_track(track, degree, limiter)
+        np.testing.assert_allclose(cell_lengths(polys), oracle.cell_lengths(polys),
+                                   rtol=1e-14, atol=0)
 
 
 def test_arc_length_takes_the_axes_of_one_track(rng):

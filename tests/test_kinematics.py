@@ -68,7 +68,7 @@ def test_dense_speed_integral_consistent_with_length(rng):
         nodes, w = gauss_points(mesh.interfaces[i], mesh.interfaces[i + 1], n)
         speed = np.sqrt(sum(p.derivative(nodes) ** 2 for p in polys))
         total += float(np.dot(w, speed))
-    assert total == pytest.approx(trajectory_length(polys, 3), rel=1e-8)
+    assert total == pytest.approx(trajectory_length(polys), rel=1e-8)
     assert total == pytest.approx(np.pi, rel=1e-6)
 
 

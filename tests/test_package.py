@@ -81,7 +81,6 @@ OPTIONAL_PARAMETERS = {
     "recon.reconstruct_track": ["limiter", "cweno_config"],
     "recon.reconstruct_tracks": ["limiter"],
     "trajdata.parse_tracks": ["fmt"],
-    "geometry.cell_lengths": ["geom_degree"],
     "geometry.trajectory_length": ["geom_degree"],
     "kinematics.summarize": ["geom_degree"],
     "validate.run_convergence": ["mesh_cells", "limiter"],
@@ -296,6 +295,27 @@ def test_no_einsum_of_more_than_two_operands():
                  getattr(node.func, "id", None), getattr(node.func, "attr", None))
              and _einsum_operands(node) > 2]
     assert calls == []
+
+
+def _names_numpy_polynomial(node) -> bool:
+    """node is np.polynomial or numpy.polynomial, or imports it or from it."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "polynomial" and getattr(node.value, "id", None) in ("np", "numpy")
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("numpy.polynomial") for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").startswith("numpy.polynomial") or (
+            node.module == "numpy" and any(alias.name == "polynomial" for alias in node.names))
+    return False
+
+
+def test_only_quadrature_names_numpy_polynomial():
+    """One polynomial basis: a fit is Taylor coefficients, evaluated by
+    recon, and numpy's polynomial package serves only the Gauss rules. A
+    second basis, such as a Lagrange cell geometry, would name it again."""
+    found = sorted({module for module, tree in _modules().items()
+                    for node in ast.walk(tree) if _names_numpy_polynomial(node)})
+    assert found == ["quadrature"]
 
 
 def test_unknown_name_raises_attribute_error():
