@@ -29,11 +29,11 @@ import signal
 import sys
 
 # Run BLAS on one thread, unless numpy is loaded already or the user chose.
-# OpenBLAS starts a worker thread when numpy loads; every BLAS call shotr
-# makes is a small batched solve or product that leaves it idle, yet it
-# spins: `import numpy` took 0.34 s CPU with it and 0.23 s without (medians
-# of 15 starts; 2-vCPU VM, numpy 2.4, OpenBLAS 0.3.31). Library callers
-# keep their own settings.
+# OpenBLAS starts a worker thread when numpy loads; the fit calls no BLAS
+# routine and every BLAS call shotr makes is a small product that leaves it
+# idle, yet it spins: `import numpy` took 0.34 s CPU with it and 0.23 s
+# without (medians of 15 starts; 2-vCPU VM, numpy 2.4, OpenBLAS 0.3.31).
+# Library callers keep their own settings.
 if "numpy" not in sys.modules and not any(
     var in os.environ for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 ):

@@ -12,19 +12,27 @@ interface samples, at u_l and u_r (about -1/2 and 1/2, as computed).
 The constraints are eliminated: every polynomial through the two samples
 is the cell's linear-linking segment plus (u - u_l)(u - u_r) q(u), with q
 of degree N - 2. Only q is fitted, to the samples' residuals about the
-segment, by Householder QR in powers of v = (u - mid) / half, which spans
-[-1, 1] over the stencil, and then converted to Taylor coefficients. So
-interpolation and continuity hold up to the rounding of those
-coefficients, and the fit has full rank whenever times strictly increase.
-One batched QR gives every cell's sample-to-coefficients operator, which
-the spatial axes (sharing the mesh) reuse; for a file of tracks, one QR
-serves the cells of all tracks that share their degree and stencil size.
+segment, in powers of v = u - mid, mid the middle of the stencil's span,
+and then converted to Taylor coefficients. So interpolation and continuity
+hold up to the rounding of those coefficients, and the fit has full rank
+whenever times strictly increase.
+
+The fit is a Householder QR (Golub & Van Loan, Matrix Computations,
+5.1-5.2) of every cell at once, written as whole arrays with the cells
+innermost: each step is elementwise along the cells or a sum over at most
+2N + 3 stencil rows, and each reflector updates all later columns in one
+step. Q is never formed: the reflectors act from the right on P T^-1, P
+the conversion to powers of u, and no LAPACK routine runs. One solve gives
+every cell's sample-to-coefficients operator, which the spatial axes
+(sharing the mesh) reuse; for a file of tracks, one solve serves the cells
+of all tracks that share their degree and stencil size.
 
 Measured: coefficients match an exact rational solve to 1e-12 of their
-scale (degrees 1-9), and degree-N data is reproduced to 1e-12 while widths
-vary tenfold. Next to a cell a millionth the width of its neighbours q is
-ill-determined: some fits of degree 3 and up then miss their samples by
-the rounding of large coefficients.
+scale (degrees 1-9; the worst seen is 5e-13, at degree 9), and degree-N
+data is reproduced to 1e-12 while widths vary tenfold (3e-12 at degree
+9, the worst of 60 draws per degree). Next to a cell a millionth the
+width of its neighbours q is ill-determined: some fits of degree 2 and up
+then miss their samples by the rounding of large coefficients.
 
 A reconstruction is the mesh plus an ``(n_cells, N + 1)`` array of these
 coefficients per axis. ``evaluate`` is the one path from them to values and
@@ -39,6 +47,7 @@ width scaling are written once, in that evaluation's core.
 
 import logging
 import math
+import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -53,15 +62,17 @@ logger = logging.getLogger(__name__)
 MAX_DEGREE = 9  # the highest degree tested: exact for degree-9 data at tenfold width spread
 LIMITERS = ("none", "cweno")
 # Cells reconstruct_tracks fits at once. A chunk shares each solve among
-# many short tracks; at degree 9 its temporaries take about 8 kB a cell,
+# many short tracks; at degree 9 its temporaries take about 5 kB a cell,
 # and 512 cells keep a 200k-row file's peak memory at that of fitting
-# track by track (4,096 added 36 MB and ran slower). A longer track is
-# solved this many cells at a time.
+# track by track (4,096 added 36 MB and ran slower, with an earlier
+# solve). A longer track is solved this many cells at a time.
 _CHUNK_CELLS = 512
 
 _FACT = np.array([math.factorial(k) for k in range(MAX_DEGREE + 2)], dtype=float)
-_PAIR = np.arange(2)
-_SIGNS = np.array([1.0, -1.0])
+_PAIR = np.arange(2)[:, None]
+_SIGNS = np.array([[1.0], [-1.0]])
+_SLOPE = np.array([[-1.0], [1.0]])
+_RANKS = np.arange(MAX_DEGREE + 1.0)
 
 
 @dataclass(frozen=True)
@@ -212,10 +223,15 @@ def _evaluate_taylor(coeffs: list[np.ndarray], centers: np.ndarray, widths: np.n
 
 
 def check_degree(degree: int) -> int:
-    """The requested degree, if it lies in [1, MAX_DEGREE]."""
-    if not 1 <= degree <= MAX_DEGREE:
+    """The requested degree as an int, if it is an integer (numpy's too) in
+    [1, MAX_DEGREE]."""
+    try:
+        value = operator.index(degree)
+    except TypeError:
+        raise UnsupportedDegree(f"degree must be an integer, got {degree}") from None
+    if not 1 <= value <= MAX_DEGREE:
         raise UnsupportedDegree(f"degree must be in [1, {MAX_DEGREE}], got {degree}")
-    return degree
+    return value
 
 
 def effective_degree(n_points: int, degree: int) -> int:
@@ -229,84 +245,127 @@ def effective_degree(n_points: int, degree: int) -> int:
 
 
 def _stencils(n_cells: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Interface indices of each cell's stencil, (n_cells, size), and the
-    positions of the cell's own two interfaces in it, (n_cells, 2). The
-    stencil covers 2(N+1) cells: the 2N+3 interfaces centered on the cell's
-    left interface, shifted one-sided near the track ends, or every
-    interface of a shorter track."""
+    """Interface indices of the cells' stencils, cells innermost (size,
+    n_cells), and the positions of each cell's own two interfaces in its
+    stencil, (2, n_cells). The stencil covers 2(N+1) cells: the 2N+3
+    interfaces centered on the cell's left interface, shifted one-sided near
+    the track ends, or every interface of a shorter track."""
     n_if = n_cells + 1
     size = min(2 * degree + 3, n_if)
     cells = np.arange(n_cells)
     starts = np.minimum(np.maximum(cells - (degree + 1), 0), n_if - size)
-    windows = starts[:, None] + np.arange(size)
-    own = (cells - starts)[:, None] + _PAIR
-    return windows, own
+    return starts + np.arange(size)[:, None], cells - starts + _PAIR
 
 
 def _stencil_geometry(mesh: StaggeredMesh, degree: int):
-    """Stencils of every cell of a mesh: interface indices (n_cells, size),
-    the positions of each cell's own two interfaces in them (n_cells, 2),
-    and the stencil samples' times as u = (t - barycenter) / width."""
-    windows, own = _stencils(mesh.n_cells, degree)
-    u = (mesh.interfaces[windows] - mesh.barycenters[:, None]) / mesh.widths[:, None]
-    return windows, own, u
+    """Stencils of every cell of a mesh, cells innermost: interface indices
+    (size, n_cells), the positions of each cell's own two interfaces in them
+    (2, n_cells), and the stencil samples' times as u = (t - barycenter) /
+    width, (size, n_cells)."""
+    stencil, own = _stencils(mesh.n_cells, degree)
+    u = (mesh.interfaces[stencil] - mesh.barycenters) / mesh.widths
+    return stencil, own, u
 
 
 def _operators(u: np.ndarray, own: np.ndarray, degree: int) -> np.ndarray:
     """Sample-to-coefficients operators (b, degree + 1, size) of b stacked
-    cells, from their stencil coordinates u (b, size) and own-sample
-    positions (b, 2). Cells are independent, so a cell's operator does not
-    depend on which cells are stacked with it, and they are solved
-    _CHUNK_CELLS at a time: a long track's solve temporaries stay those of
-    a chunk."""
-    R = np.zeros((u.shape[0], degree + 1, u.shape[1]))
-    for lo in range(0, len(u), _CHUNK_CELLS):
-        cells = slice(lo, lo + _CHUNK_CELLS)
-        _solve(R[cells], u[cells], own[cells], degree)
-    return R
+    cells, from their stencil coordinates u (size, b) and own-sample
+    positions (2, b): a view of one array that holds the cells innermost.
+
+    Every step of the solve is elementwise along the cells or a sum over a
+    cell's own stencil rows, so a cell's operator does not depend on which
+    cells are solved with it. The cells are solved in near-equal chunks of
+    at most _CHUNK_CELLS, so a long track's solve temporaries stay those of
+    a chunk; no chunk is a single cell, whose sums numpy would take in
+    another order.
+    """
+    size, b = u.shape
+    R = np.empty((degree + 1, size, b))
+    chunks = -(-b // _CHUNK_CELLS)
+    for i in range(chunks):
+        part = slice(b * i // chunks, b * (i + 1) // chunks)
+        _solve(R[..., part], u[:, part], own[:, part], degree)
+    return R.transpose(2, 0, 1)
 
 
 def _solve(R: np.ndarray, u: np.ndarray, own: np.ndarray, degree: int) -> None:
-    """Write the operators of cells u (b, size), own (b, 2) into R, zeros of
-    shape (b, degree + 1, size)."""
+    """Write into R (degree + 1, size, b) the operators of the b cells of
+    stencil coordinates u (size, b) and own-sample positions own (2, b)."""
+    cells = np.arange(u.shape[1])
+    ends = u[own, cells]
     n, k = degree + 1, degree - 1
-    b, size = u.shape
-    rows = np.arange(b)[:, None]
-    # 1 and u at every stencil sample
-    ones_u = np.ones((b, size, 2))
-    ones_u[..., 1] = u
-    u_own = u[rows, own]
-    ul, ur = u_own[:, :1], u_own[:, 1:]
+    ul, ur = ends
+    width = ur - ul
     # the linear-linking segment: value (u_r s_l - u_l s_r) / (u_r - u_l) and
     # slope (s_r - s_l) / (u_r - u_l) at u = 0
-    weights = _SIGNS / (ur - ul)
-    R[rows, 0, own] = u_own[:, ::-1] * weights
-    R[rows, 1, own] = -weights
-    if degree == 1:
+    segment = np.empty((2, *ends.shape))
+    np.multiply(ends[::-1], _SIGNS, out=segment[0])
+    segment[1] = _SLOPE
+    segment /= width
+    if not k:
+        R.fill(0.0)
+        R[:, own, cells] = segment
         return
-    # q in powers of v = (u - mid) / half, fitted to the samples' residuals
-    # about the segment; the rows of the cell's own samples are zero
-    half = 0.5 * (u[:, -1:] - u[:, :1])
-    mid = u[:, :1] + half
-    v = (u - mid) / half
-    A = np.empty((b, size, k))
-    A[..., 0] = (u - ul) * (u - ur)
-    for j in range(1, k):
-        A[..., j] = A[..., j - 1] * v
-    Q, T = np.linalg.qr(A)
-    Qt = Q.transpose(0, 2, 1)
-    # q's coefficients: T^-1 Q^T applied to the samples minus the segment's values
-    X = np.linalg.inv(T) @ (Qt - (Qt @ ones_u) @ R[:, :2])
-    # P[:, :, j]: coefficients in powers of u of (u - ul)(u - ur) v^j
-    P = np.zeros((b, n, k))
-    P[:, 0, :1] = ul * ur
-    P[:, 1, :1] = -(ul + ur)
-    P[:, 2, 0] = 1.0
-    for j in range(1, k):
-        P[:, 1:, j] = P[:, :-1, j - 1] / half
-        P[:, :, j] -= P[:, :, j - 1] * (mid / half)
-    R += P @ X
-    R *= _FACT[:n, None]
+    # q in powers of v = u - mid, mid the middle of the stencil, fitted to the
+    # samples' residuals about the segment: G holds the fit's columns
+    # (u - ul)(ur - u) v^j, W minus the segment's weights on the two
+    # samples, (u - ur) / w and (ul - u) / w. The rows of the cell's own
+    # samples are zero in G.
+    W = np.empty((2, *u.shape))
+    np.subtract(u, ur, out=W[0])
+    np.subtract(ul, u, out=W[1])
+    G = np.empty((k, *u.shape))
+    np.multiply(W[0], W[1], out=G[0])
+    W /= width
+    # -P[:, j], held in R[:, j]: the coefficients in powers of u, times l!,
+    # of -(u - ul)(ur - u) v^j
+    R[:, :k] = 0.0
+    np.multiply(ul, ur, out=R[0, 0])
+    np.negative(ul + ur, out=R[1, 0])
+    R[2, 0] = 2.0
+    if k > 1:
+        mid = 0.5 * (u[0] + u[-1])
+        v = u - mid
+        for j in range(1, k):
+            np.multiply(G[j - 1], v, out=G[j])
+            np.multiply(R[:-1, j - 1], _RANKS[1:n, None], out=R[1:, j])
+            R[:, j] -= R[:, j - 1] * mid
+    # Householder QR, one reflector I - v v^T / (t v_0) per column for all
+    # cells, which maps the column to -t e_0: t goes to diag, T's upper part
+    # stays in G[l, j] (l > j) and v overwrites column j from the diagonal
+    # down. One sum gives |x|^2 and the later columns' products with x; with
+    # v = x + t e_0, theirs with v add t times their row j.
+    diag, scaled = [], []
+    for j in range(k):
+        x = G[j, j:]
+        dots = np.einsum("cib,ib->cb", G[j:, j:], x)
+        t = np.sqrt(dots[0])
+        diag.append(np.copysign(t, x[0], out=t))
+        x[0] += t
+        if j < k - 1:
+            scaled.append(x / (t * x[0]))
+            rest = G[j + 1:, j:]
+            dots[1:] += rest[:, 0] * t
+            rest -= dots[1:, None] * scaled[j]
+    # Z = P T^-1 by forward substitution, in place: each column of Z, once
+    # known, enters every later one
+    for j in range(k - 1):
+        R[:, j] /= diag[j]
+        R[:, j + 1:k] += R[:, j, None] * G[j + 1:k, j]
+    R[:, k - 1] /= diag[k - 1]
+    # Z Q^T: the reflectors from the right, last first, on Z padded with
+    # zeros. The last maps Z's last column z to z (e_0 - v / t).
+    h = G[k - 1, k - 1:] / -diag[k - 1]
+    h[0] += 1.0
+    np.multiply(R[:, k - 1, None], h, out=R[:, k - 1:])
+    for j in reversed(range(k - 1)):
+        rest = R[:, j:]
+        rest -= np.einsum("nib,ib->nb", rest, G[j, j:])[:, None] * scaled[j]
+    # the own samples' columns: the segment, less Z Q^T times its weights,
+    # added to what Z Q^T left in them, which that product holds too
+    own_terms = np.einsum("nsb,msb->nmb", R, W)
+    own_terms[:2] += segment
+    R[:, own, cells] += own_terms
 
 
 def reconstruction_operators(mesh: StaggeredMesh, degree: int) -> tuple[np.ndarray, np.ndarray]:
@@ -314,10 +373,10 @@ def reconstruction_operators(mesh: StaggeredMesh, degree: int) -> tuple[np.ndarr
 
     Returns (windows, R): windows[i] are the interface indices of cell i's
     stencil and ``R[i] @ values[windows[i]]`` its degree+1
-    coefficients. Every cell is fitted in one batched QR.
+    coefficients. Every cell is fitted in one Householder solve.
     """
-    windows, own, u = _stencil_geometry(mesh, degree)
-    return windows, _operators(u, own, degree)
+    stencil, own, u = _stencil_geometry(mesh, degree)
+    return stencil.T, _operators(u, own, degree)
 
 
 def _degree_used(track: TrackSeries, degree: int) -> int:
@@ -412,13 +471,13 @@ def _reconstruct_chunk(tracks: list, degree: int, limiter: str):
     for i, track in enumerate(tracks):
         n_eff = _degree_used(track, degree)
         mesh = build_mesh(track.times)
-        windows, own, u = _stencil_geometry(mesh, n_eff)
-        geometry.append((mesh, windows, own, u))
-        groups.setdefault((n_eff, windows.shape[1]), []).append(i)
+        stencil, own, u = _stencil_geometry(mesh, n_eff)
+        geometry.append((mesh, stencil.T, own, u))
+        groups.setdefault((n_eff, len(stencil)), []).append(i)
     operators = [None] * len(tracks)
     for (n_eff, _), members in groups.items():
         meshes, _, owns, us = zip(*(geometry[i] for i in members))
-        R = _operators(np.concatenate(us), np.concatenate(owns), n_eff)
+        R = _operators(np.concatenate(us, axis=1), np.concatenate(owns, axis=1), n_eff)
         bounds = np.cumsum([0] + [m.n_cells for m in meshes]).tolist()
         for i, lo, hi in zip(members, bounds, bounds[1:]):
             operators[i] = R[lo:hi]

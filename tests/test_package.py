@@ -297,15 +297,15 @@ def test_no_einsum_of_more_than_two_operands():
     assert calls == []
 
 
-def _names_numpy_polynomial(node) -> bool:
-    """node is np.polynomial or numpy.polynomial, or imports it or from it."""
+def _names_numpy(node, submodule: str) -> bool:
+    """node is np.<submodule> or numpy.<submodule>, or imports it or from it."""
     if isinstance(node, ast.Attribute):
-        return node.attr == "polynomial" and getattr(node.value, "id", None) in ("np", "numpy")
+        return node.attr == submodule and getattr(node.value, "id", None) in ("np", "numpy")
     if isinstance(node, ast.Import):
-        return any(alias.name.startswith("numpy.polynomial") for alias in node.names)
+        return any(alias.name.startswith(f"numpy.{submodule}") for alias in node.names)
     if isinstance(node, ast.ImportFrom):
-        return (node.module or "").startswith("numpy.polynomial") or (
-            node.module == "numpy" and any(alias.name == "polynomial" for alias in node.names))
+        return (node.module or "").startswith(f"numpy.{submodule}") or (
+            node.module == "numpy" and any(alias.name == submodule for alias in node.names))
     return False
 
 
@@ -314,8 +314,14 @@ def test_only_quadrature_names_numpy_polynomial():
     recon, and numpy's polynomial package serves only the Gauss rules. A
     second basis, such as a Lagrange cell geometry, would name it again."""
     found = sorted({module for module, tree in _modules().items()
-                    for node in ast.walk(tree) if _names_numpy_polynomial(node)})
+                    for node in ast.walk(tree) if _names_numpy(node, "polynomial")})
     assert found == ["quadrature"]
+
+
+def test_the_fit_names_no_numpy_linalg():
+    """The fit is one Householder solve written as whole arrays, cells
+    innermost; numpy's linalg would solve it one small matrix at a time."""
+    assert not any(_names_numpy(node, "linalg") for node in ast.walk(_modules()["recon"]))
 
 
 def test_unknown_name_raises_attribute_error():
