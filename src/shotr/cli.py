@@ -214,7 +214,7 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     out_rows = []
     for row in rows:
         for ax, norms in row.errors.items():
-            for k, norm in enumerate(("L1", "L2", "Linf")):
+            for k, norm in enumerate(validate.NORM_NAMES):
                 order = "" if row.orders is None else _fmt(row.orders[ax][k])
                 out_rows.append(
                     [row.case, row.degree, _fmt(row.dt), ax, norm,
@@ -241,7 +241,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         for r in rows
     ]
     header = ["case", "method", "points", "axis",
-              "pos_L1", "pos_L2", "pos_Linf", "vel_L1", "vel_L2", "vel_Linf"]
+              *(f"{qty}_{norm}" for qty in ("pos", "vel") for norm in validate.NORM_NAMES)]
     _write_csv(args, header, out_rows)
 
     if args.check:
@@ -276,7 +276,7 @@ def cmd_backtrace(args: argparse.Namespace) -> int:
         rows += [[track.track_id, method, _fmt(res.endpoint_error)]
                  + [_fmt(v) for v in res.combined.as_tuple()]
                  for method, res in results.items()]
-    _write_csv(args, ["track", "method", "endpoint_err", "L1", "L2", "Linf"], rows)
+    _write_csv(args, ["track", "method", "endpoint_err", *validate.NORM_NAMES], rows)
     if args.check:  # --case only, so results are its one track's
         _gate(validate.check_backtrace(results["RK2+P1"], results["RK4+P3"]))
     return 0

@@ -3,9 +3,9 @@
 Position, velocity, and acceleration at any time come straight from the
 piecewise polynomial and its analytic derivatives, all three for every axis
 from one evaluation. A query time on an interior frame is read on its left
-cell, as every query by time is (``recon.evaluate``); arc length, the
-integral of the fit's own speed, instead names each cell. Dense output
-samples the N+1 Gauss points of every cell.
+cell, as every query by time is (``recon.evaluate``). Dense output samples
+the N+1 Gauss points of every cell, each read on its own cell, as arc
+length reads them (``recon._cell_gauss``).
 Summary velocities: average speed along the curvilinear path, net
 displacement over duration, and the mean of per-cell finite-difference
 velocities, over the fit's cells (the duration and the widths are its
@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import OutOfDomain
 from .geometry import MAX_GEOMETRY_DEGREE, trajectory_length
-from .quadrature import gauss_points
-from .recon import PiecewisePoly, _fitted_samples, evaluate
+from .recon import PiecewisePoly, _cell_gauss, _fitted_samples, evaluate
 from .trajdata import TrackSeries
 
 
@@ -68,16 +67,14 @@ def eval_at(axis_polys: list[PiecewisePoly], t: float) -> KinematicSample:
 
 def dense_times(axis_polys: list[PiecewisePoly]) -> np.ndarray:
     """The N+1 Gauss abscissae of every cell, in increasing time order."""
-    mesh = axis_polys[0].mesh
-    n = axis_polys[0].degree + 1
-    return gauss_points(mesh.interfaces[:-1], mesh.interfaces[1:], n)[0].ravel()
+    return _cell_gauss(axis_polys, axis_polys[0].degree + 1, ())[0].ravel()
 
 
 def dense_kinematics(axis_polys: list[PiecewisePoly]):
     """Dense output as arrays: the times (m,) of dense_times and the
     position, velocity and acceleration there, each (dim, m)."""
-    times = dense_times(axis_polys)
-    return times, *evaluate(axis_polys, times, (0, 1, 2))
+    nodes, _, values = _cell_gauss(axis_polys, axis_polys[0].degree + 1, (0, 1, 2))
+    return nodes.ravel(), *values
 
 
 def sample_dense(axis_polys: list[PiecewisePoly]) -> list[KinematicSample]:

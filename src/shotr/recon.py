@@ -38,11 +38,12 @@ A reconstruction is the mesh plus an ``(n_cells, N + 1)`` array of these
 coefficients per axis. ``evaluate`` is the one path from them to values and
 derivatives: one cell lookup per set of times serves every axis and order.
 The curve is only C0, so each interior frame has a value on either side: a
-query by time gives it to its left cell. Arc length, the integral of the
-fit's own speed, names each cell instead and runs the same evaluation
-after the lookup. A ``CellPoly`` runs it too, on its one cell, so a cell and its
-track give the same bits. The factorial scaling, the Horner loop and the
-width scaling are written once, in that evaluation's core.
+query by time gives it to its left cell. The Gauss rule over the cells
+(``_cell_gauss``: arc length, dense output) names each node's cell instead,
+so a node rounded onto an interface is read on its own cell. A ``CellPoly``
+names its one cell, so a cell and its track give the same bits. The
+factorial scaling, the Horner loop and the width scaling are written once,
+in the evaluation's core.
 """
 
 import logging
@@ -155,8 +156,8 @@ def evaluate(axis_polys: list[PiecewisePoly], t, orders) -> list[np.ndarray]:
 
     The axes share one mesh, so one cell lookup serves every axis and order.
     A time on an interior interface takes its left cell, and times outside
-    the span the end cells' polynomials. Arc length names each cell
-    instead, through the same evaluation.
+    the span the end cells' polynomials. ``_cell_gauss`` names each node's
+    cell instead, through the same evaluation.
     Axes on different meshes or of different degrees are a ValueError.
     """
     t = np.asarray(t, dtype=float)
@@ -174,6 +175,19 @@ def _evaluate(axis_polys: list[PiecewisePoly], t: np.ndarray, cells: np.ndarray,
         raise ValueError("the axes of a track must share one mesh and one degree")
     return _evaluate_taylor([p.coeffs for p in axis_polys], mesh.barycenters, mesh.widths,
                             t, cells, orders)
+
+
+def _cell_gauss(axis_polys: list[PiecewisePoly], n: int, orders):
+    """The n-point Gauss rule on every cell: nodes and weights (n_cells, n),
+    and every axis's derivatives of the given orders at the nodes in time
+    order, one (dim, n_cells * n) array per order, each node read on its
+    own cell (one index per node, so the evaluator broadcasts nothing)."""
+    from .quadrature import gauss_points
+
+    mesh = axis_polys[0].mesh
+    nodes, weights = gauss_points(mesh.interfaces[:-1], mesh.interfaces[1:], n)
+    cells = np.repeat(np.arange(mesh.n_cells), n)
+    return nodes, weights, _evaluate(axis_polys, nodes.ravel(), cells, orders)
 
 
 def _fitted_samples(axis_polys: list[PiecewisePoly], series: list[TrackSeries]) -> np.ndarray:

@@ -26,6 +26,7 @@ from .recon import PiecewisePoly, effective_degree, evaluate, reconstruct_track
 from .trajdata import TrackSeries
 
 AXES = "xyz"
+NORM_NAMES = ("L1", "L2", "Linf")  # the order of ErrorNorms.as_tuple
 
 
 @dataclass
@@ -47,10 +48,12 @@ def error_norms(
     """Integral L1/L2 and discrete Linf distance between two functions over
     every cell of mesh, one ErrorNorms per column.
 
-    Both functions map times (m,) to one column per axis, the same
-    (m, dim) from both; a scalar broadcasts. Integrals use per-cell Gauss quadrature; the max is taken
+    Both functions map times (m,) to one column per axis, the same (m, dim)
+    from both; a scalar broadcasts. Any other shape, (m,) included, is a
+    ValueError. Integrals use per-cell Gauss quadrature; the max is taken
     over all quadrature nodes and the cell interfaces, from one evaluation
-    of each function. Any other shape, (m,) included, is a ValueError.
+    of each function. One pass over the (columns, points) error block gives
+    every column's norms, each sum taken over that column's contiguous row.
     """
     t = mesh.interfaces
     nodes, weights = gauss_points(t[:-1], t[1:], quad_points_per_cell)
@@ -60,19 +63,11 @@ def error_norms(
     if len(shapes) != 1 or not all(len(s) == 2 and s[0] == pts.size for s in shapes):
         raise ValueError(f"the functions returned shapes {ref.shape} and {cand.shape} at "
                          f"{pts.size} times; expected ({pts.size}, columns) from both")
-    err = np.abs(ref - cand)
-    return [_norms(column, weights) for column in np.ascontiguousarray(err.T)]
-
-
-def _norms(err: np.ndarray, weights: np.ndarray) -> ErrorNorms:
-    """Norms of one column's errors at the quadrature nodes, then at the
-    interfaces, under the nodes' weights."""
-    quad_err = err[: weights.size].reshape(weights.shape)
-    return ErrorNorms(
-        float(np.sum(weights * quad_err)),
-        math.sqrt(float(np.sum(weights * quad_err**2))),
-        float(err.max()),
-    )
+    err = np.ascontiguousarray(np.abs(ref - cand).T)  # (columns, points)
+    quad_err, weights = err[:, : weights.size], weights.ravel()
+    l1 = np.sum(weights * quad_err, axis=1).tolist()
+    l2 = np.sum(weights * quad_err**2, axis=1).tolist()
+    return [ErrorNorms(a, math.sqrt(b), c) for a, b, c in zip(l1, l2, err.max(axis=1).tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +266,8 @@ def run_convergence(
             orders = None
             if prev is not None:
                 ratio = math.log(dt / prev.dt)
-                orders = {
-                    ax: tuple(
-                        math.log(errors[ax].as_tuple()[k] / prev.errors[ax].as_tuple()[k])
-                        / ratio
-                        for k in range(3)
-                    )
-                    for ax in axes
-                }
+                orders = {ax: tuple(math.log(e / p) / ratio for e, p in zip(
+                    errors[ax].as_tuple(), prev.errors[ax].as_tuple())) for ax in axes}
             row = ConvergenceRow(case.name, degree, cells, dt, errors, orders)
             rows.append(row)
             prev = row
@@ -309,7 +298,7 @@ def check_convergence(rows: list[ConvergenceRow]) -> list[str]:
             ref = REFERENCE_POSITION_ERRORS.get((row.degree, lvl, ax))
             if ref is None:
                 continue
-            for k, name in enumerate(("L1", "L2", "Linf")):
+            for k, name in enumerate(NORM_NAMES):
                 got = norms.as_tuple()[k]
                 if abs(got - ref[k]) > REFERENCE_REL_TOL * ref[k]:
                     violations.append(
@@ -323,7 +312,7 @@ def check_convergence(rows: list[ConvergenceRow]) -> list[str]:
             if row.orders is None:
                 continue
             for ax, orders in row.orders.items():
-                for k, name in enumerate(("L1", "L2")):
+                for k, name in enumerate(NORM_NAMES[:2]):
                     if abs(orders[k] - expected) > ORDER_TOL:
                         violations.append(
                             f"N={degree} cells={row.n_cells} axis={ax} order({name})="
@@ -418,7 +407,7 @@ def check_comparison(rows: list[ComparisonRow]) -> list[str]:
             seq = [index[(method, m, ax)] for m in meshes if (method, m, ax) in index]
             for prev, cur in zip(seq, seq[1:]):
                 for qty in ("position", "velocity"):
-                    for k, name in enumerate(("L1", "L2", "Linf")):
+                    for k, name in enumerate(NORM_NAMES):
                         before = getattr(prev, qty).as_tuple()[k]
                         after = getattr(cur, qty).as_tuple()[k]
                         if not after < before:
@@ -545,7 +534,7 @@ def check_backtrace(low: BacktraceResult, high: BacktraceResult) -> list[str]:
     """Violations of the ordering gate: the high-order pairing must beat
     the low-order one in every norm."""
     violations = []
-    for k, name in enumerate(("L1", "L2", "Linf")):
+    for k, name in enumerate(NORM_NAMES):
         lo = low.combined.as_tuple()[k]
         hi = high.combined.as_tuple()[k]
         if not hi < lo:

@@ -8,10 +8,11 @@ one exact rational solve of the constrained least-squares (KKT) system per
 cell and one candidate set per cell, with the oscillation indicator
 integrated by Gauss quadrature; each axis and derivative evaluated on its
 own, with its own cell search; arc lengths from each cell's own speed,
-cell by cell; error norms summed cell by cell and backtrace stepped one RK
-step at a time. Slow, but written independently of the array code in
-``shotr.trajdata``, ``shotr.recon``, ``shotr.cweno``, ``shotr.geometry``
-and ``shotr.validate``, which the differential tests check against it.
+cell by cell; error norms summed cell by cell, or column by column, and
+backtrace stepped one RK step at a time. Slow, but written independently
+of the array code in ``shotr.trajdata``, ``shotr.recon``, ``shotr.cweno``,
+``shotr.geometry`` and ``shotr.validate``, which the differential tests
+check against it.
 The CLI's output is built as a document for ``json.dump`` and as one CSV
 row per ``KinematicSample`` or ``VelocitySummary``, each value formatted on
 its own. The limiter's array kernels are also kept in their reduction
@@ -420,6 +421,28 @@ def error_norms(reference, candidate, window, quad_points_per_cell, mesh) -> Err
         l2_sq += float(np.dot(weights, err[:-2] ** 2))
         linf = max(linf, float(err.max()))
     return ErrorNorms(l1, math.sqrt(l2_sq), linf)
+
+
+def column_norms(reference, candidate, quad_points_per_cell, mesh) -> list[ErrorNorms]:
+    """error_norms' points and errors, then the norms one column at a time:
+    the column's errors at the Gauss nodes, then at the interfaces, each
+    sum over that column's nodes under their weights."""
+    t = mesh.interfaces
+    nodes, weights = gauss_points(t[:-1], t[1:], quad_points_per_cell)
+    pts = np.concatenate([nodes.ravel(), t])
+    err = np.abs(np.asarray(reference(pts)) - np.asarray(candidate(pts)))
+    return [_norms(column, weights) for column in np.ascontiguousarray(err.T)]
+
+
+def _norms(err: np.ndarray, weights: np.ndarray) -> ErrorNorms:
+    """Norms of one column's errors at the quadrature nodes, then at the
+    interfaces, under the nodes' weights."""
+    quad_err = err[: weights.size].reshape(weights.shape)
+    return ErrorNorms(
+        float(np.sum(weights * quad_err)),
+        math.sqrt(float(np.sum(weights * quad_err**2))),
+        float(err.max()),
+    )
 
 
 def rk_step(state: np.ndarray, tau: float, dtau: float, velocity_field, order: str = "rk4"):

@@ -3,9 +3,9 @@ import pytest
 
 from shotr.errors import OutOfDomain
 from shotr.geometry import trajectory_length
-from shotr.kinematics import dense_times, eval_at, sample_dense, summarize
+from shotr.kinematics import dense_kinematics, dense_times, eval_at, sample_dense, summarize
 from shotr.quadrature import gauss_points
-from shotr.recon import reconstruct_track
+from shotr.recon import _evaluate, reconstruct_track
 from shotr.trajdata import TrackSeries, split_axes
 
 from .conftest import random_track
@@ -54,6 +54,28 @@ def test_dense_sampling_counts_and_ordering():
     assert np.all(np.diff(ts) > 0)
     # Gauss abscissae exclude the cell endpoints
     assert not np.isin(ts, track.times).any()
+
+
+@pytest.mark.parametrize("limiter", ["none", "cweno"])
+@pytest.mark.parametrize("ulps, on_interfaces", [(2, 58), (4, 58), (6, 58), (8, 0)])
+def test_dense_output_reads_each_node_on_its_own_cell(limiter, ulps, on_interfaces):
+    """Frames a few ulps apart at epoch-second times round half the degree-3
+    Gauss nodes onto an interface (8 ulps apart, none). Dense output reads
+    every node on its own cell all the same: it equals the evaluator told
+    each node's cell, bit for bit, at the nodes dense_times gives. Read by
+    time, such a node took its left cell, velocities off by 6e6."""
+    times = 1.7e9 + np.arange(30) * ulps * np.spacing(1.7e9)
+    coords = np.random.default_rng(4).normal(0.0, 1.0, (30, 2)).cumsum(axis=0)
+    polys = reconstruct_track(TrackSeries("ulps", times, coords), 3, limiter)
+    mesh = polys[0].mesh
+    nodes, _ = gauss_points(mesh.interfaces[:-1], mesh.interfaces[1:], 4)
+    assert np.isin(nodes, times).sum() == on_interfaces
+    want = _evaluate(polys, nodes, np.arange(mesh.n_cells)[:, None], (0, 1, 2))
+    dense, *got = dense_kinematics(polys)
+    np.testing.assert_array_equal(dense, nodes.ravel())
+    np.testing.assert_array_equal(dense, dense_times(polys))
+    for values, expected in zip(got, want):
+        np.testing.assert_array_equal(values, expected.reshape(2, -1))
 
 
 def test_dense_speed_integral_consistent_with_length(rng):

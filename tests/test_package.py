@@ -226,8 +226,9 @@ def test_one_cell_lookup_and_one_horner_loop():
     """One Taylor-basis evaluator: the package looks cells up in one place,
     recon.evaluate, and scales by the factorials and writes the Horner loop
     once, in the core recon._evaluate_taylor, which CellPoly calls too. No
-    module but recon names the core (geometry.cell_lengths names its cells
-    to recon._evaluate instead), and no module defines, names or calls the
+    module but recon names the core (recon._cell_gauss, the Gauss rule that
+    arc length and dense output read, names its nodes' cells to
+    recon._evaluate instead), and no module defines, names or calls the
     second path _taylor_eval or the helper _horner."""
     lookups, horner, fact_divisions, helpers = [], [], [], {}
     for path in sorted((ROOT / "src" / "shotr").glob("*.py")):
@@ -242,6 +243,18 @@ def test_one_cell_lookup_and_one_horner_loop():
     assert horner == ["recon._evaluate_taylor"]
     assert fact_divisions == ["recon._evaluate_taylor"]
     assert helpers == {"recon": ["_evaluate_taylor"]}
+
+
+def test_one_gauss_rule_over_a_fits_cells():
+    """The Gauss nodes of a fit's cells have one owner, recon._cell_gauss,
+    from which arc length and dense output take their nodes and values; the
+    only other caller of quadrature.gauss_points is validate.error_norms,
+    which scores functions of time."""
+    callers = [f"{module}.{fn.name}" for module, tree in _modules().items()
+               for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call) and "gauss_points" in (
+                   getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert sorted(callers) == ["recon._cell_gauss", "validate.error_norms"]
 
 
 def test_the_limiter_and_the_summary_read_the_fits_cells():

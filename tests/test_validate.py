@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from shotr import validate
+from shotr.cli import build_parser
 from shotr.errors import ShotrError
 from shotr.mesh import build_mesh
 from shotr.recon import evaluate, reconstruct_track
 from shotr.trajdata import TrackSeries
 from shotr.validate import (
     CASES,
+    COMPARISON_MESH_POINTS,
+    COMPARISON_QUAD_POINTS,
+    SyntheticCase,
     backtrace,
     check_backtrace,
     check_comparison,
@@ -20,6 +24,7 @@ from shotr.validate import (
     run_convergence,
 )
 
+from . import oracle
 from .conftest import count_calls, random_track
 from .oracle import rk_step
 
@@ -101,6 +106,23 @@ def test_functions_of_different_forms_are_rejected():
     zeros = lambda t: np.zeros((t.size, 1))
     assert error_norms(column, zero, 4, mesh) == error_norms(column, zeros, 4, mesh)
     assert error_norms(zero, column, 4, mesh) == error_norms(zeros, column, 4, mesh)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("degree", range(1, 6))
+def test_error_norms_equal_the_per_column_oracle(name, degree):
+    """The one-pass norms equal the per-column form bit for bit: positions at
+    N + 1 points and velocities at 4 per cell, on 3 to 800 cells (a fit of
+    3 cells drops to degree 3)."""
+    case = get_case(name)
+    for cells in (3, 10, 50, 200, 800):
+        polys = reconstruct_track(case.sample(cells + 1), degree)
+        mesh = polys[0].mesh
+        for order, exact, quad in ((0, case.position, polys[0].degree + 1),
+                                   (1, case.velocity, 4)):
+            fitted = validate._derivative(polys, order)
+            assert (error_norms(exact, fitted, quad, mesh=mesh)
+                    == oracle.column_norms(exact, fitted, quad, mesh))
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +357,98 @@ def test_check_comparison_reports_ratio_violations(comparison_rows, monkeypatch)
     monkeypatch.setattr(validate, "COMPARISON_MIN_RATIO", 1e9)
     violations = check_comparison(comparison_rows)
     assert violations  # absurd gate must trip
+
+
+def _velocity_l2(case: SyntheticCase, polys, quad: int) -> np.ndarray:
+    """The per-axis velocity L2 errors of a fit, scored as compare_spt scores."""
+    norms = error_norms(case.velocity, validate._derivative(polys, 1), quad, mesh=polys[0].mesh)
+    return np.array([n.l2 for n in norms])
+
+
+def _cli_default_fit() -> tuple[int, str]:
+    """The degree and limiter a file command fits with when given no flags."""
+    args = build_parser().parse_args(["kinematics", "--input", "tracks.csv"])
+    return args.degree, args.limiter
+
+
+def test_the_default_fit_gate_reads_the_parsers_defaults():
+    """The gate below fits at the parser's defaults, which every file
+    command shares, so it follows them if they change."""
+    parser = build_parser()
+    for command in ("reconstruct", "kinematics", "length", "summary"):
+        args = parser.parse_args([command, "--input", "tracks.csv"])
+        assert _cli_default_fit() == (args.degree, args.limiter)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP items 1 and 17: on clean data the default fit (degree 3, cweno) has a "
+    "velocity L2 error 2.33-3.39x linear linking's on every compare mesh and axis"))
+def test_the_cli_default_fit_beats_linear_linking():
+    """With the degree and limiter the CLI fits at when given no flags, the
+    velocity L2 error is below linear linking's (P1) on every compare mesh
+    and axis of both synthetic cases."""
+    degree, limiter = _cli_default_fit()
+    ratios = []
+    for name in ("tanhcos2d", "conv3d"):
+        case = get_case(name)
+        for n_points in COMPARISON_MESH_POINTS:
+            track = case.sample(n_points)
+            default, linear = (_velocity_l2(case, reconstruct_track(track, d, lim),
+                                            COMPARISON_QUAD_POINTS)
+                               for d, lim in ((degree, limiter), (1, "none")))
+            ratios += (default / linear).tolist()
+    assert max(ratios) < 1.0, ratios
+
+
+# ---------------------------------------------------------------------------
+# resolution: P3's gain over linear linking against frames per transition
+# ---------------------------------------------------------------------------
+
+SWITCH_DT = 0.05
+SWITCH_FRAMES = (0.25, 0.5, 1, 2, 4, 8, 16)  # w / dt
+# P1's velocity L2 error over P3's and over P5's, per SWITCH_FRAMES entry
+SWITCH_GAINS = {3: (1.18, 1.37, 1.96, 3.89, 11.1, 39.8, 154),
+                5: (1.22, 1.44, 2.24, 5.71, 30.8, 315, 4371)}
+
+
+def _switch(w: float, t0: float = 2.0137) -> SyntheticCase:
+    """x(t) = t + w log cosh((t - t0) / w) on [0, 4]: the velocity
+    1 + tanh((t - t0) / w) switches from 0 to 2 over about w, centred off
+    the frames. log cosh z is written as logaddexp(z, -z) - log 2."""
+    def z(t):
+        return (t - t0) / w
+    return SyntheticCase(f"switch({w})",
+                         (lambda t: t + w * (np.logaddexp(z(t), -z(t)) - np.log(2.0)),),
+                         (lambda t: 1.0 + np.tanh(z(t)),), (0.0, 4.0))
+
+
+@pytest.fixture(scope="module")
+def switch_gains() -> dict[int, np.ndarray]:
+    """P1's velocity L2 error (6 Gauss points per cell) over P3's and over
+    P5's, unlimited, sampled at dt = SWITCH_DT, per SWITCH_FRAMES entry."""
+    errors = {1: [], 3: [], 5: []}
+    for frames in SWITCH_FRAMES:
+        case = _switch(frames * SWITCH_DT)
+        track = case.sample(round(4.0 / SWITCH_DT) + 1)
+        for degree, row in errors.items():
+            row += _velocity_l2(case, reconstruct_track(track, degree), 6).tolist()
+    return {degree: np.array(errors[1]) / np.array(errors[degree]) for degree in (3, 5)}
+
+
+def test_switch_gains_match_the_measured_table(switch_gains):
+    for degree, table in SWITCH_GAINS.items():
+        np.testing.assert_allclose(switch_gains[degree], table, rtol=0.05)
+
+
+def test_switch_gains_where_the_claim_holds(switch_gains):
+    """P3 gains 10x over linear linking once the velocity change spans 4
+    frames and 30x from 8; P5 gains at least as much as P3 from 2 frames;
+    neither gain falls as the frames per transition rise."""
+    frames = np.array(SWITCH_FRAMES)
+    p3, p5 = switch_gains[3], switch_gains[5]
+    assert np.all(p3[frames >= 4] >= 10.0) and np.all(p3[frames >= 8] >= 30.0)
+    assert np.all(p5[frames >= 2] >= p3[frames >= 2])
+    assert np.all(np.diff(p3) >= 0.0) and np.all(np.diff(p5) >= 0.0)
 
 
 # ---------------------------------------------------------------------------
