@@ -283,7 +283,10 @@ def cmd_backtrace(args: argparse.Namespace) -> int:
 
 
 def _int_list(text: str) -> list[int]:
-    values = [int(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        values = []
     if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     return values
@@ -292,6 +295,8 @@ def _int_list(text: str) -> list[int]:
 def _degree(text: str) -> int:
     try:
         return check_degree(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     except UnsupportedDegree as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 

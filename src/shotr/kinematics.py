@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import OutOfDomain
 from .geometry import MAX_GEOMETRY_DEGREE, trajectory_length
+from .mesh import gauss_rule
 from .recon import PiecewisePoly, _cell_gauss, _fitted_samples, evaluate
 from .trajdata import TrackSeries
 
@@ -67,7 +68,7 @@ def eval_at(axis_polys: list[PiecewisePoly], t: float) -> KinematicSample:
 
 def dense_times(axis_polys: list[PiecewisePoly]) -> np.ndarray:
     """The N+1 Gauss abscissae of every cell, in increasing time order."""
-    return _cell_gauss(axis_polys, axis_polys[0].degree + 1, ())[0].ravel()
+    return gauss_rule(axis_polys[0].mesh, axis_polys[0].degree + 1)[0].ravel()
 
 
 def dense_kinematics(axis_polys: list[PiecewisePoly]):

@@ -38,12 +38,12 @@ A reconstruction is the mesh plus an ``(n_cells, N + 1)`` array of these
 coefficients per axis. ``evaluate`` is the one path from them to values and
 derivatives: one cell lookup per set of times serves every axis and order.
 The curve is only C0, so each interior frame has a value on either side: a
-query by time gives it to its left cell. The Gauss rule over the cells
-(``_cell_gauss``: arc length, dense output) names each node's cell instead,
-so a node rounded onto an interface is read on its own cell. A ``CellPoly``
-names its one cell, so a cell and its track give the same bits. The
-factorial scaling, the Horner loop and the width scaling are written once,
-in the evaluation's core.
+query by time gives it to its left cell. Arc length and dense output read
+the mesh's Gauss rule (``mesh.gauss_rule``) through ``_cell_gauss``, which
+names each node's cell instead, so a node rounded onto an interface is read
+on its own cell. A ``CellPoly`` names its one cell, so a cell and its track
+give the same bits. The factorial scaling, the Horner loop and the width
+scaling are written once, in the evaluation's core.
 """
 
 import logging
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedDegree
-from .mesh import StaggeredMesh, build_mesh, locate_cells
+from .mesh import StaggeredMesh, build_mesh, gauss_rule, locate_cells
 from .trajdata import TrackSeries, _frozen_floats, split_axes
 
 logger = logging.getLogger(__name__)
@@ -178,14 +178,12 @@ def _evaluate(axis_polys: list[PiecewisePoly], t: np.ndarray, cells: np.ndarray,
 
 
 def _cell_gauss(axis_polys: list[PiecewisePoly], n: int, orders):
-    """The n-point Gauss rule on every cell: nodes and weights (n_cells, n),
+    """The mesh's n-point Gauss rule: nodes and weights (n_cells, n),
     and every axis's derivatives of the given orders at the nodes in time
     order, one (dim, n_cells * n) array per order, each node read on its
     own cell (one index per node, so the evaluator broadcasts nothing)."""
-    from .quadrature import gauss_points
-
     mesh = axis_polys[0].mesh
-    nodes, weights = gauss_points(mesh.interfaces[:-1], mesh.interfaces[1:], n)
+    nodes, weights = gauss_rule(mesh, n)
     cells = np.repeat(np.arange(mesh.n_cells), n)
     return nodes, weights, _evaluate(axis_polys, nodes.ravel(), cells, orders)
 

@@ -20,8 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ShotrError
-from .mesh import StaggeredMesh
-from .quadrature import gauss_points
+from .mesh import StaggeredMesh, gauss_rule
 from .recon import PiecewisePoly, effective_degree, evaluate, reconstruct_track
 from .trajdata import TrackSeries
 
@@ -50,14 +49,15 @@ def error_norms(
 
     Both functions map times (m,) to one column per axis, the same (m, dim)
     from both; a scalar broadcasts. Any other shape, (m,) included, is a
-    ValueError. Integrals use per-cell Gauss quadrature; the max is taken
-    over all quadrature nodes and the cell interfaces, from one evaluation
-    of each function. One pass over the (columns, points) error block gives
-    every column's norms, each sum taken over that column's contiguous row.
+    ValueError. Integrals use the mesh's Gauss rule (``mesh.gauss_rule``);
+    the max is taken over its nodes and the interfaces, from one evaluation
+    of each function. The functions see times alone, so a fit scored here
+    reads a node rounded onto an interior interface on the left cell, not
+    its own. One pass over the (columns, points) error block gives every
+    column's norms, each sum taken over that column's contiguous row.
     """
-    t = mesh.interfaces
-    nodes, weights = gauss_points(t[:-1], t[1:], quad_points_per_cell)
-    pts = np.concatenate([nodes.ravel(), t])
+    nodes, weights = gauss_rule(mesh, quad_points_per_cell)
+    pts = np.concatenate([nodes.ravel(), mesh.interfaces])
     ref, cand = np.asarray(reference(pts)), np.asarray(candidate(pts))
     shapes = {r.shape for r in (ref, cand) if r.ndim}  # a scalar broadcasts
     if len(shapes) != 1 or not all(len(s) == 2 and s[0] == pts.size for s in shapes):
@@ -240,7 +240,9 @@ def run_convergence(
     limiter: str = "none",
 ) -> list[ConvergenceRow]:
     """Position errors and empirical orders over increasing mesh cell counts,
-    each at least 1."""
+    each at least 1. An empty list of degrees or meshes is a ValueError."""
+    if len(degrees) == 0 or len(mesh_cells) == 0:
+        raise ValueError("a convergence study needs a degree and a mesh, got none")
     for cells in mesh_cells:
         if cells < 1:
             raise ValueError(f"mesh cell count {cells}: a mesh has at least 1 cell")
@@ -355,8 +357,11 @@ def compare_spt(
 ) -> list[ComparisonRow]:
     """Score linear linking (P1) against cubic reconstruction (P3).
 
-    Both methods share one quadrature so their norms are comparable.
+    Both methods share one quadrature so their norms are comparable. An
+    empty list of meshes is a ValueError.
     """
+    if len(mesh_points) == 0:
+        raise ValueError("a comparison needs at least one mesh, got none")
     rows: list[ComparisonRow] = []
     axes = AXES[: case.dim]
     for n_points in mesh_points:

@@ -6,7 +6,8 @@ output.
 The file is read one row at a time, each token converted as it is met;
 one exact rational solve of the constrained least-squares (KKT) system per
 cell and one candidate set per cell, with the oscillation indicator
-integrated by Gauss quadrature; each axis and derivative evaluated on its
+integrated by Gauss quadrature, whose rule is mapped onto one interval at
+a time from numpy's reference rule; each axis and derivative evaluated on its
 own, with its own cell search; arc lengths from each cell's own speed,
 cell by cell; error norms summed cell by cell, or column by column, and
 backtrace stepped one RK step at a time. Slow, but written independently
@@ -34,13 +35,31 @@ from shotr.errors import DuplicateTimestamp, MalformedRow
 from shotr.geometry import trajectory_length
 from shotr.kinematics import sample_dense, summarize
 from shotr.mesh import StaggeredMesh, build_mesh
-from shotr.quadrature import gauss_points
 from shotr.recon import _FACT, CellPoly, TaylorBasis, effective_degree, reconstruct_track
 from shotr.trajdata import TrackSeries, TrackSet, _column_map, split_axes
 from shotr.validate import ErrorNorms
 
 
 logger = logging.getLogger(__name__)
+
+
+# ---------------------------------------------------------------------------
+# quadrature
+# ---------------------------------------------------------------------------
+
+def interval_gauss(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights (n,) of the n-point Gauss-Legendre rule on [a, b],
+    the weights carrying the half-width."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    return mid + half * x, half * w
+
+
+def cell_gauss(mesh: StaggeredMesh, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """interval_gauss on each cell of mesh, one cell at a time: nodes and
+    weights (n_cells, n)."""
+    rules = [interval_gauss(a, b, n) for a, b in zip(mesh.interfaces[:-1], mesh.interfaces[1:])]
+    return np.array([x for x, _ in rules]), np.array([w for _, w in rules])
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +329,7 @@ def oscillation_indicator(poly: CellPoly, interval: tuple[float, float]) -> floa
     (N+1)-point Gauss rule, which is exact for these integrands."""
     a, b = interval
     degree = len(poly.coeffs) - 1
-    nodes, weights = gauss_points(a, b, degree + 1)
+    nodes, weights = interval_gauss(a, b, degree + 1)
     sigma = 0.0
     for order in range(1, degree + 1):
         d = _nth_derivative(poly, nodes, order)
@@ -392,7 +411,7 @@ def cell_lengths(axis_polys) -> np.ndarray:
     n_q = max(axis_polys[0].degree + 1, 4)
     lengths = []
     for i in range(mesh.n_cells):
-        x, w = gauss_points(mesh.interfaces[i], mesh.interfaces[i + 1], n_q)
+        x, w = interval_gauss(mesh.interfaces[i], mesh.interfaces[i + 1], n_q)
         velocity = np.array([p.cells[i].derivative(x) for p in axis_polys])
         lengths.append(np.sqrt(np.sum(velocity**2, axis=0)) @ w)
     return np.array(lengths)
@@ -414,7 +433,7 @@ def error_norms(reference, candidate, window, quad_points_per_cell, mesh) -> Err
         hi = min(float(mesh.interfaces[i + 1]), b)
         if hi <= lo:
             continue
-        nodes, weights = gauss_points(lo, hi, quad_points_per_cell)
+        nodes, weights = interval_gauss(lo, hi, quad_points_per_cell)
         pts = np.concatenate([nodes, [lo, hi]])
         err = np.abs(np.asarray(reference(pts)) - np.asarray(candidate(pts)))
         l1 += float(np.dot(weights, err[:-2]))
@@ -427,9 +446,8 @@ def column_norms(reference, candidate, quad_points_per_cell, mesh) -> list[Error
     """error_norms' points and errors, then the norms one column at a time:
     the column's errors at the Gauss nodes, then at the interfaces, each
     sum over that column's nodes under their weights."""
-    t = mesh.interfaces
-    nodes, weights = gauss_points(t[:-1], t[1:], quad_points_per_cell)
-    pts = np.concatenate([nodes.ravel(), t])
+    nodes, weights = cell_gauss(mesh, quad_points_per_cell)
+    pts = np.concatenate([nodes.ravel(), mesh.interfaces])
     err = np.abs(np.asarray(reference(pts)) - np.asarray(candidate(pts)))
     return [_norms(column, weights) for column in np.ascontiguousarray(err.T)]
 

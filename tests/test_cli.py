@@ -239,6 +239,22 @@ def test_empty_integer_list_exits_one(capsys, argv):
     assert "comma-separated integers" in err
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["summary", "--input", "a.csv", "--degree", "3.5"],
+     "argument --degree: expected an integer, got '3.5'"),
+    (["convergence", "--degrees", "1,x"],
+     "argument --degrees: expected comma-separated integers, got '1,x'"),
+], ids=["degree", "degrees"])
+def test_a_malformed_integer_names_what_was_expected(capsys, argv, expected):
+    """A value that int() refuses is reported as the integer the flag
+    expects, not by the name of a private parser function."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert expected in err
+    assert re.search(r"\b_\w", err) is None, err
+
+
 def test_convergence_repeated_mesh_exits_one(capsys):
     """Two equal meshes give no order (log(dt / dt) = 0), and a coarser mesh
     after a finer one would gate a coarse pair as the finest."""

@@ -28,7 +28,8 @@ FILE_COMMANDS = ("reconstruct", "kinematics", "length", "summary")
 
 # `python -m shotr.cli ARGS`, run by runpy as -m runs it, after hooks that
 # record the freeze count each time the __main__ module's main() is entered,
-# and at exit write that and the loaded shotr modules to stdout.
+# and at exit write that and the loaded shotr modules (and numpy's polynomial
+# package, if loaded) to stdout.
 AS_MAIN = """
 import atexit, gc, json, runpy, sys
 freeze_counts = []
@@ -37,7 +38,8 @@ def profile(frame, event, arg):
             and frame.f_globals.get("__name__") == "__main__"):
         freeze_counts.append(gc.get_freeze_count())
 atexit.register(lambda: print(json.dumps({
-    "modules": sorted(m for m in sys.modules if m.startswith("shotr")),
+    "modules": sorted(m for m in sys.modules
+                      if m.startswith("shotr") or m == "numpy.polynomial"),
     "freeze_counts": freeze_counts})))
 sys.setprofile(profile)
 runpy.run_module("shotr.cli", run_name="__main__", alter_sys=True)
@@ -86,8 +88,12 @@ def test_file_commands_do_not_load_the_validation_harness(tmp_path, tracks_csv, 
     report = loaded(command, "--input", tracks_csv, "--output", str(tmp_path / "out"))
     assert "shotr.trajdata" in report["modules"]
     assert "shotr.validate" not in report["modules"]
+    # reconstruct reads no Gauss rule, so numpy's polynomial package stays out
     if command == "reconstruct":
-        assert not {"shotr.geometry", "shotr.kinematics"} & set(report["modules"])
+        assert not {"shotr.geometry", "shotr.kinematics", "numpy.polynomial"} & set(
+            report["modules"])
+    else:
+        assert "numpy.polynomial" in report["modules"]
 
 
 def test_validation_commands_load_the_harness(tmp_path):

@@ -4,11 +4,11 @@ import pytest
 from shotr.errors import OutOfDomain
 from shotr.geometry import trajectory_length
 from shotr.kinematics import dense_kinematics, dense_times, eval_at, sample_dense, summarize
-from shotr.quadrature import gauss_points
 from shotr.recon import _evaluate, reconstruct_track
 from shotr.trajdata import TrackSeries, split_axes
 
 from .conftest import random_track
+from .oracle import cell_gauss, interval_gauss
 
 
 def test_linear_motion_velocity_and_zero_acceleration(rng):
@@ -68,7 +68,7 @@ def test_dense_output_reads_each_node_on_its_own_cell(limiter, ulps, on_interfac
     coords = np.random.default_rng(4).normal(0.0, 1.0, (30, 2)).cumsum(axis=0)
     polys = reconstruct_track(TrackSeries("ulps", times, coords), 3, limiter)
     mesh = polys[0].mesh
-    nodes, _ = gauss_points(mesh.interfaces[:-1], mesh.interfaces[1:], 4)
+    nodes, _ = cell_gauss(mesh, 4)
     assert np.isin(nodes, times).sum() == on_interfaces
     want = _evaluate(polys, nodes, np.arange(mesh.n_cells)[:, None], (0, 1, 2))
     dense, *got = dense_kinematics(polys)
@@ -87,7 +87,7 @@ def test_dense_speed_integral_consistent_with_length(rng):
     n = polys[0].degree + 1
     total = 0.0
     for i in range(mesh.n_cells):
-        nodes, w = gauss_points(mesh.interfaces[i], mesh.interfaces[i + 1], n)
+        nodes, w = interval_gauss(mesh.interfaces[i], mesh.interfaces[i + 1], n)
         speed = np.sqrt(sum(p.derivative(nodes) ** 2 for p in polys))
         total += float(np.dot(w, speed))
     assert total == pytest.approx(trajectory_length(polys), rel=1e-8)
@@ -157,7 +157,7 @@ def test_displacement_velocity_equals_time_average_of_velocity(rng):
     for d in range(2):
         total = 0.0
         for i in range(mesh.n_cells):
-            nodes, w = gauss_points(mesh.interfaces[i], mesh.interfaces[i + 1], 4)
+            nodes, w = interval_gauss(mesh.interfaces[i], mesh.interfaces[i + 1], 4)
             total += float(np.dot(w, polys[d].derivative(nodes)))
         assert total / s.duration == pytest.approx(s.v_d[d], abs=1e-8)
 

@@ -226,9 +226,9 @@ def test_one_cell_lookup_and_one_horner_loop():
     """One Taylor-basis evaluator: the package looks cells up in one place,
     recon.evaluate, and scales by the factorials and writes the Horner loop
     once, in the core recon._evaluate_taylor, which CellPoly calls too. No
-    module but recon names the core (recon._cell_gauss, the Gauss rule that
-    arc length and dense output read, names its nodes' cells to
-    recon._evaluate instead), and no module defines, names or calls the
+    module but recon names the core (recon._cell_gauss, which reads the
+    mesh's Gauss rule for arc length and dense output, names its nodes'
+    cells to recon._evaluate instead), and no module defines, names or calls the
     second path _taylor_eval or the helper _horner."""
     lookups, horner, fact_divisions, helpers = [], [], [], {}
     for path in sorted((ROOT / "src" / "shotr").glob("*.py")):
@@ -246,15 +246,17 @@ def test_one_cell_lookup_and_one_horner_loop():
 
 
 def test_one_gauss_rule_over_a_fits_cells():
-    """The Gauss nodes of a fit's cells have one owner, recon._cell_gauss,
-    from which arc length and dense output take their nodes and values; the
-    only other caller of quadrature.gauss_points is validate.error_norms,
-    which scores functions of time."""
+    """The mesh owns the Gauss rule on its cells, mesh.gauss_rule. The nodes
+    and values of a fit's cells have one owner, recon._cell_gauss, from
+    which arc length and dense output take them; the rule's only other
+    callers are kinematics.dense_times, which evaluates nothing, and
+    validate.error_norms, which scores functions of time."""
     callers = [f"{module}.{fn.name}" for module, tree in _modules().items()
                for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-               for node in ast.walk(fn) if isinstance(node, ast.Call) and "gauss_points" in (
+               for node in ast.walk(fn) if isinstance(node, ast.Call) and "gauss_rule" in (
                    getattr(node.func, "id", None), getattr(node.func, "attr", None))]
-    assert sorted(callers) == ["recon._cell_gauss", "validate.error_norms"]
+    assert sorted(callers) == ["kinematics.dense_times", "recon._cell_gauss",
+                               "validate.error_norms"]
 
 
 def test_the_limiter_and_the_summary_read_the_fits_cells():
@@ -322,13 +324,13 @@ def _names_numpy(node, submodule: str) -> bool:
     return False
 
 
-def test_only_quadrature_names_numpy_polynomial():
+def test_only_mesh_names_numpy_polynomial():
     """One polynomial basis: a fit is Taylor coefficients, evaluated by
-    recon, and numpy's polynomial package serves only the Gauss rules. A
-    second basis, such as a Lagrange cell geometry, would name it again."""
+    recon, and numpy's polynomial package serves only the mesh's Gauss rule.
+    A second basis, such as a Lagrange cell geometry, would name it again."""
     found = sorted({module for module, tree in _modules().items()
                     for node in ast.walk(tree) if _names_numpy(node, "polynomial")})
-    assert found == ["quadrature"]
+    assert found == ["mesh"]
 
 
 def test_the_fit_names_no_numpy_linalg():

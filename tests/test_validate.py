@@ -7,7 +7,7 @@ from shotr import validate
 from shotr.cli import build_parser
 from shotr.errors import ShotrError
 from shotr.mesh import build_mesh
-from shotr.recon import evaluate, reconstruct_track
+from shotr.recon import _cell_gauss, evaluate, reconstruct_track
 from shotr.trajdata import TrackSeries
 from shotr.validate import (
     CASES,
@@ -123,6 +123,28 @@ def test_error_norms_equal_the_per_column_oracle(name, degree):
             fitted = validate._derivative(polys, order)
             assert (error_norms(exact, fitted, quad, mesh=mesh)
                     == oracle.column_norms(exact, fitted, quad, mesh))
+
+
+@pytest.mark.parametrize("ulps", [
+    pytest.param(2, marks=pytest.mark.xfail(strict=True, reason=(
+        "error_norms reads its nodes by time, so a node rounded onto an interface takes "
+        "the left cell; scoring the fit on its own cells needs the callable signature "
+        "that perfbench pins to go (ROADMAP item 14)"))),
+    8,
+])
+def test_error_norms_read_a_fit_on_its_own_cells(ulps):
+    """The velocity L2 norm of a fit through error_norms equals the same
+    rule read on each node's own cell (recon._cell_gauss), on frames a few
+    ulps apart at epoch-second times. 8 ulps apart no node sits on an
+    interface and both agree; 2 ulps apart half the nodes do, and
+    error_norms gives 8033.4 / 7540.1 against 8082.9 / 7556.8."""
+    times = 1.7e9 + np.arange(30) * ulps * np.spacing(1.7e9)
+    coords = np.random.default_rng(4).normal(0.0, 1.0, (30, 2)).cumsum(axis=0)
+    polys = reconstruct_track(TrackSeries("ulps", times, coords), 3)
+    scored = error_norms(lambda t: 0.0, validate._derivative(polys, 1), 4, mesh=polys[0].mesh)
+    _, weights, (velocity,) = _cell_gauss(polys, 4, (1,))
+    own_cells = [np.sqrt(np.sum(weights.ravel() * v**2)) for v in velocity]
+    assert [norms.l2 for norms in scored] == pytest.approx(own_cells, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +309,17 @@ def test_convergence_meshes_have_a_cell():
         with pytest.raises(ValueError, match=rf"^mesh cell count {min(cells)}: "
                                              "a mesh has at least 1 cell$"):
             run_convergence(case, degrees=[1], mesh_cells=cells)
+
+
+def test_the_studies_refuse_an_empty_list():
+    """A study of no degree or no mesh has no row, and its gate would pass
+    on nothing: each is a ValueError before any mesh is fitted."""
+    case = get_case("conv3d")
+    for degrees, meshes in (([], [10, 20]), ([3], []), ([], [])):
+        with pytest.raises(ValueError, match="needs a degree and a mesh"):
+            run_convergence(case, degrees, meshes)
+    with pytest.raises(ValueError, match="needs at least one mesh"):
+        compare_spt(get_case("tanhcos2d"), [])
 
 
 # ---------------------------------------------------------------------------
